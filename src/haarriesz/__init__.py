@@ -27,8 +27,6 @@ from .fourier import (
     delta_conv,
     derivative,
     antiderivative,
-    make_kernel_b,
-    make_kernel_d,
     riesz,
     riesz_inverse,
     smoothing_conv,

@@ -10,7 +10,9 @@ reproduce identical CSV bytes.  Exit codes: 0 all assertions pass,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -144,10 +146,11 @@ class Run:
         self.assertions.append(Assertion(name, bool(passed), detail))
 
     def csv_text(self) -> str:
-        lines = [",".join(self.columns or [])]
-        for row in self.rows:
-            lines.append(",".join(fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.columns or [])
+        writer.writerows([fmt(v) for v in row] for row in self.rows)
+        return buf.getvalue()
 
     def finish(self) -> int:
         self.out_dir.mkdir(parents=True, exist_ok=True)

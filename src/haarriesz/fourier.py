@@ -11,7 +11,7 @@ spectra strictly below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -28,8 +28,6 @@ __all__ = [
     "antiderivative",
     "kernel_b",
     "kernel_b_antiderivative",
-    "make_kernel_b",
-    "make_kernel_d",
     "ResolvingKernel",
     "delta_conv",
     "smoothing_conv",
@@ -237,28 +235,13 @@ def kernel_b_antiderivative2(t: np.ndarray) -> np.ndarray:
     return np.where(t > 1.0, t, np.where(t < -1.0, 0.0, inner))
 
 
-def make_kernel_b() -> Callable[[np.ndarray], np.ndarray]:
-    """The 1D profile b used by every resolving kernel."""
-    return kernel_b
-
-
-def _b_scaled_cell_averages(s: int, J: int) -> np.ndarray:
-    """Exact cell averages on the level-J torus grid of the mass-one profile
-    t -> 2^s b(2^s t), periodized.  Computed from the closed-form
-    antiderivative, so the averages sum to exactly 2^J (mass one)."""
-    N = 2**J
-    edges = np.arange(N + 1) / N
-
-    def mass(a: np.ndarray, b_: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(a)
-        for m in (-1, 0, 1):
-            total = total + (
-                kernel_b_antiderivative((b_ - m) * 2.0**s)
-                - kernel_b_antiderivative((a - m) * 2.0**s)
-            )
-        return total
-
-    return mass(edges[:-1], edges[1:]) * N
+def _tensor(v: np.ndarray, n: int) -> np.ndarray:
+    """n-fold outer product v x ... x v: the separable n-dimensional table of
+    a 1D lag table."""
+    out = v
+    for _ in range(n - 1):
+        out = np.multiply.outer(out, v)
+    return out
 
 
 def _b_scaled_lag_table(s: int, J: int) -> np.ndarray:
@@ -289,130 +272,71 @@ def _b_scaled_lag_table(s: int, J: int) -> np.ndarray:
 
 @dataclass
 class ResolvingKernel:
-    """Sampled kernel d_s(x) = d(2^s x) 2^{ns} with
-    d(x) = prod b(x_i) - 2^n prod b(2 x_i).
+    """Kernel d_s(x) = d(2^s x) 2^{ns} with d(x) = prod b(x_i) - 2^n prod b(2 x_i),
+    represented by its exact level-J Galerkin lag table.
 
-    Samples are exact cell averages on the rho-oversampled grid (level
-    J + log2(rho)); ``coarse()`` block-averages them down to level J.
+    ``samples[l]`` is the response at the integer lag l per axis (numpy FFT
+    layout: l = 0, 1, .., N/2-1, -N/2, .., -1 with N = 2^J).  The table is
+    exactly even, so the convolution it defines is self-adjoint.
     """
 
     n: int
     s: int
     J: int
-    rho: int = 8
-    samples: np.ndarray = None  # set in __post_init__
+    samples: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.rho < 1 or (self.rho & (self.rho - 1)) != 0:
-            raise ValueError("oversampling factor must be a power of two")
-        Jf = self.J + int(np.log2(self.rho))
-        outer = _b_scaled_cell_averages(self.s, Jf)
-        inner = _b_scaled_cell_averages(self.s + 1, Jf)
-        # separable tensor difference
-        def tensor(v: np.ndarray) -> np.ndarray:
-            out = v
-            for _ in range(self.n - 1):
-                out = np.multiply.outer(out, v)
-            return out
-
-        self.samples = tensor(outer) - tensor(inner)
-        self._Jf = Jf
+        outer = _b_scaled_lag_table(self.s, self.J)
+        inner = _b_scaled_lag_table(self.s + 1, self.J)
+        self.samples = _tensor(outer, self.n) - _tensor(inner, self.n)
 
     def integral(self) -> float:
-        return float(self.samples.sum() * 2.0 ** (-self.n * self._Jf))
+        return float(self.samples.sum() * 2.0 ** (-self.n * self.J))
 
     def first_moments(self) -> list[float]:
-        Nf = 2**self._Jf
-        centers = (np.arange(Nf) + 0.5) / Nf
-        signed = np.where(centers >= 0.5, centers - 1.0, centers)
-        vol = 2.0 ** (-self.n * self._Jf)
+        """Moments at the signed lags l 2^-J.  The antipodal lag N/2 is both
+        +1/2 and -1/2 on the torus, so it gets the weight 0."""
+        N = 2**self.J
+        signed = np.fft.fftfreq(N)
+        signed[N // 2] = 0.0
+        vol = 2.0 ** (-self.n * self.J)
         out = []
         for ax in range(self.n):
             shape = [1] * self.n
-            shape[ax] = Nf
+            shape[ax] = N
             out.append(float((self.samples * signed.reshape(shape)).sum() * vol))
         return out
 
-    def coarse(self) -> np.ndarray:
-        """Cell averages at level J (exact block means of the fine samples)."""
-        arr = self.samples
-        f = self.rho
-        if f == 1:
-            return arr.copy()
-        shape = []
-        for _ in range(self.n):
-            shape.extend([2**self.J, f])
-        return arr.reshape(shape).mean(axis=tuple(range(1, 2 * self.n, 2)))
 
-    def lag_table(self) -> np.ndarray:
-        """Exact level-J Galerkin lag response of convolution with d_s (the
-        tensor difference of the two bump responses); even, zero-sum, and
-        zero-first-moment to machine precision."""
-        outer = _b_scaled_lag_table(self.s, self.J)
-        inner = _b_scaled_lag_table(self.s + 1, self.J)
-
-        def tensor(v: np.ndarray) -> np.ndarray:
-            out = v
-            for _ in range(self.n - 1):
-                out = np.multiply.outer(out, v)
-            return out
-
-        return tensor(outer) - tensor(inner)
-
-
-def make_kernel_d(n: int) -> Callable[[int, int, int], ResolvingKernel]:
-    """Factory producing sampled resolving kernels for dimension n."""
-
-    def factory(s: int, J: int, rho: int = 8) -> ResolvingKernel:
-        return ResolvingKernel(n=n, s=s, J=J, rho=rho)
-
-    return factory
-
-
-def _reflect_kernel(kernel_cells: np.ndarray) -> np.ndarray:
-    """K~[m] = K[-m mod N]: the exact adjoint kernel of a discrete periodic
-    convolution.  (The cell-sampled kernel is even only up to a half-cell
-    offset, so adjoints are formed explicitly rather than assumed.)"""
-    out = kernel_cells[(slice(None, None, -1),) * kernel_cells.ndim].copy()
-    for ax in range(kernel_cells.ndim):
-        out = np.roll(out, 1, axis=ax)
-    return out
-
-
-def _conv_with_cell_kernel(
-    u: GridFunction, kernel_cells: np.ndarray, adjoint: bool = False
-) -> GridFunction:
-    """Periodic convolution of a grid field with a kernel given by its
-    level-J cell averages, computed spectrally."""
+def _conv_with_cell_kernel(u: GridFunction, kernel_cells: np.ndarray) -> GridFunction:
+    """Periodic convolution of a grid field with a level-J lag table,
+    computed spectrally."""
     vol = u.cell_volume()
-    kern = _reflect_kernel(kernel_cells) if adjoint else kernel_cells
     fu = np.fft.fftn(u.values)
-    fk = np.fft.fftn(kern)
+    fk = np.fft.fftn(kernel_cells)
     out = np.fft.ifftn(fu * fk).real * vol
     return GridFunction(u.n, u.J, out)
 
 
 @lru_cache(maxsize=256)
-def _delta_kernel_cells(n: int, s: int, J: int, rho: int) -> np.ndarray:
-    kern = ResolvingKernel(n=n, s=s, J=J, rho=rho).lag_table()
+def _delta_kernel_cells(n: int, s: int, J: int) -> np.ndarray:
+    kern = ResolvingKernel(n=n, s=s, J=J).samples
     kern.setflags(write=False)
     return kern
 
 
-def delta_conv(
-    u: GridFunction, s: int, margin: int = 2, rho: int = 8, adjoint: bool = False
-) -> GridFunction:
+def delta_conv(u: GridFunction, s: int, margin: int = 2) -> GridFunction:
     """Scale-s resolving convolution Delta_s u = u * d_s on the torus.
 
     Requires 0 <= s <= J - margin so the inner lobe of d_s spans at least
-    2^margin cells per axis.  ``adjoint`` applies the exact transpose.
+    2^margin cells per axis.  Delta_s is self-adjoint (its lag table is even).
     """
     if s < 0 or s > u.J - margin:
         raise ValueError(
             f"scale s={s} not resolvable at J={u.J} (need 0 <= s <= J-{margin}; "
             f"smallest adequate J is {s + margin})"
         )
-    return _conv_with_cell_kernel(u, _delta_kernel_cells(u.n, s, u.J, rho), adjoint)
+    return _conv_with_cell_kernel(u, _delta_kernel_cells(u.n, s, u.J))
 
 
 def smoothing_conv(u: GridFunction, s: int) -> GridFunction:
@@ -421,8 +345,4 @@ def smoothing_conv(u: GridFunction, s: int) -> GridFunction:
     lag tables as delta_conv; used by the telescoping oracle."""
     if s < 0:
         raise ValueError("scale must be >= 0")
-    v = _b_scaled_lag_table(s, u.J)
-    kern = v
-    for _ in range(u.n - 1):
-        kern = np.multiply.outer(kern, v)
-    return _conv_with_cell_kernel(u, kern)
+    return _conv_with_cell_kernel(u, _tensor(_b_scaled_lag_table(s, u.J), u.n))

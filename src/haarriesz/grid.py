@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -145,18 +145,6 @@ class DyadicCube:
         return tuple(slice(ki * w, (ki + 1) * w) for ki in self.k)
 
 
-def cubes_at_level(n: int, j: int) -> Iterator[DyadicCube]:
-    """All dyadic cubes of one level, row-major."""
-    side = 1 << j
-    for flat in range(side**n):
-        k = []
-        rem = flat
-        for _ in range(n):
-            k.append(rem % side)
-            rem //= side
-        yield DyadicCube(n, j, tuple(reversed(k)))
-
-
 class GridFunction:
     """Real piecewise-constant field: one value per level-J cell of [0,1)^n.
 
@@ -235,9 +223,6 @@ class GridFunction:
     def inner(self, other: "GridFunction") -> float:
         self._check_compatible(other)
         return float(np.vdot(self.values, other.values) * self.cell_volume())
-
-    def restrict_mean_zero(self) -> "GridFunction":
-        return GridFunction(self.n, self.J, self.values - self.values.mean())
 
     def refine(self, J_new: int) -> "GridFunction":
         """The same piecewise-constant function sampled at a finer level."""

@@ -48,12 +48,10 @@ __all__ = [
 
 @dataclass
 class LinearFieldOp:
-    """Uniform handle for a linear map on grid fields, with its adjoint and
-    an optional admissibility predicate on inputs."""
+    """Uniform handle for a linear map on grid fields, with its adjoint."""
 
     apply: Callable[[GridFunction], GridFunction]
     adjoint: Optional[Callable[[GridFunction], GridFunction]] = None
-    admissible: Optional[Callable[[GridFunction], bool]] = None
     name: str = "op"
 
     def __call__(self, u: GridFunction) -> GridFunction:
@@ -119,7 +117,8 @@ def _t_ell_adjoint(
     levels: Sequence[int],
     margin: int = 2,
 ) -> GridFunction:
-    """Exact adjoint of t_ell: sum_j Delta_{j+ell}^T (Pi_j u), same sign."""
+    """Exact adjoint of t_ell: sum_j Delta_{j+ell} (Pi_j u), same sign
+    (Delta_s is self-adjoint)."""
     c = haar_analyze(u)
     acc = GridFunction.zeros(u.n, u.J)
     for j in levels:
@@ -127,7 +126,7 @@ def _t_ell_adjoint(
             continue
         piece = HaarCoefficients(n=u.n, J=u.J, mean=0.0)
         piece.levels[j] = {direction.index: c.levels[j][direction.index]}
-        acc = acc + delta_conv(haar_synthesize(piece), j + ell, margin=margin, adjoint=True)
+        acc = acc + delta_conv(haar_synthesize(piece), j + ell, margin=margin)
     return -acc
 
 
@@ -535,6 +534,20 @@ def rearrangement_op(
     return haar_synthesize(out)
 
 
+def _profile_matrix(J: int, lam: int, j: int) -> np.ndarray:
+    """A_j[k, :]: the 1D factor, on the level-J grid, of the default profile
+    of a level-j cube whose coordinate along an axis is k.  The factor
+    depends only on k (predecessor coordinate k >> lam, rank offset
+    k & (2^lam - 1)), so every level-j default profile is a tensor product
+    of rows of A_j."""
+    side = 2.0 ** (lam - j)
+    rows = []
+    for k in range(2**j):
+        start = (k >> lam) * side + (k & ((1 << lam) - 1)) * side / (2**lam) * 0.5
+        rows.append(_sine_factor(2**J, 2.0 * np.pi / side, start, start + side))
+    return np.array(rows)
+
+
 def rearrangement_operator(
     n: int,
     J: int,
@@ -542,35 +555,25 @@ def rearrangement_operator(
     direction: Optional[Direction] = None,
     levels: Optional[Sequence[int]] = None,
 ) -> LinearFieldOp:
-    """Fast separable-profile implementation of the rearrangement operator
-    and its exact adjoint (default profile family only)."""
+    """Separable implementation of the rearrangement operator and its exact
+    adjoint (default profile family only).  Level j is the Kronecker product
+    A_j x ... x A_j of one 2^j x 2^J matrix, applied one axis at a time."""
     direction = direction or Direction((1,) * n)
     lv = _rearrangement_levels(J, lam, levels)
-    split = PredecessorSplit(n=n, lam=lam)
-    # cache 1D factors per cube; the profiles are separable
-    table: dict[int, list[tuple[DyadicCube, list[np.ndarray]]]] = {}
-    for j in lv:
-        side = 1 << j
-        entries = []
-        for flat in np.ndindex(*((side,) * n)):
-            Q = DyadicCube(n, j, tuple(int(x) for x in flat))
-            entries.append((Q, _profile_factors(n, J, lam, split.tau(Q), split.rank(Q))))
-        table[j] = entries
-    vol = 2.0 ** (-n * J)
+    mats = {j: _profile_matrix(J, lam, j) for j in lv}
 
-    def _inner_sep(values: np.ndarray, factors: list[np.ndarray]) -> float:
-        acc = values
-        for f in reversed(factors):
-            acc = acc @ f
-        return float(acc) * vol
+    def contract(arr: np.ndarray, A: np.ndarray, axis: int) -> np.ndarray:
+        # each tensordot moves the contracted axis to the end, so n of them
+        # restore the axis order
+        for _ in range(n):
+            arr = np.tensordot(arr, A, axes=(0, axis))
+        return arr
 
     def fwd(u: GridFunction) -> GridFunction:
         out = HaarCoefficients(n=n, J=J, mean=0.0)
         for j in lv:
-            side = 1 << j
-            arr = np.zeros((side,) * n)
-            for Q, factors in table[j]:
-                arr[Q.k] = _inner_sep(u.values, factors) / Q.volume()
+            # <u, phi_Q> / |Q| with the level-J cell volume 2^-nJ
+            arr = contract(u.values, mats[j], 1) * 2.0 ** (n * (j - J))
             out.levels[j] = {direction.index: arr}
         return haar_synthesize(out)
 
@@ -578,15 +581,7 @@ def rearrangement_operator(
         c = haar_analyze(u)
         acc = np.zeros((2**J,) * n)
         for j in lv:
-            coeffs = c.levels[j][direction.index]
-            for Q, factors in table[j]:
-                w = float(coeffs[Q.k])
-                if w == 0.0:
-                    continue
-                outer = factors[0]
-                for f in factors[1:]:
-                    outer = np.multiply.outer(outer, f)
-                acc += w * outer
+            acc += contract(c.levels[j][direction.index], mats[j], 0)
         return GridFunction(n, J, acc)
 
     return LinearFieldOp(apply=fwd, adjoint=adj, name=f"rearr_S[lam={lam}]")

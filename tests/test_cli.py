@@ -1,5 +1,6 @@
 """Runner behavior: CSV/manifest artifacts, determinism, exit codes."""
 
+import csv
 import json
 
 import pytest
@@ -77,6 +78,20 @@ class TestSharpness:
         floor = 2.0**0.1 * 0.7
         for a, b in zip(ratios, ratios[1:]):
             assert b / a >= floor
+
+
+class TestInterpRatio:
+    def test_rows_have_header_width(self, tmp_path):
+        # bound_model holds a comma, so the writer must quote it
+        out = tmp_path / "ir"
+        code = main(["interp-ratio", "--J", "4", "--p-list", "2,1.5", "--trials", "2",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 0
+        with open(out / "results.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == 4
+        for row in rows:
+            assert len(row) == len(header)
 
 
 class TestExitCodes:
