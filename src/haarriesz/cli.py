@@ -3,8 +3,8 @@
 Every verification is a subcommand writing ``results.csv`` and
 ``manifest.json`` into the output directory.  All randomness flows from the
 counter-based generator keyed by the mandatory seed, so identical manifests
-reproduce identical CSV bytes.  Exit codes: 0 all assertions pass,
-2 validation failure, 3 assertion failure, 4 resource-cap refusal.
+reproduce identical CSV bytes.  Exit codes: 0 all assertions pass, 1 internal
+error, 2 flag validation failure, 3 assertion failure, 4 resource-cap refusal.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .grid import Direction, DyadicCube, GridFunction, all_directions, embed
-from .fields import cone_band_field, haar_polynomial, random_field
+from .grid import Direction, DyadicCube, GridFunction, all_directions, axis_direction, embed
+from .fields import cone_band_field, haar_polynomial, random_field, single_haar_block
 from .fourier import ResolvingKernel, delta_conv, riesz, riesz_inverse, smoothing_conv
 from .haar import (
     bmo_d_norm,
@@ -36,6 +36,7 @@ from .haar import (
     square_function,
 )
 from .multiscale import ring_cover, t_ell
+from .profiles import haar_pieces, profile_integral, profile_product_integral, sine_cell_averages
 from .semiconvexity import (
     VectorField,
     contrast_sequence,
@@ -52,6 +53,7 @@ from .experiments import (
     tl_decay_norms,
 )
 from .sharpness import (
+    mother_profiles,
     sharpness_experiment_pge2,
     single_block_experiment_ple2,
     unit_square_coefficient,
@@ -65,8 +67,8 @@ EXIT_RESOURCE = 4
 DEFAULT_CAP_BYTES = 4 * 1024**3
 
 
-class ValidationError(Exception):
-    pass
+class ValidationError(ValueError):
+    """A flag value outside its domain (argparse reports it as a usage error)."""
 
 
 class ResourceRefusal(Exception):
@@ -92,7 +94,10 @@ def parse_dyadic(text: str) -> float:
 
 
 def parse_eps_list(text: str) -> list[float]:
-    return [parse_dyadic(tok) for tok in text.split(",") if tok.strip()]
+    values = [parse_dyadic(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValidationError("empty list")
+    return values
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -104,13 +109,34 @@ def parse_int_list(text: str) -> list[int]:
         if b < a:
             raise ValidationError(f"empty range {text!r}")
         return list(range(a, b + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValidationError("empty list")
+    return values
 
 
-def fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def parse_float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",")]
+
+
+def _domain(parse: Callable, ok: Callable, what: str) -> Callable:
+    """argparse ``type=``: ``parse`` the text, then require ``ok`` of every value."""
+
+    def checked(text: str):
+        value = parse(text)
+        for v in value if isinstance(value, list) else [value]:
+            if not ok(v):
+                raise argparse.ArgumentTypeError(f"{v!r} is not {what}")
+        return value
+
+    checked.__name__ = parse.__name__
+    return checked
+
+
+def _int_in(lo: int, hi: Optional[int] = None) -> Callable:
+    if hi is None:
+        return _domain(int, lambda v: v >= lo, f">= {lo}")
+    return _domain(int, lambda v: lo <= v <= hi, f"in {lo}..{hi}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +175,8 @@ class Run:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns or [])
-        writer.writerows([fmt(v) for v in row] for row in self.rows)
+        writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row]
+                         for row in self.rows)
         return buf.getvalue()
 
     def finish(self) -> int:
@@ -194,34 +221,30 @@ def grid_budget(n: int, J: int, copies: int = 96) -> int:
     return 8 * 2 ** (n * J) * copies
 
 
+SCALING_COLUMNS = ["experiment", "n", "J", "p", "ell_or_lambda", "epsilon_bits", "i0",
+                   "trials", "seed", "measured", "bound_model", "slack"]
+INTEGRAND_COLUMNS = ["experiment", "f_name", "r", "I_r", "I_limit", "defect_min",
+                     "compliant_flag"]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_tl_decay(args, run: Run) -> None:
-    n, J, p, seed = args.n, args.J, args.p, args.seed
-    ells = parse_int_list(args.ell)
+    n, J, p, ells, seed = args.n, args.J, args.p, args.ell, args.seed
     enforce_cap(grid_budget(n, J), args.cap_bytes)
-    direction = Direction(tuple([1] + [0] * (n - 1)))
-    if p == 2.0:
-        norms = tl_decay_norms(n, J, direction, ells, iters=args.trials * 3, seed=seed)
-    else:
-        raise ValidationError("tl-decay measures the p = 2 power-iteration norms")
-    run.set_columns(
-        ["experiment", "n", "J", "p", "ell_or_lambda", "epsilon_bits", "i0",
-         "trials", "seed", "measured", "bound_model", "slack"]
-    )
-    m0 = norms.get(0)
-    m_neg1 = norms.get(-1)
+    direction = axis_direction(n, 1)
+    norms = tl_decay_norms(n, J, direction, ells, iters=args.trials * 3, seed=seed)
+    run.set_columns(SCALING_COLUMNS)
+    m0, m_neg1 = norms.get(0), norms.get(-1)
     for ell in ells:
         m = norms[ell]
         if ell > 0 and m0:
-            bound = m0 * 2.0 ** (-ell / 2.0)
-            slack = m / bound
+            slack = m / (m0 * 2.0 ** (-ell / 2.0))
             model = "m(0)*2^(-ell/2)"
         elif ell < -1 and m_neg1:
-            bound = m_neg1 * 2.0 ** (-(abs(ell) - 1) / 2.0)
-            slack = m / bound
+            slack = m / (m_neg1 * 2.0 ** (-(abs(ell) - 1) / 2.0))
             model = "m(-1)*2^(-(|ell|-1)/2)"
         else:
             slack = 1.0
@@ -229,11 +252,8 @@ def cmd_tl_decay(args, run: Run) -> None:
         run.add_row("tl-decay", n, J, p, ell, str(direction), 1,
                     args.trials, seed, m, model, slack)
         if model != "reference":
-            run.check(
-                f"tl-decay ell={ell} slack<=: {args.slack}",
-                slack <= args.slack,
-                f"measured={m:.6f} slack={slack:.4f}",
-            )
+            run.check(f"tl-decay ell={ell} slack<=: {args.slack}", slack <= args.slack,
+                      f"measured={m:.6f} slack={slack:.4f}")
     # decomposition residual on the standard field
     res, base = decomposition_residuals(n, J, direction, L_max=4, seed=seed)
     run.add_row("tl-decomposition", n, J, p, 4, str(direction), 1,
@@ -245,63 +265,54 @@ def cmd_tl_decay(args, run: Run) -> None:
               " ".join(f"{r/base:.4f}" for r in res))
 
 
-def cmd_ring_decay(args, run: Run) -> None:
-    n, J, seed = args.n, args.J, args.seed
-    lams = parse_int_list(args.lam) if args.lam else [3, 4, 5]
-    enforce_cap(grid_budget(n, J), args.cap_bytes)
-    direction = Direction(tuple([1] + [0] * (n - 1)))
-    norms = ring_decay_norms(n, J, direction, lams, base_level=1, iters=args.trials * 3, seed=seed)
-    run.set_columns(
-        ["experiment", "n", "J", "p", "ell_or_lambda", "epsilon_bits", "i0",
-         "trials", "seed", "measured", "bound_model", "slack"]
-    )
+def lambda_scaling(args, run: Run, norms: dict, bits: str, model: str, rate: float,
+                   check: str) -> None:
+    """One row per lambda; each consecutive ratio must be <= 2^(rate*step) * slack."""
+    lams = getattr(args, "lambda")
+    run.set_columns(SCALING_COLUMNS)
     for lam in lams:
-        run.add_row("ring-decay", n, J, 2.0, lam, str(direction), 1,
-                    args.trials, seed, norms[lam], "C*2^(-lam/2)", 0.0)
+        run.add_row(run.subcommand, args.n, args.J, 2.0, lam, bits, 1,
+                    args.trials, args.seed, norms[lam], model, 0.0)
     for lo, hi in zip(lams, lams[1:]):
         ratio = norms[hi] / norms[lo]
-        bound = 2.0 ** (-0.5 * (hi - lo)) * args.slack
-        run.check(f"ring-decay ratio lam {lo}->{hi}", ratio <= bound,
+        bound = 2.0 ** (rate * (hi - lo)) * args.slack
+        run.check(f"{check} lam {lo}->{hi}", ratio <= bound,
                   f"ratio={ratio:.4f} bound={bound:.4f}")
+
+
+def cmd_ring_decay(args, run: Run) -> None:
+    n, J, lams = args.n, args.J, getattr(args, "lambda")
+    if not all(0 <= lam <= J - 2 for lam in lams):
+        raise ValidationError(f"--lambda values must lie in 0..J-2 = 0..{J - 2}")
+    enforce_cap(grid_budget(n, J), args.cap_bytes)
+    direction = axis_direction(n, 1)
+    norms = ring_decay_norms(n, J, direction, lams, base_level=1, iters=args.trials * 3,
+                             seed=args.seed)
+    lambda_scaling(args, run, norms, str(direction), "C*2^(-lam/2)", -0.5, "ring-decay ratio")
 
 
 def cmd_rearrange(args, run: Run) -> None:
-    n, J, seed = args.n, args.J, args.seed
-    lams = parse_int_list(args.lam) if args.lam else [1, 2, 3]
+    n, J, lams = args.n, args.J, getattr(args, "lambda")
+    if not all(0 <= lam <= J - 1 for lam in lams):
+        raise ValidationError(f"--lambda values must lie in 0..J-1 = 0..{J - 1}")
     enforce_cap(grid_budget(n, J, copies=160), args.cap_bytes)
-    norms = rearrangement_norms(n, J, lams, iters=max(10, args.trials * 2), seed=seed)
-    run.set_columns(
-        ["experiment", "n", "J", "p", "ell_or_lambda", "epsilon_bits", "i0",
-         "trials", "seed", "measured", "bound_model", "slack"]
-    )
-    for lam in lams:
-        run.add_row("rearrange-scaling", n, J, 2.0, lam, "1" * n, 1,
-                    args.trials, seed, norms[lam], "C0*2^(n*lam)", 0.0)
-    for lo, hi in zip(lams, lams[1:]):
-        ratio = norms[hi] / norms[lo]
-        bound = 2.0 ** (n * (hi - lo)) * args.slack
-        run.check(f"rearrange growth lam {lo}->{hi}", ratio <= bound,
-                  f"ratio={ratio:.4f} bound={bound:.4f}")
+    norms = rearrangement_norms(n, J, lams, iters=args.trials * 2, seed=args.seed)
+    lambda_scaling(args, run, norms, "1" * n, "C0*2^(n*lam)", n, "rearrange growth")
 
 
 def cmd_interp_ratio(args, run: Run) -> None:
     n, J, seed = args.n, args.J, args.seed
     enforce_cap(grid_budget(n, J + 1), args.cap_bytes)
-    direction = Direction(tuple([1] + [0] * (n - 1)))
-    ps = [float(tok) for tok in args.p_list.split(",")] if args.p_list else [args.p]
-    run.set_columns(
-        ["experiment", "n", "J", "p", "ell_or_lambda", "epsilon_bits", "i0",
-         "trials", "seed", "measured", "bound_model", "slack"]
-    )
-    for p in ps:
+    direction = axis_direction(n, 1)
+    run.set_columns(SCALING_COLUMNS)
+    for p in args.p_list:
         sup_a, _ = interp_ratio_sup(n, J, p, direction, 1, seed=seed, count=args.trials)
         sup_b, _ = interp_ratio_sup(n, J + 1, p, direction, 1, seed=seed, count=args.trials)
         rel = abs(sup_b - sup_a) / sup_a if sup_a > 0 else 0.0
         regime = "(1/2,1/2)" if p >= 2 else "(1/p,1/q)"
-        run.add_row("interp-ratio", n, J, p, 0, str(direction), 1,
-                    args.trials, seed, sup_a, f"sup finite, stable {regime}", rel)
-        run.add_row("interp-ratio", n, J + 1, p, 0, str(direction), 1,
-                    args.trials, seed, sup_b, f"sup finite, stable {regime}", rel)
+        for level, sup in ((J, sup_a), (J + 1, sup_b)):
+            run.add_row("interp-ratio", n, level, p, 0, str(direction), 1,
+                        args.trials, seed, sup, f"sup finite, stable {regime}", rel)
         run.check(f"interp-ratio p={p} finite", math.isfinite(sup_a) and sup_a > 0,
                   f"sup={sup_a:.4f}")
         run.check(f"interp-ratio p={p} stable under J->J+1", rel <= 0.2,
@@ -309,39 +320,37 @@ def cmd_interp_ratio(args, run: Run) -> None:
 
 
 def cmd_sharpness(args, run: Run) -> None:
-    eps_list = parse_eps_list(args.eps)
-    eta = args.eta
+    eps_list, eta = args.eps, args.eta
+    # pge2 layers of eps = 2^-k reach level 2k*2^k: 48 at k = 3, 128 (past int64 indices) at k = 4
+    if args.regime in ("pge2", "both") and min(eps_list) < 1 / 8:
+        raise ValidationError("--eps values must be >= 1/8 in the pge2 regime")
     run.set_columns(
         ["epsilon", "p", "eta", "norm_f", "norm_Rf", "lower_P", "ratio",
          "mode", "J_or_sample_size", "seed"]
     )
     growth_floor = 2.0**eta * 0.7
-    if args.regime in ("pge2", "both"):
-        enforce_cap(grid_budget(2, 7, copies=64), args.cap_bytes)
-        rows = sharpness_experiment_pge2(eps_list, eta, sample_size=args.sample, seed=args.seed)
+
+    def add(regime: str, rows: list) -> list:
         for r in rows:
-            run.add_row(r.epsilon, r.p, r.eta, r.norm_f, r.norm_Rf, r.lower_P,
-                        r.ratio, r.mode, r.detail, r.seed)
+            run.add_row(*astuple(r))
         for a, b in zip(rows, rows[1:]):
             g = b.ratio / a.ratio
-            run.check(f"pge2 ratio growth eps {a.epsilon}->{b.epsilon}",
+            run.check(f"{regime} ratio growth eps {a.epsilon}->{b.epsilon}",
                       g >= growth_floor, f"growth={g:.4f} floor={growth_floor:.4f}")
+        return rows
+
+    if args.regime in ("pge2", "both"):
+        enforce_cap(grid_budget(2, 7, copies=64), args.cap_bytes)
+        rows = add("pge2", sharpness_experiment_pge2(eps_list, eta, sample_size=args.sample,
+                                                     seed=args.seed))
         lead = rows[0]
         run.check("pge2 lower bound >= 0.1*sqrt(eps)",
                   lead.lower_P >= 0.1 * math.sqrt(lead.epsilon),
                   f"L={lead.lower_P:.4f}")
     if args.regime in ("ple2", "both"):
-        p = args.p if args.p < 2 else 1.5
         n0_max = max(int(round(-math.log2(e))) for e in eps_list)
         enforce_cap(grid_budget(2, n0_max + 6, copies=64), args.cap_bytes)
-        rows = single_block_experiment_ple2(eps_list, p, eta, seed=args.seed)
-        for r in rows:
-            run.add_row(r.epsilon, r.p, r.eta, r.norm_f, r.norm_Rf, r.lower_P,
-                        r.ratio, r.mode, r.detail, r.seed)
-        for a, b in zip(rows, rows[1:]):
-            g = b.ratio / a.ratio
-            run.check(f"ple2 ratio growth eps {a.epsilon}->{b.epsilon}",
-                      g >= growth_floor, f"growth={g:.4f} floor={growth_floor:.4f}")
+        add("ple2", single_block_experiment_ple2(eps_list, args.p, eta, seed=args.seed))
         for e in eps_list:
             c = unit_square_coefficient(e)
             run.check(f"ple2 unit-square coefficient eps={e}",
@@ -350,14 +359,10 @@ def cmd_sharpness(args, run: Run) -> None:
 
 
 def cmd_jensen(args, run: Run) -> None:
-    n, J, seed = args.n, min(args.J, 4), args.seed
+    n, J, seed, trials = args.n, args.J, args.seed, args.trials
     enforce_cap(grid_budget(n, J), args.cap_bytes)
-    regs = registry_integrands()
-    run.set_columns(
-        ["experiment", "f_name", "r", "I_r", "I_limit", "defect_min", "compliant_flag"]
-    )
-    trials = max(args.trials, 10)
-    for f in regs:
+    run.set_columns(INTEGRAND_COLUMNS)
+    for f in registry_integrands():
         for M in range(0, 4):
             worst = math.inf
             for i in range(trials):
@@ -377,9 +382,7 @@ def cmd_semicontinuity(args, run: Run) -> None:
     regs = registry_integrands()
     phi = GridFunction.constant(n, J, 1.0)
     r_list = list(range(1, min(J - 2, 6) + 1))
-    run.set_columns(
-        ["experiment", "f_name", "r", "I_r", "I_limit", "defect_min", "compliant_flag"]
-    )
+    run.set_columns(INTEGRAND_COLUMNS)
     for f in regs:
         rows = semicontinuity_experiment(f, phi, r_list, lambda r: oscillation_sequence(n, J, r))
         for row in rows:
@@ -388,8 +391,7 @@ def cmd_semicontinuity(args, run: Run) -> None:
         worst = min(row.I_r - row.I_limit for row in rows)
         run.check(f"semicontinuity compliant f={f.name}", worst >= -1e-8,
                   f"min(I_r - I_inf)={worst:.3e}")
-    f_ab = regs[0]
-    crows = semicontinuity_experiment(f_ab, phi, r_list, lambda r: contrast_sequence(n, J, r))
+    crows = semicontinuity_experiment(regs[0], phi, r_list, lambda r: contrast_sequence(n, J, r))
     for row in crows:
         run.add_row("semicontinuity-contrast", row.f_name, row.r, row.I_r, row.I_limit,
                     row.I_r - row.I_limit, row.compliant)
@@ -442,18 +444,14 @@ def cmd_selftest(args, run: Run) -> None:
     e2 = conditional_expectation(conditional_expectation(u, 2), 1)
     row("EM-tower", (e2 - conditional_expectation(u, 1)).lp_norm(2), 0.0, 1e-12)
     # lp norms
-    row("lp-const-1", GridFunction.constant(n, J, 1.0).lp_norm(max(1.0, args.p)), 1.0, 1e-12)
+    row("lp-const-1", GridFunction.constant(n, J, 1.0).lp_norm(2.0), 1.0, 1e-12)
     # bmo examples
     row("bmo-const", bmo_d_norm(GridFunction.constant(n, J, -2.0)), 2.0, 1e-12)
-    from .fields import single_haar_block
-
     hb = single_haar_block(n, J, 0, (0,) * n, (1,) + (0,) * (n - 1))
     row("bmo-haar-block", bmo_d_norm(hb), 1.0, 1e-12)
     # embed oracle: sin cell averages against closed form
     two_pi = 2.0 * math.pi
     u_sin = embed(lambda *xs: np.sin(two_pi * xs[0]), n, J, quad_order=5)
-    from .profiles import sine_cell_averages
-
     exact = sine_cell_averages(2**J, two_pi, 0.0, 0.0, 1.0)
     shape = [1] * n
     shape[0] = 2**J
@@ -490,9 +488,6 @@ def cmd_selftest(args, run: Run) -> None:
         measure = sum(E.volume() for E in cover)
         row("ring-cover-measure", measure, 40.0 / 64.0, 1e-12)
         # mother profile integrals
-        from .profiles import profile_product_integral, haar_pieces, profile_integral
-        from .sharpness import mother_profiles
-
         m = mother_profiles()
         row("profile-A-mean", profile_integral(list(m.A)), 0.0, 1e-14)
         row("profile-B-mean", profile_integral(list(m.B)), 0.0, 1e-14)
@@ -515,15 +510,47 @@ def cmd_selftest(args, run: Run) -> None:
     row("serialization-roundtrip", float(np.abs(u2.values - u.values).max()), 0.0, 0.0)
 
 
-SUBCOMMANDS: dict[str, Callable] = {
-    "tl-decay": cmd_tl_decay,
-    "ring-decay": cmd_ring_decay,
-    "rearrange-scaling": cmd_rearrange,
-    "interp-ratio": cmd_interp_ratio,
-    "sharpness": cmd_sharpness,
-    "jensen": cmd_jensen,
-    "semicontinuity": cmd_semicontinuity,
-    "selftest": cmd_selftest,
+# ---------------------------------------------------------------------------
+# flag table: each subcommand declares the flags its cmd_* reads, as
+# (type with domain check, the default it runs)
+
+FLAG_HELP = {
+    "--n": "dimension", "--J": "grid resolution level", "--p": "Lebesgue exponent",
+    "--p-list": "comma list of exponents", "--ell": "scale offsets, 'a..b' or comma list",
+    "--lambda": "levels, 'a..b' or comma list", "--eps": "dyadic epsilons 2^-k",
+    "--eta": "sharpness exponent shift", "--trials": "trials / family size / iteration scale",
+    "--slack": "multiplicative slack factor", "--sample": "sampling draws per layer",
+    "--regime": "sharpness regime", "--seed": "seed of the generator",
+    "--out": "output directory", "--cap-bytes": "memory cap",
+}
+COMMON_FLAGS = {"--seed": (int, 0), "--cap-bytes": (int, DEFAULT_CAP_BYTES)}
+DIM = _int_in(1, 3)
+
+SUBCOMMANDS: dict[str, tuple[Callable, dict[str, tuple]]] = {
+    "tl-decay": (cmd_tl_decay, {
+        "--n": (DIM, 2), "--J": (_int_in(4, 12), 7),
+        "--p": (_domain(float, lambda p: p == 2, "2"), 2.0), "--ell": (parse_int_list, "-4..4"),
+        "--trials": (_int_in(4), 8), "--slack": (float, 2.0)}),
+    "ring-decay": (cmd_ring_decay, {
+        "--n": (DIM, 2), "--J": (_int_in(2, 12), 7), "--lambda": (parse_int_list, "3,4,5"),
+        "--trials": (_int_in(4), 8), "--slack": (float, 1.5)}),
+    "rearrange-scaling": (cmd_rearrange, {
+        "--n": (DIM, 2), "--J": (_int_in(2, 12), 7), "--lambda": (parse_int_list, "1,2,3"),
+        "--trials": (_int_in(5), 8), "--slack": (float, 1.5)}),
+    "interp-ratio": (cmd_interp_ratio, {
+        "--n": (DIM, 2), "--J": (_int_in(4, 12), 7),
+        "--p-list": (_domain(parse_float_list, lambda p: 1 <= p < math.inf, "in [1, inf)"), "2"),
+        "--trials": (_int_in(1), 8)}),
+    "sharpness": (cmd_sharpness, {
+        "--p": (_domain(float, lambda p: 1 < p <= 2, "in (1, 2]"), 1.5),
+        "--eps": (_domain(parse_eps_list, lambda e: 0 < e <= 0.5 and math.frexp(e)[0] == 0.5,
+                          "2^-k with k >= 1"), "1/2,1/4,1/8"),
+        "--eta": (float, 0.1), "--sample": (_int_in(10), 200),
+        "--regime": (_domain(str, lambda r: r in ("pge2", "ple2", "both"), "pge2, ple2 or both"), "both")}),
+    "jensen": (cmd_jensen, {"--n": (_int_in(2, 3), 2), "--J": (_int_in(3, 4), 4),
+                            "--trials": (_int_in(1), 10)}),
+    "semicontinuity": (cmd_semicontinuity, {"--n": (_int_in(2, 3), 2), "--J": (_int_in(3, 12), 7)}),
+    "selftest": (cmd_selftest, {"--n": (DIM, 2), "--J": (_int_in(3, 12), 7)}),
 }
 
 
@@ -533,57 +560,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproducible verification runner for the dyadic Haar / Riesz workbench.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=2, help="dimension (1..3)")
-        p.add_argument("--J", type=int, default=7, help="grid resolution level")
-        p.add_argument("--p", type=float, default=2.0, help="Lebesgue exponent")
-        p.add_argument("--p-list", type=str, default="", help="comma list of exponents (interp-ratio)")
-        p.add_argument("--ell", type=str, default="-4..4", help="scale offsets, 'a..b' or comma list")
-        p.add_argument("--lambda", dest="lam", type=str, default="", help="lambda list")
-        p.add_argument("--eps", type=str, default="1/2,1/4,1/8", help="dyadic epsilons")
-        p.add_argument("--eta", type=float, default=0.1, help="sharpness exponent shift")
-        p.add_argument("--trials", type=int, default=8, help="trials / family size / iteration scale")
-        p.add_argument("--seed", type=int, default=0, help="seed for the counter-based generator")
-        p.add_argument("--out", type=str, default="", help="output directory")
-        p.add_argument("--slack", type=float, default=2.0, help="multiplicative slack factor")
-        p.add_argument("--cap-bytes", type=int, default=DEFAULT_CAP_BYTES, help="memory cap")
-        p.add_argument("--sample", type=int, default=200, help="sampling draws per layer")
-        p.add_argument("--regime", type=str, default="both", choices=["pge2", "ple2", "both"],
-                       help="sharpness regime")
+    for name, (_, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for flag, (type_, default) in {**flags, **COMMON_FLAGS,
+                                       "--out": (str, f"runs/{name}")}.items():
+            p.add_argument(flag, type=type_, default=default, help=FLAG_HELP[flag])
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
-    if not 1 <= args.n <= 3:
-        print("validation: --n must be 1..3", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.J < 2 or args.J > 12:
-        print("validation: --J must be 2..12", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.subcommand in ("ring-decay", "rearrange-scaling") and args.slack == 2.0:
-        args.slack = 1.5
-    out_dir = Path(args.out) if args.out else Path("runs") / args.subcommand
-    params = {
-        k: v for k, v in vars(args).items() if k not in ("out",) and v is not None
-    }
-    run = Run(args.subcommand, params, out_dir)
+    params = dict(vars(args))
+    name, out = params.pop("subcommand"), params.pop("out")
+    run = Run(name, params, Path(out))
     try:
-        SUBCOMMANDS[args.subcommand](args, run)
+        SUBCOMMANDS[name][0](args, run)
     except ValidationError as exc:
         print(f"validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ResourceRefusal as exc:
         print(f"resource: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
-        print(f"validation: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     return run.finish()
 
 

@@ -130,3 +130,124 @@ class TestManifest:
         digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
         assert manifest["results_digest_sha256"] == digest
         assert manifest["subcommand"] == "jensen"
+
+
+class TestEffectiveParameters:
+    """The manifest records the values a run used, and a run uses the values
+    it was given."""
+
+    def test_ring_decay_keeps_requested_slack(self, tmp_path, capsys):
+        out = tmp_path / "rd"
+        code = main(["ring-decay", "--J", "7", "--lambda", "3,4", "--slack", "2.0",
+                     "--out", str(out)])
+        assert code == 0
+        params = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert params["slack"] == 2.0
+        assert params["lambda"] == [3, 4]
+        # the ratio bound is 2^(-1/2) * slack
+        assert f"bound={2.0 ** -0.5 * 2.0:.4f}" in capsys.readouterr().out
+
+    def test_jensen_defaults_are_recorded(self, tmp_path):
+        out = tmp_path / "j"
+        assert main(["jensen", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"] == {
+            "n": 2, "J": 4, "trials": 10, "seed": 0, "cap_bytes": 4 * 1024**3,
+        }
+        assert manifest["subcommand"] == "jensen"
+
+    def test_jensen_rejects_unrun_J(self, tmp_path):
+        assert main(["jensen", "--J", "7", "--out", str(tmp_path / "x")]) == 2
+
+    def test_sharpness_ple2_records_the_p_it_runs(self, tmp_path):
+        out = tmp_path / "sh"
+        assert main(["sharpness", "--regime", "ple2", "--eps", "1/2,1/4",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["parameters"]["p"] == 1.5
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["p"] for r in rows} == {"1.5"}
+
+    def test_list_flags_are_stored_parsed(self, tmp_path):
+        out = tmp_path / "ir"
+        assert main(["interp-ratio", "--J", "4", "--trials", "2", "--out", str(out)]) == 0
+        params = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert params["p_list"] == [2.0]
+        assert "p" not in params and "subcommand" not in params
+
+    def test_foreign_flag_is_rejected(self, tmp_path):
+        assert main(["semicontinuity", "--trials", "5", "--out", str(tmp_path / "x")]) == 2
+
+
+OUT_OF_DOMAIN = [
+    (["tl-decay", "--trials", "3"], "--trials"),
+    (["tl-decay", "--J", "3"], "--J"),
+    (["tl-decay", "--p", "1.5"], "--p"),
+    (["tl-decay", "--ell="], "--ell"),
+    (["ring-decay", "--trials", "3"], "--trials"),
+    (["ring-decay", "--J", "7", "--lambda", "3,6"], "--lambda"),
+    (["ring-decay", "--J", "7", "--lambda=-1"], "--lambda"),
+    (["rearrange-scaling", "--J", "5", "--lambda", "5"], "--lambda"),
+    (["rearrange-scaling", "--trials", "4"], "--trials"),
+    (["interp-ratio", "--J", "3"], "--J"),
+    (["interp-ratio", "--p-list", "2,0.5"], "--p-list"),
+    (["interp-ratio", "--trials", "0"], "--trials"),
+    (["sharpness", "--eps", "3/8"], "--eps"),
+    (["sharpness", "--regime", "ple2", "--eps", "1"], "--eps"),
+    (["sharpness", "--eps", "1/16"], "--eps"),
+    (["sharpness", "--p", "2.5"], "--p"),
+    (["sharpness", "--p", "1"], "--p"),
+    (["sharpness", "--sample", "9"], "--sample"),
+    (["jensen", "--n", "1"], "--n"),
+    (["jensen", "--J", "2"], "--J"),
+    (["jensen", "--J", "5"], "--J"),
+    (["jensen", "--trials", "0"], "--trials"),
+    (["semicontinuity", "--n", "1"], "--n"),
+    (["semicontinuity", "--J", "2"], "--J"),
+    (["selftest", "--J", "2"], "--J"),
+    (["selftest", "--n", "4"], "--n"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", OUT_OF_DOMAIN, ids=[" ".join(a) for a, _ in OUT_OF_DOMAIN])
+def test_out_of_domain_exits_2_naming_the_flag(argv, flag, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_internal_error_propagates(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr("haarriesz.cli.tl_decay_norms", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["tl-decay", "--J", "5", "--out", str(tmp_path / "x")])
+
+
+FLAG_TABLE = {
+    "tl-decay": ["--n", "--J", "--p", "--ell", "--trials", "--slack"],
+    "ring-decay": ["--n", "--J", "--lambda", "--trials", "--slack"],
+    "rearrange-scaling": ["--n", "--J", "--lambda", "--trials", "--slack"],
+    "interp-ratio": ["--n", "--J", "--p-list", "--trials"],
+    "sharpness": ["--p", "--eps", "--eta", "--sample", "--regime"],
+    "jensen": ["--n", "--J", "--trials"],
+    "semicontinuity": ["--n", "--J"],
+    "selftest": ["--n", "--J"],
+}
+
+
+def test_each_subcommand_declares_only_its_flags():
+    import argparse
+
+    from haarriesz.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(FLAG_TABLE)
+    settable = 0
+    for name, flags in FLAG_TABLE.items():
+        declared = [s for a in sub.choices[name]._actions for s in a.option_strings
+                    if s not in ("-h", "--help")]
+        assert sorted(declared) == sorted([*flags, "--seed", "--out", "--cap-bytes"]), name
+        settable += len(declared)
+    assert settable == 56
