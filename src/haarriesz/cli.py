@@ -53,6 +53,7 @@ from .experiments import (
     tl_decay_norms,
 )
 from .sharpness import (
+    build_collection,
     mother_profiles,
     sharpness_experiment_pge2,
     single_block_experiment_ple2,
@@ -321,9 +322,12 @@ def cmd_interp_ratio(args, run: Run) -> None:
 
 def cmd_sharpness(args, run: Run) -> None:
     eps_list, eta = args.eps, args.eta
-    # pge2 layers of eps = 2^-k reach level 2k*2^k: 48 at k = 3, 128 (past int64 indices) at k = 4
-    if args.regime in ("pge2", "both") and min(eps_list) < 1 / 8:
-        raise ValidationError("--eps values must be >= 1/8 in the pge2 regime")
+    if args.regime in ("pge2", "both"):
+        for eps in eps_list:
+            try:
+                build_collection(eps, sampling=True)
+            except ValueError as exc:
+                raise ValidationError(f"--eps in the pge2 regime: {exc}") from None
     run.set_columns(
         ["epsilon", "p", "eta", "norm_f", "norm_Rf", "lower_P", "ratio",
          "mode", "J_or_sample_size", "seed"]

@@ -29,6 +29,7 @@ __all__ = [
     "kernel_b",
     "kernel_b_antiderivative",
     "ResolvingKernel",
+    "resolvable",
     "delta_conv",
     "smoothing_conv",
 ]
@@ -97,16 +98,11 @@ class MultiplierOp:
             sym = self.symbol(*xi)
         sym = np.asarray(sym, dtype=np.complex128)
         sym = np.broadcast_to(sym, spec.coeffs.shape).copy()
-        zero = np.zeros(spec.coeffs.shape, dtype=bool)
-        zero[(0,) * u.n] = True
-        if not np.all(np.isfinite(sym[~zero])):
+        sym[(0,) * u.n] = 0.0
+        if not np.all(np.isfinite(sym)):
             raise ValueError(f"{self.name}: symbol not finite on a nonzero frequency")
-        if self.zero_mode_policy == "reject":
-            if abs(spec.coeffs[(0,) * u.n]) > 1e-12:
-                raise ValueError(f"{self.name}: input has a zero-frequency mode")
-            sym[zero] = 0.0
-        else:
-            sym[zero] = 0.0
+        if self.zero_mode_policy == "reject" and abs(spec.coeffs[(0,) * u.n]) > 1e-12:
+            raise ValueError(f"{self.name}: input has a zero-frequency mode")
         out = SpectralField(u.n, u.J, spec.coeffs * sym)
         return out.to_grid()
 
@@ -273,7 +269,8 @@ def _b_scaled_lag_table(s: int, J: int) -> np.ndarray:
 @dataclass
 class ResolvingKernel:
     """Kernel d_s(x) = d(2^s x) 2^{ns} with d(x) = prod b(x_i) - 2^n prod b(2 x_i),
-    represented by its exact level-J Galerkin lag table.
+    as its exact level-J Galerkin lag table (the invariants oracle; delta_conv
+    applies the same operator through its separable symbol).
 
     ``samples[l]`` is the response at the integer lag l per axis (numpy FFT
     layout: l = 0, 1, .., N/2-1, -N/2, .., -1 with N = 2^J).  The table is
@@ -308,35 +305,42 @@ class ResolvingKernel:
         return out
 
 
-def _conv_with_cell_kernel(u: GridFunction, kernel_cells: np.ndarray) -> GridFunction:
-    """Periodic convolution of a grid field with a level-J lag table,
-    computed spectrally."""
-    vol = u.cell_volume()
-    fu = np.fft.fftn(u.values)
-    fk = np.fft.fftn(kernel_cells)
-    out = np.fft.ifftn(fu * fk).real * vol
-    return GridFunction(u.n, u.J, out)
+def _beta_symbol(n: int, s: int, J: int) -> np.ndarray:
+    """Symbol of beta_s in the rfftn layout (last axis: the N/2+1 nonnegative
+    frequencies): the tensor power of the DFT of the 1D lag table, which is
+    real because the table is exactly even."""
+    h = np.fft.fft(_b_scaled_lag_table(s, J)).real * 2.0 ** (-J)
+    out = h[: h.size // 2 + 1]
+    for _ in range(n - 1):
+        out = np.multiply.outer(h, out)
+    return out
 
 
 @lru_cache(maxsize=256)
-def _delta_kernel_cells(n: int, s: int, J: int) -> np.ndarray:
-    kern = ResolvingKernel(n=n, s=s, J=J).samples
-    kern.setflags(write=False)
-    return kern
+def _delta_symbol(n: int, s: int, J: int) -> np.ndarray:
+    sym = _beta_symbol(n, s, J) - _beta_symbol(n, s + 1, J)
+    sym.setflags(write=False)
+    return sym
 
 
-def delta_conv(u: GridFunction, s: int, margin: int = 2) -> GridFunction:
-    """Scale-s resolving convolution Delta_s u = u * d_s on the torus.
+def _apply_real_symbol(u: GridFunction, symbol: np.ndarray) -> GridFunction:
+    """Periodic convolution given by a real rfftn-layout symbol."""
+    axes = tuple(range(u.n))
+    fu = np.fft.rfftn(u.values, axes=axes)
+    return GridFunction(u.n, u.J, np.fft.irfftn(fu * symbol, s=u.values.shape, axes=axes))
 
-    Requires 0 <= s <= J - margin so the inner lobe of d_s spans at least
-    2^margin cells per axis.  Delta_s is self-adjoint (its lag table is even).
-    """
-    if s < 0 or s > u.J - margin:
-        raise ValueError(
-            f"scale s={s} not resolvable at J={u.J} (need 0 <= s <= J-{margin}; "
-            f"smallest adequate J is {s + margin})"
-        )
-    return _conv_with_cell_kernel(u, _delta_kernel_cells(u.n, s, u.J))
+
+def resolvable(s: int, J: int) -> bool:
+    """Delta_s is resolved at level J iff 0 <= s <= J-2 (inner lobe >= 4 cells per axis)."""
+    return 0 <= s <= J - 2
+
+
+def delta_conv(u: GridFunction, s: int) -> GridFunction:
+    """Scale-s resolving convolution Delta_s u = u * d_s on the torus, for
+    ``resolvable`` s.  Delta_s is self-adjoint (its lag table is even)."""
+    if not resolvable(s, u.J):
+        raise ValueError(f"scale s={s} not resolvable at J={u.J} (need 0 <= s <= J-2)")
+    return _apply_real_symbol(u, _delta_symbol(u.n, s, u.J))
 
 
 def smoothing_conv(u: GridFunction, s: int) -> GridFunction:
@@ -345,4 +349,4 @@ def smoothing_conv(u: GridFunction, s: int) -> GridFunction:
     lag tables as delta_conv; used by the telescoping oracle."""
     if s < 0:
         raise ValueError("scale must be >= 0")
-    return _conv_with_cell_kernel(u, _tensor(_b_scaled_lag_table(s, u.J), u.n))
+    return _apply_real_symbol(u, _beta_symbol(u.n, s, u.J))

@@ -57,23 +57,12 @@ def _merge_block(parts: dict[int, np.ndarray], n: int) -> np.ndarray:
     cur = dict(parts)
     for ax in reversed(range(n)):
         nxt: dict[int, np.ndarray] = {}
-        done = set()
-        for bits in cur:
-            base = bits & ~(1 << ax)
-            if base in done:
-                continue
-            done.add(base)
-            s = cur[base]
-            d = cur[base | (1 << ax)]
-            shape = list(s.shape)
-            shape[ax] *= 2
-            out = np.empty(shape)
-            even = [slice(None)] * len(shape)
-            odd = [slice(None)] * len(shape)
-            even[ax] = slice(0, None, 2)
-            odd[ax] = slice(1, None, 2)
-            out[tuple(even)] = s + d
-            out[tuple(odd)] = s - d
+        for base in [bits for bits in cur if not bits & (1 << ax)]:
+            s, d = cur[base], cur[base | (1 << ax)]
+            out = np.empty(s.shape[:ax] + (2 * s.shape[ax],) + s.shape[ax + 1:])
+            even, odd = _halve(out, ax)  # views into out
+            np.add(s, d, out=even)
+            np.subtract(s, d, out=odd)
             nxt[base] = out
         cur = nxt
     return cur[0]
@@ -96,9 +85,6 @@ class HaarCoefficients:
         if cube.j >= self.J:
             raise ValueError(f"no coefficients at level {cube.j} (J={self.J})")
         return float(self.levels[cube.j][direction.index][cube.k])
-
-    def set_coefficient(self, cube: DyadicCube, direction: Direction, value: float) -> None:
-        self.levels[cube.j][direction.index][cube.k] = value
 
     def energy(self) -> float:
         """mean^2 + sum c^2 |Q| -- equals ||u||_2^2 by Parseval."""

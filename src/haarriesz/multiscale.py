@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fields import cone_band_field, stream
-from .fourier import delta_conv, riesz
+from .fourier import delta_conv, resolvable, riesz
 from .grid import Direction, DyadicCube, GridFunction
 from .haar import HaarCoefficients, haar_analyze, haar_synthesize
 
@@ -77,7 +77,6 @@ def t_ell(
     direction: Direction,
     ell: int,
     levels: Optional[Sequence[int]] = None,
-    margin: int = 2,
     skip_unresolvable: bool = False,
 ) -> GridFunction:
     """Scale slice of the directional projection: sum over levels j of the
@@ -88,24 +87,23 @@ def t_ell(
     carry a compensating sign; with it, summing t_ell over ell converges to
     the directional projection on the level window.
 
-    With skip_unresolvable=False any (j, ell) with j+ell outside
-    [0, J-margin] raises; with True those levels are dropped (used when
+    With skip_unresolvable=False any (j, ell) whose scale j+ell is not
+    ``resolvable`` raises; with True those levels are dropped (used when
     summing over many ell).
     """
     if direction.n != u.n:
         raise ValueError("dimension mismatch")
     lv = default_levels(u.J) if levels is None else list(levels)
-    bad = [j for j in lv if not 0 <= j + ell <= u.J - margin]
+    bad = [j for j in lv if not resolvable(j + ell, u.J)]
     if bad and not skip_unresolvable:
         raise ValueError(
             f"unresolvable (level, ell) pairs at J={u.J}: "
             + ", ".join(f"({j},{ell})" for j in bad)
         )
-    lv = [j for j in lv if 0 <= j + ell <= u.J - margin]
+    lv = [j for j in lv if resolvable(j + ell, u.J)]
     out = HaarCoefficients(n=u.n, J=u.J, mean=0.0)
     for j in lv:
-        w = delta_conv(u, j + ell, margin=margin)
-        cw = haar_analyze(w)
+        cw = haar_analyze(delta_conv(u, j + ell))
         out.levels[j] = {direction.index: -cw.levels[j][direction.index]}
     return haar_synthesize(out)
 
@@ -115,18 +113,15 @@ def _t_ell_adjoint(
     direction: Direction,
     ell: int,
     levels: Sequence[int],
-    margin: int = 2,
 ) -> GridFunction:
-    """Exact adjoint of t_ell: sum_j Delta_{j+ell} (Pi_j u), same sign
-    (Delta_s is self-adjoint)."""
+    """Exact adjoint of t_ell on resolvable levels: sum_j Delta_{j+ell}
+    (Pi_j u), same sign (Delta_s is self-adjoint)."""
     c = haar_analyze(u)
     acc = GridFunction.zeros(u.n, u.J)
     for j in levels:
-        if not 0 <= j + ell <= u.J - margin:
-            continue
         piece = HaarCoefficients(n=u.n, J=u.J, mean=0.0)
         piece.levels[j] = {direction.index: c.levels[j][direction.index]}
-        acc = acc + delta_conv(haar_synthesize(piece), j + ell, margin=margin)
+        acc = acc + delta_conv(haar_synthesize(piece), j + ell)
     return -acc
 
 
@@ -136,12 +131,11 @@ def t_ell_operator(
     direction: Direction,
     ell: int,
     levels: Optional[Sequence[int]] = None,
-    margin: int = 2,
 ) -> LinearFieldOp:
-    lv = default_levels(J) if levels is None else list(levels)
+    lv = [j for j in (default_levels(J) if levels is None else levels) if resolvable(j + ell, J)]
     return LinearFieldOp(
-        apply=lambda u: t_ell(u, direction, ell, lv, margin, skip_unresolvable=True),
-        adjoint=lambda u: _t_ell_adjoint(u, direction, ell, lv, margin),
+        apply=lambda u: t_ell(u, direction, ell, lv),
+        adjoint=lambda u: _t_ell_adjoint(u, direction, ell, lv),
         name=f"T[{ell}]^{direction}",
     )
 

@@ -175,6 +175,11 @@ class SquareCollection:
     n0: int
     cap: int = 10**6
 
+    def __post_init__(self) -> None:
+        if self.level(self.layer_total) >= 62:
+            raise ValueError(f"collection for eps={self.eps_param} reaches layer level "
+                             f"{self.level(self.layer_total)}, past int64 cube indices")
+
     @property
     def layer_total(self) -> int:
         return 2**self.n0
@@ -216,9 +221,7 @@ class SquareCollection:
     def sample_layer(self, k: int, count: int, seed: int) -> list[DyadicCube]:
         m = self.level(k)
         rng = stream(seed, 7, k)
-        i1 = rng.integers(0, 2**m, size=count, dtype=np.int64) if m < 62 else None
-        if i1 is None:
-            raise ValueError(f"layer level {m} too deep to index")
+        i1 = rng.integers(0, 2**m, size=count, dtype=np.int64)
         i2 = 2 * rng.integers(0, 2 ** (m - 1), size=count, dtype=np.int64) + 1
         return [DyadicCube(2, m, (int(a), int(b))) for a, b in zip(i1, i2)]
 
@@ -233,8 +236,9 @@ class SquareCollection:
 
 
 def build_collection(eps_param: float, cap: int = 10**6, sampling: bool = False) -> SquareCollection:
-    """Construct the layered collection; in exact mode refuse collections
-    beyond the enumeration cap."""
+    """Construct the layered collection (eps < 1/8 raises: its deepest layer
+    level 2 n0 2^n0 is past int64 cube indices); in exact mode refuse
+    collections beyond the enumeration cap."""
     eps, n0 = _as_eps(eps_param)
     coll = SquareCollection(eps_param=eps, n0=n0, cap=cap)
     if not sampling and coll.total_count() > cap:

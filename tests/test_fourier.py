@@ -220,20 +220,26 @@ class TestDeltaConv:
         tele = smoothing_conv(u, 1) - smoothing_conv(u, 5)
         assert (acc - tele).lp_norm(2) <= 1e-8
 
-    def test_direct_convolution_oracle(self):
-        # brute-force circular convolution at a few cells
-        from haarriesz.fourier import _delta_kernel_cells
-
-        u = random_field(2, 6, seed=40)
-        K = _delta_kernel_cells(2, 2, 6)
-        out = delta_conv(u, 2)
-        N, vol = 64, 2.0**-12
-        for a1, a2 in ((0, 0), (10, 20), (33, 63)):
-            val = 0.0
-            for m1 in range(N):
-                for m2 in range(N):
-                    val += K[m1, m2] * u.values[(a1 - m1) % N, (a2 - m2) % N]
-            assert out.values[a1, a2] == pytest.approx(val * vol, abs=1e-12)
+    @pytest.mark.parametrize(
+        "n,J,s,seed,cells",
+        [
+            (1, 7, 3, 40, ((0,), (45,), (127,))),
+            (2, 6, 2, 40, ((0, 0), (10, 20), (33, 63))),
+            (3, 4, 1, 40, ((0, 0, 0), (5, 9, 2), (15, 0, 11))),
+        ],
+        ids=["n1", "n2", "n3"],
+    )
+    def test_direct_convolution_oracle(self, n, J, s, seed, cells):
+        # brute-force circular convolution with the lag table at a few cells
+        u = random_field(n, J, seed=seed)
+        K = ResolvingKernel(n, s, J).samples
+        out = delta_conv(u, s)
+        N, vol = 2**J, 2.0 ** (-n * J)
+        lags = np.arange(N)
+        for a in cells:
+            # shifted[m] = u[a - m] for every lag vector m
+            shifted = u.values[np.ix_(*[(ai - lags) % N for ai in a])]
+            assert out.values[a] == pytest.approx(float((K * shifted).sum()) * vol, abs=1e-12)
 
     def test_annihilates_linear_fields_in_the_interior(self):
         x1 = coordinate_fields(2, 6)[0]

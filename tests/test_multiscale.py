@@ -9,14 +9,16 @@ from haarriesz.experiments import (
     ring_decay_norms,
     tl_decay_norms,
 )
-from haarriesz.fields import random_field, single_haar_block
-from haarriesz.grid import Direction, DyadicCube, GridFunction
+from haarriesz.fields import random_field, single_haar_block, standard_random_field
+from haarriesz.fourier import smoothing_conv
+from haarriesz.grid import Direction, DyadicCube, GridFunction, axis_direction
 from haarriesz.haar import directional_project, haar_analyze
 from haarriesz.multiscale import (
     LinearFieldOp,
     PredecessorSplit,
     build_ring_cover_family,
     default_even_family,
+    default_levels,
     op_norm2_estimate,
     rearrangement_op,
     rearrangement_operator,
@@ -63,10 +65,11 @@ class TestTEll:
         rhs = t_ell(u, D10, 1, levels=lv) + 3.0 * t_ell(v, D10, 1, levels=lv)
         assert (lhs - rhs).lp_norm(2) <= 1e-9 * max(lhs.lp_norm(2), 1.0)
 
-    def test_adjoint_identity(self):
-        op = t_ell_operator(2, 6, D10, 1)
-        u = random_field(2, 6, seed=53, index=0)
-        v = random_field(2, 6, seed=53, index=1)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_adjoint_identity(self, n):
+        op = t_ell_operator(n, 6, axis_direction(n, 1), 1)
+        u = random_field(n, 6, seed=53, index=0)
+        v = random_field(n, 6, seed=53, index=1)
         assert abs(op.apply(u).inner(v) - u.inner(op.adjoint(v))) <= 1e-12
 
     def test_decomposition_converges_monotonically(self):
@@ -74,6 +77,18 @@ class TestTEll:
         for a, b in zip(res, res[1:]):
             assert b <= a + 1e-12
         assert res[-1] <= 0.05 * base
+
+    @pytest.mark.parametrize("n,J", [(3, 6), (2, 4), (1, 5)])
+    def test_full_ladder_residual_is_the_truncation(self, n, J):
+        # |ell| <= 4 reaches every scale 0..J-2 from every level of the
+        # window, so sum_ell T_ell = P (beta_{J-1} - beta_0) by telescoping
+        # and the residual is that of the two ends of the scale ladder
+        direction = axis_direction(n, 1)
+        res, _ = decomposition_residuals(n, J, direction, L_max=4, seed=5)
+        u = standard_random_field(n, J, 5)
+        tail = u - smoothing_conv(u, J - 1) + smoothing_conv(u, 0)
+        expect = directional_project(tail, direction, default_levels(J)).lp_norm(2)
+        assert res[-1] == pytest.approx(expect, rel=1e-12)
 
 
 class TestOpNorm:

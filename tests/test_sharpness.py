@@ -130,6 +130,15 @@ class TestCollection:
             build_collection(0.25)
         build_collection(0.25, sampling=True)  # sampling mode allowed
 
+    def test_layers_past_int64_indices_rejected(self):
+        # the deepest layer of eps = 2^-n0 sits at level 2 n0 2^n0: 128 at 1/16
+        with pytest.raises(ValueError, match=r"eps=0\.0625.*level 128"):
+            build_collection(1 / 16, sampling=True)
+
+    def test_pge2_experiment_rejects_small_eps(self):
+        with pytest.raises(ValueError, match=r"eps=0\.00390625.*level 4096"):
+            sharpness_experiment_pge2([1 / 256], 0.1)
+
     def test_layer_cardinality_formula(self):
         # at eps = 1/4 layer k holds 2^(8k-1) squares
         coll = build_collection(0.25, sampling=True)
