@@ -35,7 +35,7 @@ from .haar import (
     haar_synthesize,
     square_function,
 )
-from .multiscale import ring_cover, t_ell
+from .multiscale import ring_cover, t_ell_operator
 from .profiles import haar_pieces, profile_integral, profile_product_integral, sine_cell_averages
 from .semiconvexity import (
     VectorField,
@@ -483,7 +483,7 @@ def cmd_selftest(args, run: Run) -> None:
     tele = smoothing_conv(u, 1) - smoothing_conv(u, J - 1)
     row("delta-telescoping", (acc - tele).lp_norm(2), 0.0, 1e-8)
     # t_ell range containment
-    tl = t_ell(u, dirs[0], 0, levels=[1, 2], skip_unresolvable=True)
+    tl = t_ell_operator(n, J, dirs[0], 0, levels=[1, 2]).apply(u)
     row("t-ell-range", (directional_project(tl, dirs[0]) - tl).lp_norm(2), 0.0, 1e-10)
     # ring cover example (planar)
     if n == 2:

@@ -21,9 +21,9 @@ from .multiscale import (
     op_norm2_estimate,
     rearrangement_operator,
     ring_projection_operator,
-    t_ell,
     t_ell_operator,
 )
+from .sharpness import BlockSpec, block_field, f_eps_field, single_block_square
 
 __all__ = [
     "decomposition_residuals",
@@ -55,7 +55,7 @@ def decomposition_residuals(
     for L in range(L_max + 1):
         ells = [0] if L == 0 else [-L, L]
         for ell in ells:
-            acc = acc + t_ell(u, direction, ell, lv, skip_unresolvable=True)
+            acc = acc + t_ell_operator(n, J, direction, ell, lv).apply(u)
         residuals.append((target - acc).lp_norm(2))
     return residuals, base
 
@@ -160,8 +160,6 @@ def interpolatory_family(
     for i in range(count):
         fams.append(("trig_cone", i, trig_band_field(n, J, seed, index=i, i0=i0)))
     if n == 2:
-        from .sharpness import BlockSpec, block_field, f_eps_field, single_block_square
-
         fams.append(("f_eps", 0, f_eps_field(0.5, J)))
         for i, eps in enumerate((0.5, 0.25)):
             fams.append(("block", i, block_field(BlockSpec(single_block_square(), eps), J)))

@@ -11,8 +11,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import GridFunction
-from .haar import HaarCoefficients, haar_synthesize
+from .grid import Direction, DyadicCube, GridFunction
+from .haar import HaarCoefficients, haar_synthesize, level_field
 
 __all__ = [
     "stream",
@@ -191,15 +191,10 @@ def cone_band_field(
 
 def single_haar_block(n: int, J: int, j: int, k: Sequence[int], eps_bits: Sequence[int]) -> GridFunction:
     """The Haar function h_Q^(eps) as a grid field (exact for j < J)."""
-    from .grid import Direction, DyadicCube
-
     cube = DyadicCube(n, j, tuple(k))
-    direction = Direction(tuple(eps_bits))
-    c = HaarCoefficients(n=n, J=J, mean=0.0)
     arr = np.zeros((2**j,) * n)
     arr[cube.k] = 1.0
-    c.levels[j] = {direction.index: arr}
-    return haar_synthesize(c)
+    return level_field(arr, Direction(tuple(eps_bits)), J)
 
 
 def trig_band_field(

@@ -15,12 +15,14 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .grid import Direction, DyadicCube, GridFunction
+from .grid import Direction, DyadicCube, GridFunction, axis_direction
 
 __all__ = [
     "HaarCoefficients",
     "haar_analyze",
     "haar_synthesize",
+    "level_coefficients",
+    "level_field",
     "directional_project",
     "vector_project",
     "conditional_expectation",
@@ -66,6 +68,21 @@ def _merge_block(parts: dict[int, np.ndarray], n: int) -> np.ndarray:
             nxt[base] = out
         cur = nxt
     return cur[0]
+
+
+def _block_mean(arr: np.ndarray, j: int) -> np.ndarray:
+    """Level-j cell averages of an array given on a finer dyadic grid."""
+    w = arr.shape[0] >> j
+    blocked = arr.reshape([2**j, w] * arr.ndim)
+    return blocked.mean(axis=tuple(range(1, 2 * arr.ndim, 2)))
+
+
+def _upsample(arr: np.ndarray, J: int) -> np.ndarray:
+    """Spread an array of level-j cell values to the level-J grid."""
+    w = 2**J // arr.shape[0]
+    for ax in range(arr.ndim):
+        arr = np.repeat(arr, w, axis=ax)
+    return arr
 
 
 @dataclass
@@ -143,6 +160,31 @@ def haar_synthesize(c: HaarCoefficients) -> GridFunction:
     return GridFunction(n, J, avg)
 
 
+def level_coefficients(u: GridFunction, j: int, direction: Direction) -> np.ndarray:
+    """The level-j, direction-eps Haar coefficients of u (the entry
+    ``haar_analyze(u).levels[j][direction.index]``), read from u's
+    level-(j+1) cell averages alone."""
+    if direction.n != u.n:
+        raise ValueError("dimension mismatch")
+    if not 0 <= j < u.J:
+        raise ValueError(f"no coefficients at level {j} (J={u.J})")
+    return _split_block(_block_mean(u.values, j + 1), u.n)[direction.index]
+
+
+def level_field(coeffs: np.ndarray, direction: Direction, J: int) -> GridFunction:
+    """sum_Q c_Q h_Q^(eps) over the level-j cubes Q that index ``coeffs``,
+    as a level-J grid field (the one-level inverse of level_coefficients)."""
+    n, j = coeffs.ndim, coeffs.shape[0].bit_length() - 1
+    if direction.n != n:
+        raise ValueError("dimension mismatch")
+    if j >= J:
+        raise ValueError(f"no coefficients at level {j} (J={J})")
+    zero = np.zeros_like(coeffs)
+    parts = {bits: zero for bits in range(2**n)}
+    parts[direction.index] = coeffs
+    return GridFunction(n, J, _upsample(_merge_block(parts, n), J))
+
+
 def directional_project(
     u: GridFunction,
     direction: Direction,
@@ -174,8 +216,6 @@ def vector_project(v: Sequence[GridFunction]) -> list[GridFunction]:
         raise ValueError(f"need {n} components, got {len(v)}")
     for comp in v[1:]:
         v[0]._check_compatible(comp)
-    from .grid import axis_direction
-
     return [directional_project(comp, axis_direction(n, i + 1)) for i, comp in enumerate(v)]
 
 
@@ -183,37 +223,19 @@ def conditional_expectation(u: GridFunction, M: int) -> GridFunction:
     """E_M: replace u by its mean on every level-M cell."""
     if not 0 <= M <= u.J:
         raise ValueError(f"M must be within 0..{u.J}, got {M}")
-    if M == u.J:
-        return GridFunction(u.n, u.J, u.values.copy())
-    w = 2 ** (u.J - M)
-    arr = u.values
-    # average over w-blocks along every axis, then repeat back out
-    shape = []
-    for _ in range(u.n):
-        shape.extend([2**M, w])
-    blocked = arr.reshape(shape)
-    means = blocked.mean(axis=tuple(range(1, 2 * u.n, 2)))
-    out = means
-    for ax in range(u.n):
-        out = np.repeat(out, w, axis=ax)
-    return GridFunction(u.n, u.J, out)
+    return GridFunction(u.n, u.J, _upsample(_block_mean(u.values, M), u.J))
 
 
 def square_function(u: GridFunction) -> GridFunction:
     """Pointwise square function: S(u)(x) = sqrt(sum over Q containing x and
     all eps of c_Q^2)."""
     c = haar_analyze(u)
-    N = 2**u.J
-    acc = np.zeros((N,) * u.n)
+    acc = np.zeros((2**u.J,) * u.n)
     for j, dirs in c.levels.items():
         lvl = np.zeros((2**j,) * u.n)
         for arr in dirs.values():
             lvl += arr * arr
-        w = 2 ** (u.J - j)
-        up = lvl
-        for ax in range(u.n):
-            up = np.repeat(up, w, axis=ax)
-        acc += up
+        acc += _upsample(lvl, u.J)
     return GridFunction(u.n, u.J, np.sqrt(acc))
 
 

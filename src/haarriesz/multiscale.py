@@ -2,9 +2,10 @@
 rearrangement operators, and operator-norm measurement.
 
 t_ell splices the scale-(j+ell) resolving convolution into the level-j Haar
-coefficient pickup; summing over ell recovers the directional projection on
-the truncated level window.  Operator norms are estimated by power iteration
-on the normal operator, which yields reproducible lower bounds.
+coefficient pickup, one level at a time; summing over ell recovers the
+directional projection on the truncated level window.  Operator norms are
+estimated by power iteration on the normal operator, which yields
+reproducible lower bounds.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from .fields import cone_band_field, stream
 from .fourier import delta_conv, resolvable, riesz
 from .grid import Direction, DyadicCube, GridFunction
-from .haar import HaarCoefficients, haar_analyze, haar_synthesize
+from .haar import HaarCoefficients, haar_analyze, haar_synthesize, level_coefficients, level_field
+from .profiles import sine_cell_averages
 
 __all__ = [
     "LinearFieldOp",
@@ -51,16 +53,23 @@ class LinearFieldOp:
     """Uniform handle for a linear map on grid fields, with its adjoint."""
 
     apply: Callable[[GridFunction], GridFunction]
-    adjoint: Optional[Callable[[GridFunction], GridFunction]] = None
+    adjoint: Callable[[GridFunction], GridFunction]
     name: str = "op"
 
     def __call__(self, u: GridFunction) -> GridFunction:
         return self.apply(u)
 
     def normal_apply(self, u: GridFunction) -> GridFunction:
-        if self.adjoint is None:
-            raise ValueError(f"{self.name}: adjoint not available")
         return self.adjoint(self.apply(u))
+
+
+def _level_sum(coeffs: dict[int, np.ndarray], direction: Direction, J: int) -> GridFunction:
+    """sum over levels j of the level-j, direction-eps Haar field with
+    coefficients coeffs[j]."""
+    acc = GridFunction.zeros(direction.n, J)
+    for c in coeffs.values():
+        acc = acc + level_field(c, direction, J)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -77,52 +86,29 @@ def t_ell(
     direction: Direction,
     ell: int,
     levels: Optional[Sequence[int]] = None,
-    skip_unresolvable: bool = False,
 ) -> GridFunction:
-    """Scale slice of the directional projection: sum over levels j of the
-    level-j, direction-eps Haar part of the scale-(j+ell) resolving
-    convolution of u.
+    """Scale slice of the directional projection,
+    T_ell u = -sum_j P_j^(eps) Delta_{j+ell} u over the level window, where
+    P_j^(eps) keeps the level-j, direction-eps Haar part.
 
     The resolving kernel telescopes to minus the identity, so the slices
     carry a compensating sign; with it, summing t_ell over ell converges to
     the directional projection on the level window.
 
-    With skip_unresolvable=False any (j, ell) whose scale j+ell is not
-    ``resolvable`` raises; with True those levels are dropped (used when
-    summing over many ell).
+    Any (j, ell) whose scale j+ell is not ``resolvable`` raises;
+    t_ell_operator drops those levels instead.
     """
     if direction.n != u.n:
         raise ValueError("dimension mismatch")
     lv = default_levels(u.J) if levels is None else list(levels)
     bad = [j for j in lv if not resolvable(j + ell, u.J)]
-    if bad and not skip_unresolvable:
+    if bad:
         raise ValueError(
             f"unresolvable (level, ell) pairs at J={u.J}: "
             + ", ".join(f"({j},{ell})" for j in bad)
         )
-    lv = [j for j in lv if resolvable(j + ell, u.J)]
-    out = HaarCoefficients(n=u.n, J=u.J, mean=0.0)
-    for j in lv:
-        cw = haar_analyze(delta_conv(u, j + ell))
-        out.levels[j] = {direction.index: -cw.levels[j][direction.index]}
-    return haar_synthesize(out)
-
-
-def _t_ell_adjoint(
-    u: GridFunction,
-    direction: Direction,
-    ell: int,
-    levels: Sequence[int],
-) -> GridFunction:
-    """Exact adjoint of t_ell on resolvable levels: sum_j Delta_{j+ell}
-    (Pi_j u), same sign (Delta_s is self-adjoint)."""
-    c = haar_analyze(u)
-    acc = GridFunction.zeros(u.n, u.J)
-    for j in levels:
-        piece = HaarCoefficients(n=u.n, J=u.J, mean=0.0)
-        piece.levels[j] = {direction.index: c.levels[j][direction.index]}
-        acc = acc + delta_conv(haar_synthesize(piece), j + ell)
-    return -acc
+    picked = {j: level_coefficients(delta_conv(u, j + ell), j, direction) for j in lv}
+    return -_level_sum(picked, direction, u.J)
 
 
 def t_ell_operator(
@@ -132,10 +118,21 @@ def t_ell_operator(
     ell: int,
     levels: Optional[Sequence[int]] = None,
 ) -> LinearFieldOp:
+    """T_ell on the levels of the window whose scale j+ell is resolvable,
+    with its exact adjoint -sum_j Delta_{j+ell} P_j^(eps) (Delta_s is
+    self-adjoint)."""
     lv = [j for j in (default_levels(J) if levels is None else levels) if resolvable(j + ell, J)]
+
+    def adjoint(v: GridFunction) -> GridFunction:
+        acc = GridFunction.zeros(n, J)
+        for j in lv:
+            picked = level_field(level_coefficients(v, j, direction), direction, J)
+            acc = acc - delta_conv(picked, j + ell)
+        return acc
+
     return LinearFieldOp(
         apply=lambda u: t_ell(u, direction, ell, lv),
-        adjoint=lambda u: _t_ell_adjoint(u, direction, ell, lv),
+        adjoint=adjoint,
         name=f"T[{ell}]^{direction}",
     )
 
@@ -158,13 +155,14 @@ def t_ell_riesz_ratio(
         raise ValueError(f"direction {direction} does not oscillate along axis {i0}")
     if trials < 1:
         raise ValueError("empty family")
+    op = t_ell_operator(n, J, direction, ell, levels)
     best = 0.0
     for t in range(trials):
         w = cone_band_field(n, J, seed, index=1000 * (ell + 64) + t, i0=i0)
         denom = riesz(w, i0).lp_norm(p)
         if denom <= 1e-14:
             raise ValueError(f"inadmissible sample {t}: R_{i0} w vanishes")
-        num = t_ell(w, direction, ell, levels, skip_unresolvable=True).lp_norm(p)
+        num = op.apply(w).lp_norm(p)
         best = max(best, num / denom)
     return best
 
@@ -354,17 +352,14 @@ def ring_projection(
     rc = cover or build_ring_cover_family(family, direction, lam, C)
     if validate:
         validate_ring_family(rc)
-    c = haar_analyze(u)
-    out = HaarCoefficients(n=u.n, J=u.J, mean=0.0)
+    c = {j: level_coefficients(u, j, direction) for j in {Q.j for Q in rc.covers}}
+    out: dict[int, np.ndarray] = {}
     for Q, cov in rc.covers.items():
-        coeff = c.levels[Q.j][direction.index][Q.k]
         for E in cov:
             if E.j >= u.J:
                 raise ValueError(f"cover cell {E} finer than the grid (J={u.J})")
-            lvl = out.levels.setdefault(E.j, {})
-            arr = lvl.setdefault(direction.index, np.zeros((2**E.j,) * u.n))
-            arr[E.k] += coeff
-    return haar_synthesize(out)
+            out.setdefault(E.j, np.zeros((2**E.j,) * u.n))[E.k] += c[Q.j][Q.k]
+    return _level_sum(out, direction, u.J)
 
 
 def ring_projection_operator(
@@ -381,17 +376,17 @@ def ring_projection_operator(
     def fwd(u: GridFunction) -> GridFunction:
         return ring_projection(u, family, direction, lam, C, validate=False, cover=rc)
 
+    cover_levels = {E.j for cov in rc.covers.values() for E in cov}
+
     def adj(u: GridFunction) -> GridFunction:
-        c = haar_analyze(u)
-        out = HaarCoefficients(n=n, J=J, mean=0.0)
+        c = {j: level_coefficients(u, j, direction) for j in cover_levels}
+        out: dict[int, np.ndarray] = {}
         for Q, cov in rc.covers.items():
             val = 0.0
             for E in cov:
-                val += c.levels[E.j][direction.index][E.k] * E.volume()
-            lvl = out.levels.setdefault(Q.j, {})
-            arr = lvl.setdefault(direction.index, np.zeros((2**Q.j,) * n))
-            arr[Q.k] += val / Q.volume()
-        return haar_synthesize(out)
+                val += c[E.j][E.k] * E.volume()
+            out.setdefault(Q.j, np.zeros((2**Q.j,) * n))[Q.k] += val / Q.volume()
+        return _level_sum(out, direction, J)
 
     return LinearFieldOp(apply=fwd, adjoint=adj, name=f"ring_S[lam={lam}]")
 
@@ -436,14 +431,6 @@ class PredecessorSplit:
         return 2 ** (self.n * self.lam)
 
 
-def _sine_factor(N: int, omega: float, start: float, end: float) -> np.ndarray:
-    """Exact cell averages on the N-cell torus grid of
-    t -> sin(omega (t - start)) restricted to [start, end), periodized."""
-    from .profiles import sine_cell_averages
-
-    return sine_cell_averages(N, omega, start, start, end)
-
-
 def _profile_factors(n: int, J: int, lam: int, W: DyadicCube, k: int) -> list[np.ndarray]:
     """1D factors of the default separable profile for (W, k): one sine
     period spanning W, translated by the rank offset within W (support stays
@@ -461,7 +448,7 @@ def _profile_factors(n: int, J: int, lam: int, W: DyadicCube, k: int) -> list[np
     for ax in range(n):
         shift = offs[ax] * side / (2**lam) * 0.5
         start = lo[ax] + shift
-        out.append(_sine_factor(N, 2.0 * np.pi / side, start, start + side))
+        out.append(sine_cell_averages(N, 2.0 * np.pi / side, start, start, start + side))
     return out
 
 
@@ -538,7 +525,7 @@ def _profile_matrix(J: int, lam: int, j: int) -> np.ndarray:
     rows = []
     for k in range(2**j):
         start = (k >> lam) * side + (k & ((1 << lam) - 1)) * side / (2**lam) * 0.5
-        rows.append(_sine_factor(2**J, 2.0 * np.pi / side, start, start + side))
+        rows.append(sine_cell_averages(2**J, 2.0 * np.pi / side, start, start, start + side))
     return np.array(rows)
 
 
@@ -564,14 +551,13 @@ def rearrangement_operator(
         return arr
 
     def fwd(u: GridFunction) -> GridFunction:
-        out = HaarCoefficients(n=n, J=J, mean=0.0)
-        for j in lv:
-            # <u, phi_Q> / |Q| with the level-J cell volume 2^-nJ
-            arr = contract(u.values, mats[j], 1) * 2.0 ** (n * (j - J))
-            out.levels[j] = {direction.index: arr}
-        return haar_synthesize(out)
+        # <u, phi_Q> / |Q| with the level-J cell volume 2^-nJ
+        out = {j: contract(u.values, mats[j], 1) * 2.0 ** (n * (j - J)) for j in lv}
+        return _level_sum(out, direction, J)
 
     def adj(u: GridFunction) -> GridFunction:
+        # the window spans several levels (lam..J-2 by default): one pyramid
+        # pass reads them all, where level_coefficients costs a grid pass each
         c = haar_analyze(u)
         acc = np.zeros((2**J,) * n)
         for j in lv:

@@ -16,9 +16,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fourier import derivative
+from .fourier import derivative, riesz
 from .grid import GridFunction
 from .haar import conditional_expectation, vector_project
+from .profiles import sine_cell_averages
 
 __all__ = [
     "Integrand",
@@ -172,8 +173,6 @@ def jensen_range_check(v: VectorField, f: Integrand, M: int) -> float:
 def residual_ratio(v: VectorField, p: float) -> float:
     """||v - P(v)||_p / (||v||_p^{1/2} (sum_{i != j} ||R_i v_j||_p)^{1/2}),
     with 0/0 -> 0."""
-    from .fourier import riesz
-
     if p < 2:
         raise ValueError("the residual inequality is stated for p >= 2")
     w = vector_project(v.components)
@@ -199,8 +198,6 @@ def oscillation_sequence(n: int, J: int, r: int, amplitudes: Optional[Sequence[f
     """Compliant sequence member: component i is a zero-mean profile
     oscillating at frequency 2^r in its own coordinate alone, embedded
     exactly (cell averages of sin)."""
-    from .profiles import sine_cell_averages
-
     amp = list(amplitudes) if amplitudes is not None else [1.0] * n
     N = 2**J
     comps = []
@@ -220,8 +217,6 @@ def contrast_sequence(
     off-diagonal gradient is large.  The default amplitudes (1, -1, ...)
     anti-correlate the components, which drives product-type integrands
     strictly below their weak-limit value."""
-    from .profiles import sine_cell_averages
-
     amp = list(amplitudes) if amplitudes is not None else [(-1.0) ** i for i in range(n)]
     N = 2**J
     vals1d = sine_cell_averages(N, 2.0 * np.pi * 2**r, 0.0, 0.0, 1.0)

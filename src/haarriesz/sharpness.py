@@ -17,6 +17,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .fields import stream
+from .fourier import riesz
 from .grid import Direction, DyadicCube, GridFunction
 from .haar import directional_project
 from .profiles import (
@@ -484,8 +485,6 @@ def single_block_experiment_ple2(
     P g at grid level n0 + 6, with the analytic coefficient cross-check."""
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must be in (1, 2], got {p}")
-    from .fourier import riesz
-
     q = p / (p - 1.0)
     rows: list[SharpnessRow] = []
     for eps in eps_list:

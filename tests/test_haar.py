@@ -8,11 +8,14 @@ import pytest
 from haarriesz.fields import random_field, single_haar_block
 from haarriesz.grid import Direction, DyadicCube, GridFunction, all_directions, embed
 from haarriesz.haar import (
+    HaarCoefficients,
     bmo_d_norm,
     conditional_expectation,
     directional_project,
     haar_analyze,
     haar_synthesize,
+    level_coefficients,
+    level_field,
     square_function,
     vector_project,
 )
@@ -94,6 +97,20 @@ class TestRoundTripAndParseval:
         # one nonzero coefficient among all rows
         nonzero = [ln for ln in lines[1:] if not ln.endswith(",0.0")]
         assert nonzero == ["0,0,0,1,1,1.0"]
+
+
+class TestLevelPrimitives:
+    @pytest.mark.parametrize("n,J", [(1, 7), (2, 6), (3, 5)])
+    def test_match_full_transform(self, n, J):
+        u = random_field(n, J, seed=26, mean_zero=False)
+        c = haar_analyze(u)
+        for j in range(J):
+            for d in all_directions(n):
+                coeffs = level_coefficients(u, j, d)
+                assert np.abs(coeffs - c.levels[j][d.index]).max() <= 1e-14
+                one_level = HaarCoefficients(n=n, J=J, mean=0.0, levels={j: {d.index: coeffs}})
+                expect = haar_synthesize(one_level).values
+                assert np.abs(level_field(coeffs, d, J).values - expect).max() <= 1e-14
 
 
 class TestDirectionalProjection:

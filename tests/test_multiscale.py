@@ -57,6 +57,12 @@ class TestTEll:
         with pytest.raises(ValueError, match=r"\(1,-2\)|\(1, *-2\)"):
             t_ell(u, D10, -2, levels=[1, 2, 3])
 
+    def test_operator_drops_unresolvable_levels(self):
+        u = random_field(2, 6, seed=51)
+        got = t_ell_operator(2, 6, D10, -2, levels=[1, 2, 3]).apply(u)
+        expect = t_ell(u, D10, -2, levels=[2, 3])
+        assert (got - expect).lp_norm(2) <= 1e-14 * expect.lp_norm(2)
+
     def test_linearity(self):
         lv = [1, 2, 3]
         u = random_field(2, 6, seed=52, index=0)
