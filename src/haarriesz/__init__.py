@@ -21,9 +21,7 @@ from .haar import (
     vector_project,
 )
 from .fourier import (
-    MultiplierOp,
     ResolvingKernel,
-    SpectralField,
     delta_conv,
     derivative,
     antiderivative,

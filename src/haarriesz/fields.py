@@ -7,6 +7,7 @@ manifests reproduce identical numbers.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,8 +88,6 @@ def annulus_field(
     # one representative per conjugate pair
     modes = []
     rng_range = range(-int(hi), int(hi) + 1)
-    import itertools
-
     for xi in itertools.product(rng_range, repeat=n):
         mag = np.sqrt(sum(x * x for x in xi))
         if not lo <= mag <= hi:

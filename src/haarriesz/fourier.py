@@ -2,11 +2,14 @@
 inverse, derivative/antiderivative multipliers, and the scale-resolving
 convolutions built from the compactly supported bump kernel.
 
-The torus transform stands in for the whole-space one; the zero mode is
-annihilated by every Riesz-type multiplier.  Frequencies are integers with
-the usual FFT layout; the Nyquist plane cannot carry an odd multiplier
-faithfully, so the standard random-field generators in ``fields`` keep test
-spectra strictly below it.
+Every multiplier takes one path: ``rfftn`` of the real cell values, a
+product with a Hermitian symbol on the half spectrum (last axis: the N/2+1
+nonnegative frequencies), one ``irfftn``.  Frequencies are integers.  The
+torus transform stands in for the whole-space one: the zero mode is
+annihilated by every Riesz-type multiplier.  An odd multiplier of a real
+field is zero on its axis's Nyquist plane |xi_i| = N/2, where xi_i and
+-xi_i are one frequency; the standard random-field generators in ``fields``
+keep test spectra strictly below it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import numpy as np
 from .grid import GridFunction
 
 __all__ = [
-    "SpectralField",
-    "MultiplierOp",
     "riesz",
     "riesz_inverse",
     "derivative",
@@ -38,73 +39,49 @@ TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
-# spectral representation
+# the half-spectrum multiplier path
 
 
 @lru_cache(maxsize=None)
-def _freq_grid(n: int, J: int) -> tuple[np.ndarray, ...]:
+def _freqs(n: int, J: int) -> tuple[np.ndarray, ...]:
+    """Integer frequency axes of the rfftn layout, shaped to broadcast:
+    0, 1, .., N/2-1, -N/2, .., -1 on the first n-1 axes, 0..N/2 on the last."""
     N = 2**J
-    k = np.fft.fftfreq(N, d=1.0 / N)  # 0, 1, .., N/2-1, -N/2, .., -1
     out = []
     for ax in range(n):
+        k = np.fft.rfftfreq(N, d=1.0 / N) if ax == n - 1 else np.fft.fftfreq(N, d=1.0 / N)
         shape = [1] * n
-        shape[ax] = N
-        out.append(k.reshape(shape))
+        shape[ax] = k.size
+        k = k.reshape(shape)
+        k.setflags(write=False)
+        out.append(k)
     return tuple(out)
 
 
-@dataclass
-class SpectralField:
-    """Complex DFT coefficients of a grid field (numpy fftn layout,
-    normalized so coefficients approximate torus Fourier coefficients)."""
-
-    n: int
-    J: int
-    coeffs: np.ndarray
-
-    @classmethod
-    def from_grid(cls, u: GridFunction) -> "SpectralField":
-        N = 2**u.J
-        return cls(u.n, u.J, np.fft.fftn(u.values) / float(N**u.n))
-
-    def to_grid(self) -> GridFunction:
-        N = 2**self.J
-        vals = np.fft.ifftn(self.coeffs * float(N**self.n))
-        return GridFunction(self.n, self.J, vals.real)
-
-    def frequencies(self) -> tuple[np.ndarray, ...]:
-        return _freq_grid(self.n, self.J)
-
-    def mass_on_hyperplane(self, i0: int) -> float:
-        """l2 mass of the coefficients with xi_{i0} = 0 (excluding the zero
-        mode counted separately by callers that allow a mean)."""
-        xi = self.frequencies()[i0 - 1]
-        mask = xi == 0
-        return float(np.sqrt(np.sum(np.abs(self.coeffs[np.broadcast_to(mask, self.coeffs.shape)]) ** 2)))
+def _apply_symbol(u: GridFunction, symbol: np.ndarray) -> GridFunction:
+    """Fourier multiplier given by a Hermitian symbol on the rfftn layout."""
+    axes = tuple(range(u.n))
+    fu = np.fft.rfftn(u.values, axes=axes)
+    return GridFunction(u.n, u.J, np.fft.irfftn(fu * symbol, s=u.values.shape, axes=axes))
 
 
-@dataclass
-class MultiplierOp:
-    """Fourier multiplier with a declared policy for the zero mode."""
+def _check_axis(u: GridFunction, i: int) -> None:
+    if not 1 <= i <= u.n:
+        raise ValueError(f"axis {i} out of range for n={u.n}")
 
-    symbol: Callable[..., np.ndarray]
-    zero_mode_policy: str = "zero"  # "zero" | "reject"
-    name: str = "multiplier"
 
-    def __call__(self, u: GridFunction) -> GridFunction:
-        spec = SpectralField.from_grid(u)
-        xi = spec.frequencies()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sym = self.symbol(*xi)
-        sym = np.asarray(sym, dtype=np.complex128)
-        sym = np.broadcast_to(sym, spec.coeffs.shape).copy()
-        sym[(0,) * u.n] = 0.0
-        if not np.all(np.isfinite(sym)):
-            raise ValueError(f"{self.name}: symbol not finite on a nonzero frequency")
-        if self.zero_mode_policy == "reject" and abs(spec.coeffs[(0,) * u.n]) > 1e-12:
-            raise ValueError(f"{self.name}: input has a zero-frequency mode")
-        out = SpectralField(u.n, u.J, spec.coeffs * sym)
-        return out.to_grid()
+def _odd_multiplier(
+    u: GridFunction, i: int, symbol: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> GridFunction:
+    """Multiplier odd in xi_i: symbol(xi_i, |xi|) where 0 < |xi_i| < N/2,
+    zero on the hyperplane xi_i = 0 and on the Nyquist plane |xi_i| = N/2."""
+    _check_axis(u, i)
+    xi = _freqs(u.n, u.J)
+    x = xi[i - 1]
+    live = (x != 0) & (np.abs(x) < 2 ** (u.J - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sym = np.where(live, symbol(x, np.sqrt(sum(k * k for k in xi))), 0.0)
+    return _apply_symbol(u, sym)
 
 
 # ---------------------------------------------------------------------------
@@ -113,40 +90,25 @@ class MultiplierOp:
 
 def riesz(u: GridFunction, i: int) -> GridFunction:
     """R_i: multiply the spectrum by -i xi_i / |xi|, zero mode killed."""
-    if not 1 <= i <= u.n:
-        raise ValueError(f"axis {i} out of range for n={u.n}")
-
-    def sym(*xi):
-        mag = np.sqrt(sum(x * x for x in xi))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = -1j * xi[i - 1] / mag
-        return np.where(mag == 0, 0.0, s)
-
-    return MultiplierOp(sym, "zero", f"riesz[{i}]")(u)
+    return _odd_multiplier(u, i, lambda x, mag: -1j * x / mag)
 
 
 def derivative(u: GridFunction, i: int) -> GridFunction:
     """Spectral partial derivative along axis i (period-1 torus)."""
-    if not 1 <= i <= u.n:
-        raise ValueError(f"axis {i} out of range for n={u.n}")
-
-    def sym(*xi):
-        return 1j * TWO_PI * xi[i - 1]
-
-    return MultiplierOp(sym, "zero", f"d/dx[{i}]")(u)
+    return _odd_multiplier(u, i, lambda x, mag: 1j * TWO_PI * x)
 
 
 def _check_admissible(u: GridFunction, i0: int, tol: float = 1e-12) -> None:
-    spec = SpectralField.from_grid(u)
-    xi = spec.frequencies()[i0 - 1]
-    mask = np.broadcast_to(xi == 0, spec.coeffs.shape)
-    offender = np.abs(spec.coeffs) * mask
+    """Raise unless the N^-n-normalised spectrum of u is below tol on the
+    hyperplane xi_{i0} = 0, naming the frequency that carries the most."""
+    _check_axis(u, i0)
+    xi = _freqs(u.n, u.J)
+    coeffs = np.abs(np.fft.rfftn(u.values)) * 2.0 ** (-u.n * u.J)
+    offender = np.where(xi[i0 - 1] == 0, coeffs, 0.0)
     worst = float(offender.max())
     if worst > tol:
         where = np.unravel_index(int(offender.argmax()), offender.shape)
-        N = 2**u.J
-        line = np.fft.fftfreq(N, d=1.0 / N)
-        freq = tuple(int(line[idx]) for idx in where)
+        freq = tuple(int(k.ravel()[idx]) for k, idx in zip(xi, where))
         raise ValueError(
             f"spectral mass {worst:.3e} on the hyperplane xi_{i0}=0 "
             f"(offending frequency {freq}); input not in the range of R_{i0}"
@@ -156,13 +118,7 @@ def _check_admissible(u: GridFunction, i0: int, tol: float = 1e-12) -> None:
 def antiderivative(u: GridFunction, i0: int) -> GridFunction:
     """Spectral antiderivative along axis i0, defined only off xi_{i0} = 0."""
     _check_admissible(u, i0)
-
-    def sym(*xi):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = 1.0 / (1j * TWO_PI * xi[i0 - 1])
-        return np.where(xi[i0 - 1] == 0, 0.0, s)
-
-    return MultiplierOp(sym, "zero", f"antiderivative[{i0}]")(u)
+    return _odd_multiplier(u, i0, lambda x, mag: 1.0 / (1j * TWO_PI * x))
 
 
 def riesz_inverse(u: GridFunction, i0: int, mode: str = "direct") -> GridFunction:
@@ -176,20 +132,11 @@ def riesz_inverse(u: GridFunction, i0: int, mode: str = "direct") -> GridFunctio
 
     Both modes require the spectrum to avoid the hyperplane xi_{i0} = 0.
     """
-    if not 1 <= i0 <= u.n:
-        raise ValueError(f"axis {i0} out of range for n={u.n}")
     if mode not in ("direct", "composite"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_admissible(u, i0)
     if mode == "direct":
-
-        def sym(*xi):
-            mag = np.sqrt(sum(x * x for x in xi))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = mag / (-1j * xi[i0 - 1])
-            return np.where(xi[i0 - 1] == 0, 0.0, s)
-
-        return MultiplierOp(sym, "zero", f"riesz_inverse[{i0}]")(u)
+        return _odd_multiplier(u, i0, lambda x, mag: mag / (-1j * x))
 
     acc = riesz(u, i0)
     for i in range(1, u.n + 1):
@@ -323,13 +270,6 @@ def _delta_symbol(n: int, s: int, J: int) -> np.ndarray:
     return sym
 
 
-def _apply_real_symbol(u: GridFunction, symbol: np.ndarray) -> GridFunction:
-    """Periodic convolution given by a real rfftn-layout symbol."""
-    axes = tuple(range(u.n))
-    fu = np.fft.rfftn(u.values, axes=axes)
-    return GridFunction(u.n, u.J, np.fft.irfftn(fu * symbol, s=u.values.shape, axes=axes))
-
-
 def resolvable(s: int, J: int) -> bool:
     """Delta_s is resolved at level J iff 0 <= s <= J-2 (inner lobe >= 4 cells per axis)."""
     return 0 <= s <= J - 2
@@ -340,7 +280,7 @@ def delta_conv(u: GridFunction, s: int) -> GridFunction:
     ``resolvable`` s.  Delta_s is self-adjoint (its lag table is even)."""
     if not resolvable(s, u.J):
         raise ValueError(f"scale s={s} not resolvable at J={u.J} (need 0 <= s <= J-2)")
-    return _apply_real_symbol(u, _delta_symbol(u.n, s, u.J))
+    return _apply_symbol(u, _delta_symbol(u.n, s, u.J))
 
 
 def smoothing_conv(u: GridFunction, s: int) -> GridFunction:
@@ -349,4 +289,4 @@ def smoothing_conv(u: GridFunction, s: int) -> GridFunction:
     lag tables as delta_conv; used by the telescoping oracle."""
     if s < 0:
         raise ValueError("scale must be >= 0")
-    return _apply_real_symbol(u, _beta_symbol(u.n, s, u.J))
+    return _apply_symbol(u, _beta_symbol(u.n, s, u.J))

@@ -8,6 +8,7 @@ quadrature error.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -25,6 +26,15 @@ __all__ = [
 ]
 
 _MAGIC = b"HRL1"
+
+
+def _upsample(arr: np.ndarray, J: int) -> np.ndarray:
+    """Spread an array of level-j cell values to the level-J grid."""
+    w = 2**J // arr.shape[0]
+    for ax in range(arr.ndim):
+        arr = np.repeat(arr, w, axis=ax)
+    return arr
+
 
 # tensor Gauss-Legendre nodes/weights on (0,1), per supported quad order
 _GAUSS_01 = {
@@ -228,10 +238,7 @@ class GridFunction:
         """The same piecewise-constant function sampled at a finer level."""
         if J_new < self.J:
             raise ValueError("refine target must not be coarser")
-        arr = self.values
-        for ax in range(self.n):
-            arr = np.repeat(arr, 2 ** (J_new - self.J), axis=ax)
-        return GridFunction(self.n, J_new, arr)
+        return GridFunction(self.n, J_new, _upsample(self.values, J_new))
 
     # -- serialization: 16-byte header (magic, n, J, reserved) + LE float64 --
 
@@ -282,8 +289,6 @@ def embed(
     acc = np.zeros((N,) * n)
     # iterate over tensor quad-point combinations; n <= 3 keeps this small
     idx_ranges = [range(len(nodes))] * n
-    import itertools
-
     for combo in itertools.product(*idx_ranges):
         w = 1.0
         pts = []

@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .grid import Direction, DyadicCube, GridFunction, axis_direction
+from .grid import Direction, DyadicCube, GridFunction, _upsample, axis_direction
 
 __all__ = [
     "HaarCoefficients",
@@ -75,14 +75,6 @@ def _block_mean(arr: np.ndarray, j: int) -> np.ndarray:
     w = arr.shape[0] >> j
     blocked = arr.reshape([2**j, w] * arr.ndim)
     return blocked.mean(axis=tuple(range(1, 2 * arr.ndim, 2)))
-
-
-def _upsample(arr: np.ndarray, J: int) -> np.ndarray:
-    """Spread an array of level-j cell values to the level-J grid."""
-    w = 2**J // arr.shape[0]
-    for ax in range(arr.ndim):
-        arr = np.repeat(arr, w, axis=ax)
-    return arr
 
 
 @dataclass

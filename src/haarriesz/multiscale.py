@@ -338,28 +338,30 @@ def validate_ring_family(rc: RingCover) -> None:
                         )
 
 
-def ring_projection(
-    u: GridFunction,
-    family: Sequence[DyadicCube],
-    direction: Direction,
-    lam: int,
-    C: float = 0.5,
-    validate: bool = True,
-    cover: Optional[RingCover] = None,
-) -> GridFunction:
-    """S(u) = sum_Q <u, h_Q> g_Q / |Q| with g_Q the sum of the Haar
-    functions on the ring cover cells of Q."""
-    rc = cover or build_ring_cover_family(family, direction, lam, C)
-    if validate:
-        validate_ring_family(rc)
-    c = {j: level_coefficients(u, j, direction) for j in {Q.j for Q in rc.covers}}
+def _ring_apply(u: GridFunction, rc: RingCover) -> GridFunction:
+    """S(u) = sum_Q <u, h_Q> g_Q / |Q| over the covers of ``rc``."""
+    c = {j: level_coefficients(u, j, rc.direction) for j in {Q.j for Q in rc.covers}}
     out: dict[int, np.ndarray] = {}
     for Q, cov in rc.covers.items():
         for E in cov:
             if E.j >= u.J:
                 raise ValueError(f"cover cell {E} finer than the grid (J={u.J})")
             out.setdefault(E.j, np.zeros((2**E.j,) * u.n))[E.k] += c[Q.j][Q.k]
-    return _level_sum(out, direction, u.J)
+    return _level_sum(out, rc.direction, u.J)
+
+
+def ring_projection(
+    u: GridFunction,
+    family: Sequence[DyadicCube],
+    direction: Direction,
+    lam: int,
+    C: float = 0.5,
+) -> GridFunction:
+    """S(u) = sum_Q <u, h_Q> g_Q / |Q| with g_Q the sum of the Haar
+    functions on the ring cover cells of Q."""
+    rc = build_ring_cover_family(family, direction, lam, C)
+    validate_ring_family(rc)
+    return _ring_apply(u, rc)
 
 
 def ring_projection_operator(
@@ -374,7 +376,7 @@ def ring_projection_operator(
     validate_ring_family(rc)
 
     def fwd(u: GridFunction) -> GridFunction:
-        return ring_projection(u, family, direction, lam, C, validate=False, cover=rc)
+        return _ring_apply(u, rc)
 
     cover_levels = {E.j for cov in rc.covers.values() for E in cov}
 

@@ -1,5 +1,7 @@
 """Riesz transforms, inverse modes, multiplier properties, resolving kernels."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -84,58 +86,81 @@ class TestRieszInverse:
         with pytest.raises(ValueError):
             riesz_inverse(w, 1, mode="spectralish")
 
-
-class TestSpectralField:
-    def test_transform_roundtrip(self):
-        from haarriesz.fourier import SpectralField
-
-        u = random_field(2, 5, seed=43)
-        spec = SpectralField.from_grid(u)
-        v = spec.to_grid()
-        assert np.abs(v.values - u.values).max() <= 1e-12
-
-    def test_hermitian_symmetry_for_real_fields(self):
-        from haarriesz.fourier import SpectralField
-
-        u = random_field(2, 4, seed=44)
-        c = SpectralField.from_grid(u).coeffs
-        N = c.shape[0]
-        for i in range(N):
-            for j in range(N):
-                assert c[i, j] == pytest.approx(np.conj(c[(-i) % N, (-j) % N]), abs=1e-12)
-
     def test_hyperplane_mass(self):
-        from haarriesz.fourier import SpectralField
-
         u = embed(lambda x, y: np.cos(2 * np.pi * 3 * y), 2, 4, quad_order=5)
-        spec = SpectralField.from_grid(u)
-        assert spec.mass_on_hyperplane(1) > 0.1
-        assert spec.mass_on_hyperplane(2) <= 1e-12
+        with pytest.raises(ValueError, match="xi_1=0"):
+            riesz_inverse(u, 1)
+        back = riesz(riesz_inverse(u, 2), 2)
+        assert (back - u).lp_norm(2) <= 1e-12
+
+    @pytest.mark.parametrize("i0", [1, 2, 3])
+    def test_rejects_hyperplane_n3(self, i0):
+        # one mode on xi_{i0} = 0 added to an admissible field; i0 = 3 is
+        # the half-spectrum axis of rfftn
+        xi = [1, -2, 3]
+        xi[i0 - 1] = 0
+        phase = sum(k * x.values for k, x in zip(xi, coordinate_fields(3, 4)))
+        u = cone_band_field(3, 4, seed=47, i0=i0) + GridFunction(3, 4, np.cos(2 * np.pi * phase))
+        for route in (riesz_inverse, antiderivative):
+            with pytest.raises(ValueError, match="offending frequency") as err:
+                route(u, i0)
+            found = re.search(r"frequency \(([^)]*)\)", str(err.value)).group(1)
+            freq = [int(k) for k in found.split(",")]
+            assert freq[i0 - 1] == 0
+            assert freq in (xi, [-k for k in xi])
 
 
-class TestMultiplierOp:
-    def test_reject_policy(self):
-        from haarriesz.fourier import MultiplierOp
+def _full_fft_reference(u, i, symbol):
+    # ifftn(fftn(u) m).real with m = symbol(xi_i, |xi|) on the full fftn
+    # layout, zero where xi_i = 0; .real removes the xi_i = -N/2 plane
+    N = 2**u.J
+    xi = np.meshgrid(*[np.fft.fftfreq(N, d=1.0 / N)] * u.n, indexing="ij")
+    x = xi[i - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(x == 0, 0.0, symbol(x, np.sqrt(sum(k * k for k in xi))))
+    return np.fft.ifftn(np.fft.fftn(u.values) * m).real
 
-        op = MultiplierOp(lambda x, y: np.ones_like(x, dtype=complex), "reject", "unit")
-        u = GridFunction.constant(2, 4, 1.0)
-        with pytest.raises(ValueError, match="zero-frequency"):
-            op(u)
-        v = random_field(2, 4, seed=45, mean_zero=True)
-        out = op(v)
-        assert (out - v).lp_norm(2) <= 1e-12
 
-    def test_non_finite_symbol_rejected(self):
-        from haarriesz.fourier import MultiplierOp
+def _nyquist_field(n, J, seed, i=None):
+    # white noise with Nyquist content; with i, its xi_i = 0 part (the mean
+    # along axis i) removed so that the inverse routes accept it
+    v = random_field(n, J, seed=seed, nyquist_free=False).values
+    if i is not None:
+        v = v - v.mean(axis=i - 1, keepdims=True)
+    return GridFunction(n, J, v)
 
-        def bad(x, y):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return 1.0 / (x - 1.0)
 
-        op = MultiplierOp(bad, "zero", "pole")
-        u = random_field(2, 4, seed=46)
-        with pytest.raises(ValueError, match="finite"):
-            op(u)
+ORACLE_CASES = [(n, J, i) for n, J in ((1, 6), (2, 5), (3, 4)) for i in range(1, n + 1)]
+
+
+class TestHalfSpectrumOracle:
+    @pytest.mark.parametrize("n,J,i", ORACLE_CASES)
+    @pytest.mark.parametrize(
+        "op,symbol",
+        [
+            (riesz, lambda x, mag: -1j * x / mag),
+            (derivative, lambda x, mag: 2j * np.pi * x),
+        ],
+        ids=["riesz", "derivative"],
+    )
+    def test_forward_multipliers(self, n, J, i, op, symbol):
+        u = _nyquist_field(n, J, seed=48)
+        ref = _full_fft_reference(u, i, symbol)
+        assert np.linalg.norm(op(u, i).values - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n,J,i", ORACLE_CASES)
+    @pytest.mark.parametrize(
+        "op,symbol",
+        [
+            (riesz_inverse, lambda x, mag: mag / (-1j * x)),
+            (antiderivative, lambda x, mag: 1.0 / (2j * np.pi * x)),
+        ],
+        ids=["riesz_inverse", "antiderivative"],
+    )
+    def test_inverse_multipliers(self, n, J, i, op, symbol):
+        for u in (cone_band_field(n, J, seed=49, i0=i), _nyquist_field(n, J, seed=49, i=i)):
+            ref = _full_fft_reference(u, i, symbol)
+            assert np.linalg.norm(op(u, i).values - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestDerivativeAntiderivative:
