@@ -32,11 +32,9 @@ from .fourier import (
 from .multiscale import (
     LinearFieldOp,
     OpNormResult,
-    PredecessorSplit,
     RingCover,
     default_even_family,
     op_norm2_estimate,
-    rearrangement_op,
     rearrangement_operator,
     ring_cover,
     ring_projection,

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import platform
 import sys
 import time
 from dataclasses import astuple, dataclass
@@ -195,6 +196,11 @@ class Run:
             "results_digest_sha256": digest,
             "assertions_total": len(self.assertions),
             "assertions_failed": [a.name for a in failed],
+            # identical CSV bytes are promised only for a fixed numpy FFT;
+            # platform.platform() would spawn `uname -p`
+            "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                            "platform": "-".join((platform.system(), platform.release(),
+                                                  platform.machine()))},
         }
         (self.out_dir / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -219,6 +225,11 @@ def enforce_cap(bytes_needed: int, cap: int) -> None:
 
 
 def grid_budget(n: int, J: int, copies: int = 96) -> int:
+    """Working-set estimate: ``copies`` float64 grids of 2^(nJ) cells.  For
+    tl-decay, 96 covers its grids, rfftn half spectra, fold/tile scratch and
+    Haar pyramid, plus 1D factors and per-call overhead, which matter only
+    at n = 1: tests/test_multiscale.py::TestWorkingSet measures about 8-10
+    copies at n = 2, 3 and about 60 at n = 1, J = 8."""
     return 8 * 2 ** (n * J) * copies
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "kernel_b_antiderivative",
     "ResolvingKernel",
     "resolvable",
+    "beta_factor",
     "delta_conv",
     "smoothing_conv",
 ]
@@ -252,11 +253,20 @@ class ResolvingKernel:
         return out
 
 
+@lru_cache(maxsize=None)
+def beta_factor(s: int, J: int) -> np.ndarray:
+    """Read-only 1D symbol h_s of beta_s on all 2^J frequencies (FFT layout):
+    the DFT of the even 1D lag table times 2^-J.  beta_s = (x) h_s and
+    Delta_s = (x) h_s - (x) h_{s+1}."""
+    h = np.fft.fft(_b_scaled_lag_table(s, J)).real * 2.0 ** (-J)
+    h.setflags(write=False)
+    return h
+
+
 def _beta_symbol(n: int, s: int, J: int) -> np.ndarray:
     """Symbol of beta_s in the rfftn layout (last axis: the N/2+1 nonnegative
-    frequencies): the tensor power of the DFT of the 1D lag table, which is
-    real because the table is exactly even."""
-    h = np.fft.fft(_b_scaled_lag_table(s, J)).real * 2.0 ** (-J)
+    frequencies): the tensor power of ``beta_factor``."""
+    h = beta_factor(s, J)
     out = h[: h.size // 2 + 1]
     for _ in range(n - 1):
         out = np.multiply.outer(h, out)

@@ -1,8 +1,9 @@
 """Multiscale slices of the directional projections, ring-domain projections,
 rearrangement operators, and operator-norm measurement.
 
-t_ell splices the scale-(j+ell) resolving convolution into the level-j Haar
-coefficient pickup, one level at a time; summing over ell recovers the
+The scale slices T_ell work in Fourier coordinates: per level a coset fold
+and a periodic tile by separable 1D factors, between one rfftn and one
+irfftn (derivation at _slice_levels).  Summing t_ell over ell recovers the
 directional projection on the truncated level window.  Operator norms are
 estimated by power iteration on the normal operator, which yields
 reproducible lower bounds.
@@ -12,14 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .fields import cone_band_field, stream
-from .fourier import delta_conv, resolvable, riesz
+from .fourier import beta_factor, resolvable, riesz
 from .grid import Direction, DyadicCube, GridFunction
-from .haar import HaarCoefficients, haar_analyze, haar_synthesize, level_coefficients, level_field
+from .haar import haar_analyze, level_coefficients, level_field
 from .profiles import sine_cell_averages
 
 __all__ = [
@@ -36,10 +38,7 @@ __all__ = [
     "ring_projection",
     "ring_projection_operator",
     "default_even_family",
-    "PredecessorSplit",
-    "rearrangement_op",
     "rearrangement_operator",
-    "sine_profile_family",
     "default_levels",
 ]
 
@@ -50,16 +49,20 @@ __all__ = [
 
 @dataclass
 class LinearFieldOp:
-    """Uniform handle for a linear map on grid fields, with its adjoint."""
+    """Uniform handle for a linear map on grid fields, with its adjoint and,
+    optionally, a direct form ``normal`` of adjoint(apply(.))."""
 
     apply: Callable[[GridFunction], GridFunction]
     adjoint: Callable[[GridFunction], GridFunction]
     name: str = "op"
+    normal: Optional[Callable[[GridFunction], GridFunction]] = None
 
     def __call__(self, u: GridFunction) -> GridFunction:
         return self.apply(u)
 
     def normal_apply(self, u: GridFunction) -> GridFunction:
+        if self.normal is not None:
+            return self.normal(u)
         return self.adjoint(self.apply(u))
 
 
@@ -73,7 +76,114 @@ def _level_sum(coeffs: dict[int, np.ndarray], direction: Direction, J: int) -> G
 
 
 # ---------------------------------------------------------------------------
-# the scale slices T_ell
+# the scale slices T_ell, in Fourier coordinates
+#
+# A separable sum m on Z_N^n is stacked as 1D factors f[q, i, :] over the N
+# frequencies of the numpy FFT layout: m = sum_q f[q, 0] x ... x f[q, n-1].
+
+
+def _on_axis(blocks: np.ndarray, ax: int, n: int) -> np.ndarray:
+    """Per-term factor blocks (terms, ...) shaped to broadcast against a
+    (terms, d_0, .., d_{n-1}) array whose axis ax is split as blocks[0]."""
+    return blocks.reshape(blocks.shape[:1] + (1,) * ax + blocks.shape[1:] + (1,) * (n - 1 - ax))
+
+
+def _fold(spec: np.ndarray, f: np.ndarray, M: int) -> np.ndarray:
+    """Coset fold F(eta) = sum_{xi = eta mod M} m(xi) spec(xi) on Z_M^n, as a
+    full (M,)*n array, of the rfftn half spectrum ``spec`` of a real field
+    against the Hermitian separable sum m = f.  Axes fold one at a time (the
+    first for every term in one batched product); the last, held as its
+    N/2+1 nonnegative frequencies, is completed by the symmetry
+    half(-eta', -xi_n) = conj half(eta', xi_n) once the others are folded."""
+    T, n, N = f.shape
+    w, H = N // M, N // 2 + 1
+    blocks = f.reshape(T, n, w, M)
+    x, first = spec[np.newaxis], 0
+    if n > 1:
+        x = np.matmul(blocks[:, 0].transpose(2, 0, 1), spec.reshape(w, M, -1).transpose(1, 0, 2))
+        x, first = x.transpose(1, 0, 2).reshape((T, M) + spec.shape[1:]), 1
+    for ax in range(first, n - 1):
+        sh = x.shape
+        x = x.reshape(sh[: ax + 1] + (w, M) + sh[ax + 2:]) * _on_axis(blocks[:, ax], ax, n)
+        x = x.sum(axis=ax + 1)
+    half = (x * _on_axis(f[:, -1, :H], n - 1, n)).sum(axis=0)
+    mirror = np.conj(half[..., N // 2 - 1: 0: -1])
+    for ax in range(n - 1):
+        mirror = mirror.take(-np.arange(M) % M, axis=ax)
+    full = np.concatenate([half, mirror], axis=-1)
+    return full.reshape(full.shape[:-1] + (w, M)).sum(axis=-2)
+
+
+def _tile(F: np.ndarray, f: np.ndarray, acc: np.ndarray) -> None:
+    """acc += m(xi) F(xi mod M) on the rfftn half spectrum, for a full
+    (M,)*n array F and the separable sum m = f: the transpose of _fold,
+    one axis at a time (the first for every term in one batched product)."""
+    T, n, N = f.shape
+    M = F.shape[0]
+    w, H = N // M, N // 2 + 1
+    blocks = f.reshape(T, n, w, M)
+    y = F[..., np.arange(H) % M] * _on_axis(f[:, -1, :H], n - 1, n)
+    for ax in range(n - 2, 0, -1):
+        sh = y.shape
+        y = y.reshape(sh[: ax + 1] + (1, M) + sh[ax + 2:]) * _on_axis(blocks[:, ax], ax, n)
+        y = y.reshape(sh[: ax + 1] + (N,) + sh[ax + 2:])
+    if n == 1:
+        acc += y.sum(axis=0)
+    else:
+        view = acc.reshape(w, M, -1).transpose(1, 0, 2)
+        view += np.matmul(blocks[:, 0].transpose(2, 1, 0), y.reshape(T, M, -1).transpose(1, 0, 2))
+
+
+@lru_cache(maxsize=None)
+def _haar_factor(J: int, j: int, bit: int) -> np.ndarray:
+    """DFT on Z_N, N = 2^J, of the 1D factor of the level-j Haar function at
+    the origin (read-only): 1 on the first 2^(J-j) cells (bit 0), or +1 then
+    -1 on their two halves (bit 1)."""
+    w = 2 ** (J - j)
+    g = np.zeros(2**J)
+    g[:w] = 1.0
+    g[w // 2: w] -= 2.0 * bit
+    out = np.fft.fft(g)
+    out.setflags(write=False)
+    return out
+
+
+def _slice_levels(
+    J: int, direction: Direction, ell: int, levels: Sequence[int]
+) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
+    """(M, c, a_j, g_j) per level j, with M = 2^j, c = 2^(-2n(J-j)), and the
+    separable sums a_j (two terms) and g_j (one term) defined below, built
+    from the cached 1D factors.
+
+    By Poisson summation, the level-j, direction-eps Haar coefficients of
+    Delta_s u have the DFT c fold(a_j u^) on Z_M^n, where
+    a_j = delta_s conj(g_j) = (x)(h_s conj g) - (x)(h_{s+1} conj g) and
+    g_j = (x) g is the DFT of the level-j Haar function at the origin; the
+    level field with coefficients C has the spectrum g_j tile(C).  So
+        T_ell         = -sum_j c g_j       tile(fold(a_j       .)),
+        T_ell^*       = -sum_j c conj(a_j) tile(fold(conj(g_j) .)),
+        T_ell^* T_ell =  sum_j c conj(a_j) tile(fold(a_j       .)),
+    the last because distinct Haar levels are orthogonal."""
+    n = direction.n
+    for j in dict.fromkeys(levels):
+        if not 0 <= j < J:
+            raise ValueError(f"no coefficients at level {j} (J={J})")
+        g = np.array([[_haar_factor(J, j, b) for b in direction.bits]])
+        h = np.array([beta_factor(j + ell, J), beta_factor(j + ell + 1, J)])
+        a = h[:, np.newaxis, :] * np.conj(g)
+        a[1, 0] *= -1.0
+        yield 2**j, 2.0 ** (-2 * n * (J - j)), a, g
+
+
+def _spectral_map(u: GridFunction, steps: Iterable[tuple]) -> GridFunction:
+    """irfftn of the sum over steps (M, c, m, m') of c m' tile(fold(m u^)):
+    one FFT pair."""
+    axes = tuple(range(u.n))
+    spec = np.fft.rfftn(u.values, axes=axes)
+    acc = np.zeros_like(spec)
+    for M, c, fold_f, tile_f in steps:
+        _tile(c * _fold(spec, fold_f, M), tile_f, acc)
+    return GridFunction(u.n, u.J, np.fft.irfftn(acc, s=u.values.shape, axes=axes))
 
 
 def default_levels(J: int) -> list[int]:
@@ -89,7 +199,8 @@ def t_ell(
 ) -> GridFunction:
     """Scale slice of the directional projection,
     T_ell u = -sum_j P_j^(eps) Delta_{j+ell} u over the level window, where
-    P_j^(eps) keeps the level-j, direction-eps Haar part.
+    P_j^(eps) keeps the level-j, direction-eps Haar part; computed in
+    Fourier coordinates (see _slice_levels).
 
     The resolving kernel telescopes to minus the identity, so the slices
     carry a compensating sign; with it, summing t_ell over ell converges to
@@ -107,8 +218,8 @@ def t_ell(
             f"unresolvable (level, ell) pairs at J={u.J}: "
             + ", ".join(f"({j},{ell})" for j in bad)
         )
-    picked = {j: level_coefficients(delta_conv(u, j + ell), j, direction) for j in lv}
-    return -_level_sum(picked, direction, u.J)
+    steps = ((M, -c, a, g) for M, c, a, g in _slice_levels(u.J, direction, ell, lv))
+    return _spectral_map(u, steps)
 
 
 def t_ell_operator(
@@ -120,20 +231,24 @@ def t_ell_operator(
 ) -> LinearFieldOp:
     """T_ell on the levels of the window whose scale j+ell is resolvable,
     with its exact adjoint -sum_j Delta_{j+ell} P_j^(eps) (Delta_s is
-    self-adjoint)."""
+    self-adjoint) and its normal map, each one FFT pair."""
+    if direction.n != n:
+        raise ValueError("dimension mismatch")
     lv = [j for j in (default_levels(J) if levels is None else levels) if resolvable(j + ell, J)]
 
     def adjoint(v: GridFunction) -> GridFunction:
-        acc = GridFunction.zeros(n, J)
-        for j in lv:
-            picked = level_field(level_coefficients(v, j, direction), direction, J)
-            acc = acc - delta_conv(picked, j + ell)
-        return acc
+        steps = _slice_levels(J, direction, ell, lv)
+        return _spectral_map(v, ((M, -c, np.conj(g), np.conj(a)) for M, c, a, g in steps))
+
+    def normal(v: GridFunction) -> GridFunction:
+        steps = _slice_levels(J, direction, ell, lv)
+        return _spectral_map(v, ((M, c, a, np.conj(a)) for M, c, a, g in steps))
 
     return LinearFieldOp(
         apply=lambda u: t_ell(u, direction, ell, lv),
         adjoint=adjoint,
         name=f"T[{ell}]^{direction}",
+        normal=normal,
     )
 
 
@@ -414,61 +529,6 @@ def default_even_family(n: int, j: int) -> list[DyadicCube]:
 # rearrangement operators
 
 
-@dataclass(frozen=True)
-class PredecessorSplit:
-    """The lambda-predecessor map tau(Q) = Q^(lam) together with the
-    partition of cubes by their rank within tau(Q); tau restricted to each
-    rank class is injective per level."""
-
-    n: int
-    lam: int
-
-    def tau(self, Q: DyadicCube) -> DyadicCube:
-        return Q.predecessor(self.lam)
-
-    def rank(self, Q: DyadicCube) -> int:
-        return Q.child_rank(self.lam)
-
-    def class_size(self) -> int:
-        return 2 ** (self.n * self.lam)
-
-
-def _profile_factors(n: int, J: int, lam: int, W: DyadicCube, k: int) -> list[np.ndarray]:
-    """1D factors of the default separable profile for (W, k): one sine
-    period spanning W, translated by the rank offset within W (support stays
-    inside 2W; zero mean per axis, exactly)."""
-    N = 2**J
-    side = W.side
-    lo = W.lower()
-    offs = []
-    rem = k
-    for _ in range(n):
-        offs.append(rem % (2**lam))
-        rem //= 2**lam
-    offs = list(reversed(offs))
-    out = []
-    for ax in range(n):
-        shift = offs[ax] * side / (2**lam) * 0.5
-        start = lo[ax] + shift
-        out.append(sine_cell_averages(N, 2.0 * np.pi / side, start, start, start + side))
-    return out
-
-
-def sine_profile_family(n: int, J: int, lam: int) -> Callable[[DyadicCube, int], GridFunction]:
-    """Default zero-mean profile family as grid fields (tensor sine bump
-    translated by the rank within the predecessor)."""
-
-    def profile(W: DyadicCube, k: int) -> GridFunction:
-        factors = _profile_factors(n, J, lam, W, k)
-        N = 2**J
-        out = factors[0]
-        for f in factors[1:]:
-            out = np.multiply.outer(out, f)
-        return GridFunction(n, J, out.reshape((N,) * n))
-
-    return profile
-
-
 def _rearrangement_levels(J: int, lam: int, levels: Optional[Sequence[int]]) -> list[int]:
     if levels is not None:
         lv = list(levels)
@@ -480,41 +540,6 @@ def _rearrangement_levels(J: int, lam: int, levels: Optional[Sequence[int]]) -> 
         if j - lam < 0 or j >= J:
             raise ValueError(f"level {j} invalid for lambda={lam} at J={J}")
     return lv
-
-
-def rearrangement_op(
-    u: GridFunction,
-    lam: int,
-    profile_family: Optional[Callable[[DyadicCube, int], GridFunction]] = None,
-    direction: Optional[Direction] = None,
-    levels: Optional[Sequence[int]] = None,
-    mean_tol: float = 1e-9,
-) -> GridFunction:
-    """S(u) = sum over rank classes k and cubes Q in the class of
-    <u, phi^(k)_{tau(Q)}> h_Q / |Q| over the level window.
-
-    Profiles must have mean zero to mean_tol.
-    """
-    n, J = u.n, u.J
-    direction = direction or Direction((1,) * n)
-    split = PredecessorSplit(n=n, lam=lam)
-    family = profile_family or sine_profile_family(n, J, lam)
-    lv = _rearrangement_levels(J, lam, levels)
-    out = HaarCoefficients(n=n, J=J, mean=0.0)
-    for j in lv:
-        side = 1 << j
-        arr = np.zeros((side,) * n)
-        for flat in np.ndindex(*((side,) * n)):
-            Q = DyadicCube(n, j, tuple(int(x) for x in flat))
-            phi = family(split.tau(Q), split.rank(Q))
-            if abs(phi.integral()) > mean_tol:
-                raise ValueError(
-                    f"profile at (W={split.tau(Q)}, k={split.rank(Q)}) has mean "
-                    f"{phi.integral():.2e} > {mean_tol}"
-                )
-            arr[Q.k] = u.inner(phi) / Q.volume()
-        out.levels[j] = {direction.index: arr}
-    return haar_synthesize(out)
 
 
 def _profile_matrix(J: int, lam: int, j: int) -> np.ndarray:

@@ -131,6 +131,19 @@ class TestManifest:
         assert manifest["results_digest_sha256"] == digest
         assert manifest["subcommand"] == "jensen"
 
+    def test_records_the_environment(self, tmp_path):
+        import platform
+
+        import numpy as np
+
+        out = tmp_path / "env"
+        main(["jensen", "--J", "4", "--trials", "10", "--out", str(out)])
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert sorted(env) == ["numpy", "platform", "python"]
+        assert env["numpy"] == np.__version__
+        assert env["python"] == platform.python_version()
+        assert env["platform"]
+
 
 class TestEffectiveParameters:
     """The manifest records the values a run used, and a run uses the values

@@ -1,8 +1,13 @@
 """Scale slices, operator-norm estimation, ring projections, rearrangements."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from rearrangement_oracle import PredecessorSplit, rearrangement_op, sine_profile_family
+from slice_oracle import grid_t_ell, grid_t_ell_adjoint
 
+from haarriesz.cli import grid_budget
 from haarriesz.experiments import (
     decomposition_residuals,
     rearrangement_norms,
@@ -10,22 +15,19 @@ from haarriesz.experiments import (
     tl_decay_norms,
 )
 from haarriesz.fields import random_field, single_haar_block, standard_random_field
-from haarriesz.fourier import smoothing_conv
+from haarriesz.fourier import resolvable, smoothing_conv
 from haarriesz.grid import Direction, DyadicCube, GridFunction, axis_direction
 from haarriesz.haar import directional_project, haar_analyze
 from haarriesz.multiscale import (
     LinearFieldOp,
-    PredecessorSplit,
     build_ring_cover_family,
     default_even_family,
     default_levels,
     op_norm2_estimate,
-    rearrangement_op,
     rearrangement_operator,
     ring_cover,
     ring_projection,
     ring_projection_operator,
-    sine_profile_family,
     t_ell,
     t_ell_operator,
     t_ell_riesz_ratio,
@@ -95,6 +97,82 @@ class TestTEll:
         tail = u - smoothing_conv(u, J - 1) + smoothing_conv(u, 0)
         expect = directional_project(tail, direction, default_levels(J)).lp_norm(2)
         assert res[-1] == pytest.approx(expect, rel=1e-12)
+
+
+# (n, J, direction): e_1 and one mixed direction per n >= 2
+SLICE_CASES = [
+    (1, 7, (1,)),
+    (2, 6, (1, 0)),
+    (2, 6, (1, 1)),
+    (3, 5, (1, 0, 0)),
+    (3, 5, (0, 1, 1)),
+]
+
+
+def _rel(got, want):
+    return (got - want).lp_norm(2) / want.lp_norm(2)
+
+
+class TestSpectralSlices:
+    """T_ell in Fourier coordinates against the grid-space level-local form
+    (slice_oracle), on the default window and on one reaching levels 0 and
+    J-1, for every ell in -4..4 that keeps a resolvable level."""
+
+    @pytest.mark.parametrize("window", ["default", "edges"])
+    @pytest.mark.parametrize("n,J,bits", SLICE_CASES)
+    def test_matches_grid_space_form(self, n, J, bits, window):
+        direction = Direction(bits)
+        lv = default_levels(J) if window == "default" else [0, 2, J - 1]
+        # Nyquist content exercises the half-spectrum completion
+        u = random_field(n, J, seed=60, index=0, nyquist_free=False)
+        v = random_field(n, J, seed=60, index=1, nyquist_free=False)
+        checked = 0
+        for ell in range(-4, 5):
+            kept = [j for j in lv if resolvable(j + ell, J)]
+            if not kept:
+                continue
+            op = t_ell_operator(n, J, direction, ell, lv)
+            tu = grid_t_ell(u, direction, ell, kept)
+            normal = grid_t_ell_adjoint(tu, direction, ell, kept)
+            pairs = {
+                "t_ell": (t_ell(u, direction, ell, kept), tu),
+                "adjoint": (op.adjoint(v), grid_t_ell_adjoint(v, direction, ell, kept)),
+                "normal_apply": (op.normal_apply(u), normal),
+                "adjoint(apply)": (op.adjoint(op.apply(u)), normal),
+            }
+            for name, (got, want) in pairs.items():
+                assert _rel(got, want) <= 1e-13, (ell, name)
+            checked += 1
+        assert checked >= 6
+
+    def test_operator_without_levels_is_zero(self):
+        op = t_ell_operator(2, 6, D10, 0, levels=[])
+        u = random_field(2, 6, seed=61)
+        assert op.normal_apply(u).lp_norm(2) == 0.0
+        assert op.adjoint(u).lp_norm(2) == 0.0
+
+    def test_rejects_levels_off_the_grid(self):
+        u = random_field(2, 5, seed=62)
+        with pytest.raises(ValueError, match="no coefficients at level 5"):
+            t_ell(u, D10, -4, levels=[5])
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("n,J", [(1, 8), (2, 6), (3, 5)])
+    def test_tl_decay_fits_its_cap_budget(self, n, J):
+        # what cmd_tl_decay runs after enforce_cap(grid_budget(n, J)); a
+        # J = 4 run first keeps numpy's lazy imports out of the trace
+        direction = axis_direction(n, 1)
+        tl_decay_norms(n, 4, direction, [0], iters=10, seed=1)
+        decomposition_residuals(n, 4, direction, L_max=1, seed=1)
+        tracemalloc.start()
+        try:
+            tl_decay_norms(n, J, direction, range(-4, 5), iters=24, seed=1)
+            decomposition_residuals(n, J, direction, L_max=4, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid_budget(n, J)
 
 
 class TestOpNorm:
