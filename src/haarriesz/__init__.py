@@ -32,7 +32,6 @@ from .fourier import (
 from .multiscale import (
     LinearFieldOp,
     OpNormResult,
-    RingCover,
     default_even_family,
     op_norm2_estimate,
     rearrangement_operator,
@@ -42,7 +41,6 @@ from .multiscale import (
     t_ell,
     t_ell_operator,
     t_ell_riesz_ratio,
-    validate_ring_family,
 )
 from .sharpness import (
     BlockSpec,

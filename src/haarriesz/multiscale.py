@@ -11,8 +11,9 @@ reproducible lower bounds.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -32,9 +33,6 @@ __all__ = [
     "OpNormResult",
     "op_norm2_estimate",
     "ring_cover",
-    "RingCover",
-    "build_ring_cover_family",
-    "validate_ring_family",
     "ring_projection",
     "ring_projection_operator",
     "default_even_family",
@@ -372,97 +370,55 @@ def ring_cover(Q: DyadicCube, direction: Direction, lam: int, C: float = 0.5) ->
 
     N = 2**level
     centers = (np.arange(N) + 0.5) * side_E
-    grids = np.meshgrid(*([centers] * n), indexing="ij")
     dist = np.full((N,) * n, np.inf)
     for ax, c in planes:
-        parts = []
+        # the squared gap is a sum of per-axis terms, broadcast to the grid
+        d2 = 0.0
         for other in range(n):
-            if other == ax:
-                parts.append(_interval_gap(grids[other], side_E / 2.0, c, c))
-            else:
-                parts.append(
-                    _interval_gap(grids[other], side_E / 2.0, float(lo[other]), float(hi[other]))
-                )
-        d2 = sum(p**2 for p in parts)
+            a, b = (c, c) if other == ax else (float(lo[other]), float(hi[other]))
+            gap = _interval_gap(centers, side_E / 2.0, a, b)
+            d2 = d2 + (gap**2).reshape((1,) * other + (N,) + (1,) * (n - 1 - other))
         dist = np.minimum(dist, np.sqrt(d2))
     sel = np.argwhere(dist <= threshold + 1e-12)
     return [DyadicCube(n, level, tuple(int(x) for x in idx)) for idx in sel]
 
 
-@dataclass
-class RingCover:
-    """Ring covers E_1(Q)..E_k(Q) for every cube of a family, with the
-    parameters they were built from."""
+def _ring_index(
+    family: Sequence[DyadicCube], direction: Direction, lam: int, C: float, J: int
+) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Flat level indices (q, e) of the pairs (Q, E) with E in the ring
+    cover of Q, keyed by (Q level, E level), in family and cover order.
 
-    lam: int
-    C: float
-    direction: Direction
-    covers: dict[DyadicCube, list[DyadicCube]] = field(default_factory=dict)
+    Raises, naming the offending pair or cell, when two covers share a cell,
+    when a cover cell lies inside a coarser cover cell whose cube does not
+    contain its own cube (nesting violation), or when a cover cell is at a
+    level >= J."""
+    owner: dict[tuple[int, tuple[int, ...]], DyadicCube] = {}
+    pairs: dict[tuple[int, int], tuple[list, list]] = {}
+    for Q in dict.fromkeys(family):
+        for E in ring_cover(Q, direction, lam, C):
+            if E.j >= J:
+                raise ValueError(f"cover cell {E} finer than the grid (J={J})")
+            prev = owner.setdefault((E.j, E.k), Q)
+            if prev != Q:
+                raise ValueError(f"covers of ({prev}, {Q}) share cell {E}")
+            q, e = pairs.setdefault((Q.j, E.j), ([], []))
+            q.append(Q.k)
+            e.append(E.k)
+    levels = sorted({j for j, _ in owner})
+    for (j, k), Q in owner.items():
+        for jp in levels[: levels.index(j)]:
+            P = owner.get((jp, tuple(x >> (j - jp) for x in k)))
+            if P is not None and not P.contains(Q):
+                raise ValueError(
+                    f"nesting violation: cover cell of {Q} inside a cover "
+                    f"cell of {P} but {Q} not inside {P}"
+                )
 
-    def measure_constant(self, Q: DyadicCube) -> float:
-        """C' in |union E_k(Q)| <= C' 2^-lam |Q| (the cover cells are
-        pairwise disjoint same-level cells)."""
-        total = sum(E.volume() for E in self.covers[Q])
-        return total / (2.0 ** (-self.lam) * Q.volume())
+    def flat(ks: list, j: int) -> np.ndarray:
+        return np.ravel_multi_index(np.array(ks).T, (2**j,) * len(ks[0]))
 
-
-def build_ring_cover_family(
-    family: Sequence[DyadicCube],
-    direction: Direction,
-    lam: int,
-    C: float = 0.5,
-) -> RingCover:
-    rc = RingCover(lam=lam, C=C, direction=direction)
-    for Q in family:
-        rc.covers[Q] = ring_cover(Q, direction, lam, C)
-    return rc
-
-
-def validate_ring_family(rc: RingCover) -> None:
-    """Compatibility checks for ring projections; raises naming the
-    offending pair:
-
-    - across distinct Q, Q' the covers share no cube;
-    - within one cover, cubes are pairwise distinct (same level, hence
-      disjoint);
-    - strict containment of cover cells implies containment of their bases;
-    - intersecting cover cells of nested bases must themselves nest (holds
-      automatically for dyadic cells; checked for completeness).
-    """
-    items = list(rc.covers.items())
-    sets = [set(cov) for _, cov in items]
-    for a, (Q, cov) in enumerate(items):
-        if len(sets[a]) != len(cov):
-            raise ValueError(f"cover of {Q} repeats a cell")
-        for b in range(a + 1, len(items)):
-            Qp, covp = items[b]
-            shared = sets[a] & sets[b]
-            if shared:
-                raise ValueError(f"covers of ({Q}, {Qp}) share cell {next(iter(shared))}")
-            for E in cov:
-                for Ep in covp:
-                    if Ep.contains(E) and E != Ep and not Qp.contains(Q):
-                        raise ValueError(
-                            f"nesting violation: cover cell of {Q} inside a cover "
-                            f"cell of {Qp} but {Q} not inside {Qp}"
-                        )
-                    if E.contains(Ep) and E != Ep and not Q.contains(Qp):
-                        raise ValueError(
-                            f"nesting violation: cover cell of {Qp} inside a cover "
-                            f"cell of {Q} but {Qp} not inside {Q}"
-                        )
-
-
-def _ring_apply(u: GridFunction, rc: RingCover) -> GridFunction:
-    """S(u) = sum_Q <u, h_Q> g_Q / |Q| over the covers of ``rc``."""
-    c = {j: level_coefficients(u, j, rc.direction) for j in {Q.j for Q in rc.covers}}
-    out: dict[int, np.ndarray] = {}
-    for Q, cov in rc.covers.items():
-        for E in cov:
-            if E.j >= u.J:
-                raise ValueError(f"cover cell {E} finer than the grid (J={u.J})")
-            out.setdefault(E.j, np.zeros((2**E.j,) * u.n))[E.k] += c[Q.j][Q.k]
-    return _level_sum(out, rc.direction, u.J)
+    return {(jq, je): (flat(q, jq), flat(e, je)) for (jq, je), (q, e) in pairs.items()}
 
 
 def ring_projection(
@@ -474,9 +430,7 @@ def ring_projection(
 ) -> GridFunction:
     """S(u) = sum_Q <u, h_Q> g_Q / |Q| with g_Q the sum of the Haar
     functions on the ring cover cells of Q."""
-    rc = build_ring_cover_family(family, direction, lam, C)
-    validate_ring_family(rc)
-    return _ring_apply(u, rc)
+    return ring_projection_operator(u.n, u.J, family, direction, lam, C).apply(u)
 
 
 def ring_projection_operator(
@@ -487,22 +441,25 @@ def ring_projection_operator(
     lam: int,
     C: float = 0.5,
 ) -> LinearFieldOp:
-    rc = build_ring_cover_family(family, direction, lam, C)
-    validate_ring_family(rc)
+    """The ring projection S as a 0/1 map from level-j to level-(j+lam)
+    Haar coefficients: S copies c_Q onto every cell of the cover of Q, and
+    its adjoint sums the cover coefficients back onto Q with weight |E|/|Q|.
+    The family is validated when the operator is built (_ring_index)."""
+    index = _ring_index(family, direction, lam, C, J)
 
     def fwd(u: GridFunction) -> GridFunction:
-        return _ring_apply(u, rc)
+        out = {}
+        for (jq, je), (q, e) in index.items():
+            c = np.zeros(2 ** (n * je))
+            c[e] = level_coefficients(u, jq, direction).ravel()[q]
+            out[je] = c.reshape((2**je,) * n)
+        return _level_sum(out, direction, J)
 
-    cover_levels = {E.j for cov in rc.covers.values() for E in cov}
-
-    def adj(u: GridFunction) -> GridFunction:
-        c = {j: level_coefficients(u, j, direction) for j in cover_levels}
-        out: dict[int, np.ndarray] = {}
-        for Q, cov in rc.covers.items():
-            val = 0.0
-            for E in cov:
-                val += c[E.j][E.k] * E.volume()
-            out.setdefault(Q.j, np.zeros((2**Q.j,) * n))[Q.k] += val / Q.volume()
+    def adj(v: GridFunction) -> GridFunction:
+        out = {}
+        for (jq, je), (q, e) in index.items():
+            w = level_coefficients(v, je, direction).ravel()[e] * 2.0 ** (n * (jq - je))
+            out[jq] = np.bincount(q, w, 2 ** (n * jq)).reshape((2**jq,) * n)
         return _level_sum(out, direction, J)
 
     return LinearFieldOp(apply=fwd, adjoint=adj, name=f"ring_S[lam={lam}]")
@@ -511,18 +468,7 @@ def ring_projection_operator(
 def default_even_family(n: int, j: int) -> list[DyadicCube]:
     """Level-j cubes with all-even coordinates: a sparse per-level family
     whose ring covers never collide."""
-    side = 1 << j
-    out: list[DyadicCube] = []
-
-    def rec(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == n:
-            out.append(DyadicCube(n, j, prefix))
-            return
-        for c in range(0, side, 2):
-            rec(prefix + (c,))
-
-    rec(())
-    return out
+    return [DyadicCube(n, j, k) for k in itertools.product(range(0, 1 << j, 2), repeat=n)]
 
 
 # ---------------------------------------------------------------------------

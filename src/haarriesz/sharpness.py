@@ -447,7 +447,6 @@ def sharpness_experiment_pge2(
     sample_size: int = 200,
     seed: int = 0,
     cap: int = 10**6,
-    dense_check_J: int = 7,
 ) -> list[SharpnessRow]:
     """p = 2 regime: per epsilon report the Bessel lower bound L for
     ||P f_eps||_2, the Gram value N for ||f_eps||_2, the exact-identity upper

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from rearrangement_oracle import PredecessorSplit, rearrangement_op, sine_profile_family
+from ring_oracle import ring_adjoint, ring_apply, ring_covers, validate_ring_family
 from slice_oracle import grid_t_ell, grid_t_ell_adjoint
 
 from haarriesz.cli import grid_budget
@@ -20,7 +21,6 @@ from haarriesz.grid import Direction, DyadicCube, GridFunction, axis_direction
 from haarriesz.haar import directional_project, haar_analyze
 from haarriesz.multiscale import (
     LinearFieldOp,
-    build_ring_cover_family,
     default_even_family,
     default_levels,
     op_norm2_estimate,
@@ -31,7 +31,6 @@ from haarriesz.multiscale import (
     t_ell,
     t_ell_operator,
     t_ell_riesz_ratio,
-    validate_ring_family,
 )
 
 D10 = Direction((1, 0))
@@ -291,8 +290,8 @@ class TestRingCover:
     def test_measure_constant_bound(self):
         Q = DyadicCube(2, 0, (0, 0))
         for lam in (3, 4, 5):
-            rc = build_ring_cover_family([Q], D10, lam, C=0.5)
-            assert rc.measure_constant(Q) <= 6.0
+            cover = ring_cover(Q, D10, lam, C=0.5)
+            assert sum(E.volume() for E in cover) / (2.0 ** (-lam) * Q.volume()) <= 6.0
 
     def test_count_bound(self):
         Q = DyadicCube(2, 0, (0, 0))
@@ -310,28 +309,24 @@ class TestRingCover:
 
     def test_even_family_is_valid(self):
         fam = default_even_family(2, 2)
-        rc = build_ring_cover_family(fam, D10, lam=3, C=0.5)
-        validate_ring_family(rc)
+        ring_projection_operator(2, 6, fam, D10, lam=3, C=0.5)
 
     def test_nested_tower_is_valid(self):
         fam = [DyadicCube(2, j, (0, 0)) for j in range(3)]
-        rc = build_ring_cover_family(fam, D10, lam=3, C=0.5)
-        validate_ring_family(rc)
+        ring_projection_operator(2, 6, fam, D10, lam=3, C=0.5)
 
     def test_validator_names_offending_pair(self):
         # adjacent same-level cubes share boundary ring cells
         fam = [DyadicCube(2, 1, (0, 0)), DyadicCube(2, 1, (1, 0))]
-        rc = build_ring_cover_family(fam, D10, lam=3, C=0.5)
         with pytest.raises(ValueError, match="share"):
-            validate_ring_family(rc)
+            ring_projection_operator(2, 6, fam, D10, lam=3, C=0.5)
 
     def test_validator_rejects_nesting_violation(self):
         # an all-even multi-level family puts fine ring cells inside coarse
         # ones without cube containment
         fam = default_even_family(2, 1) + [DyadicCube(2, 2, (2, 0))]
-        rc = build_ring_cover_family(fam, D10, lam=3, C=0.5)
         with pytest.raises(ValueError, match="nesting|share"):
-            validate_ring_family(rc)
+            ring_projection_operator(2, 6, fam, D10, lam=3, C=0.5)
 
 
 class TestRingProjection:
@@ -370,6 +365,92 @@ class TestRingProjection:
         norms = ring_decay_norms(2, 7, D10, (3, 4, 5), base_level=1, iters=24, seed=0)
         for lo, hi in ((3, 4), (4, 5)):
             assert norms[hi] / norms[lo] <= 2.0**-0.5 * 1.5
+
+    def test_build_rejects_cells_finer_than_the_grid(self):
+        # level-1 cube, lambda 3: the cover cells sit at level 4 = J
+        with pytest.raises(ValueError, match=r"cover cell DyadicCube\(n=2, j=4, .*finer than the grid"):
+            ring_projection_operator(2, 4, [DyadicCube(2, 1, (0, 0))], D10, lam=3)
+
+    @pytest.mark.parametrize(
+        "n,J,level,lam",
+        [(2, 7, 1, lam) for lam in (3, 4, 5)]
+        + [(2, 7, 2, 2), (2, 7, 2, 3), (3, 6, 1, 2), (3, 6, 1, 3), (1, 9, 3, 2), (1, 9, 3, 4)],
+    )
+    def test_norm_closed_form(self, n, J, level, lam):
+        # distinct h_Q are orthogonal, and so are distinct h_E, so
+        # ||S||^2 = max_Q |union of the cover of Q| / |Q|
+        d = Direction((1,) * n)
+        fam = default_even_family(n, level)
+        op = ring_projection_operator(n, J, fam, d, lam)
+        exact = max(sum(E.volume() for E in ring_cover(Q, d, lam)) / Q.volume() for Q in fam)
+        value = op_norm2_estimate(op, n, J, iters=24).value
+        assert value == pytest.approx(exact**0.5, rel=1e-12)
+
+
+def _ring_cases():
+    for n in (1, 2, 3):
+        for d in dict.fromkeys([axis_direction(n, 1), Direction((1,) * n)]):
+            for lam in (2, 3):
+                for fam in ("one", "even2", "tower"):
+                    yield n, d, lam, fam
+
+
+class TestRingOracle:
+    """The index map against the per-cell forms of tests/ring_oracle.py."""
+
+    @pytest.mark.parametrize("n,d,lam,fam", list(_ring_cases()), ids=str)
+    def test_apply_and_adjoint_match_oracle(self, n, d, lam, fam):
+        family = {
+            "one": default_even_family(n, 1),
+            "even2": default_even_family(n, 2),
+            "tower": [DyadicCube(n, j, (0,) * n) for j in range(3)],
+        }[fam]
+        J = 7 if n <= 2 else 6
+        op = ring_projection_operator(n, J, family, d, lam)
+        covers = ring_covers(family, d, lam)
+        u = random_field(n, J, seed=57, index=0)
+        v = random_field(n, J, seed=57, index=1)
+        assert np.array_equal(op.apply(u).values, ring_apply(u, covers, d).values)
+        assert np.array_equal(op.adjoint(v).values, ring_adjoint(v, covers, d).values)
+
+    def test_validation_matches_pairwise_oracle(self):
+        # (direction, lambda, covers of the family)
+        cases = [
+            (d, lam, ring_covers(family, d, lam))
+            for d, lam, family in [
+                (D10, 3, default_even_family(2, 2)),
+                (D10, 3, [DyadicCube(2, j, (0, 0)) for j in range(3)]),
+                (D10, 3, [DyadicCube(2, 1, (0, 0)), DyadicCube(2, 1, (1, 0))]),
+                (D10, 3, default_even_family(2, 1) + [DyadicCube(2, 2, (2, 0))]),
+                (Direction((1, 1)), 2, default_even_family(2, 1) + [DyadicCube(2, 2, (2, 2))]),
+                (Direction((1, 0, 0)), 2, [DyadicCube(3, 1, (0, 0, 0))]),
+                (Direction((1, 1, 1)), 3, [DyadicCube(3, 1, (0, 0, 0))]),
+            ]
+        ]
+        # every pair of distinct dyadic cubes down to level 3 in 1D and
+        # level 2 in 2D
+        for n, top, d in ((1, 3, Direction((1,))), (2, 2, D10)):
+            cubes = [DyadicCube(n, j, k) for j in range(top + 1) for k in np.ndindex(*(2**j,) * n)]
+            cov = ring_covers(cubes, d, 2)
+            for a, Q in enumerate(cubes):
+                cases += [(d, 2, {Q: cov[Q], Qp: cov[Qp]}) for Qp in cubes[a + 1:]]
+
+        def outcome(check):
+            try:
+                check()
+            except ValueError as err:
+                return str(err).split(" ")[0]
+            return None
+
+        # both accept, or both reject with the same kind of message
+        seen = set()
+        for d, lam, covers in cases:
+            J = 8 if d.n <= 2 else 6
+            expected = outcome(lambda: validate_ring_family(covers))
+            got = outcome(lambda: ring_projection_operator(d.n, J, list(covers), d, lam))
+            assert got == expected, (d, lam, list(covers))
+            seen.add(got)
+        assert seen == {None, "covers", "nesting"}
 
 
 class TestPredecessorSplit:
