@@ -36,7 +36,6 @@ from .multiscale import (
     op_norm2_estimate,
     rearrangement_operator,
     ring_cover,
-    ring_projection,
     ring_projection_operator,
     t_ell,
     t_ell_operator,
@@ -46,7 +45,6 @@ from .sharpness import (
     BlockSpec,
     SquareCollection,
     bessel_lower_bound,
-    block_inner_products,
     build_collection,
     f_eps_field,
     gram_norm2,

@@ -1,9 +1,9 @@
 """Experiment drivers: every measured quantity behind the CLI subcommands
-and the acceptance suite, with plain-row outputs ready for CSV."""
+and the acceptance suite."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Optional, Sequence
 
 from .fields import (
@@ -32,7 +32,6 @@ __all__ = [
     "rearrangement_norms",
     "interpolatory_family",
     "interp_ratio_sup",
-    "InterpRow",
 ]
 
 
@@ -116,18 +115,6 @@ def rearrangement_norms(
 # interpolatory ratios
 
 
-@dataclass
-class InterpRow:
-    family: str
-    index: int
-    p: float
-    regime: str
-    norm_P: float
-    norm_u: float
-    norm_R: float
-    ratio: float
-
-
 def interpolatory_family(
     n: int,
     J: int,
@@ -174,27 +161,25 @@ def interp_ratio_sup(
     i0: int,
     seed: int = 0,
     count: int = 25,
-) -> tuple[float, list[InterpRow]]:
+) -> float:
     """Empirical sup over the families of the interpolatory ratio:
     exponents (1/2, 1/2) for p >= 2 and (1/p, 1/q) for p < 2."""
     if not direction.has_axis(i0):
         raise ValueError(f"direction {direction} not admissible for axis {i0}")
-    regime = "pge2" if p >= 2 else "ple2"
     a = 0.5 if p >= 2 else 1.0 / p
     b = 0.5 if p >= 2 else 1.0 - 1.0 / p
-    rows: list[InterpRow] = []
     sup = 0.0
-    for name, idx, u in interpolatory_family(n, J, seed, i0, count):
+    for _, _, u in interpolatory_family(n, J, seed, i0, count):
         norm_u = u.lp_norm(p)
         if norm_u <= 1e-14:
             continue
         norm_P = directional_project(u, direction).lp_norm(p)
         norm_R = riesz(u, i0).lp_norm(p)
         if norm_R <= 1e-13 * norm_u:
-            # R u = 0 forces P u = 0 for admissible directions; record as 0
-            ratio = 0.0
+            # R_i0 is zero on the Nyquist plane xi_i0 = N/2, where P need not
+            # vanish: the ratio is 0 only if P u vanishes too
+            ratio = 0.0 if norm_P <= 1e-13 * norm_u else math.inf
         else:
             ratio = norm_P / (norm_u**a * norm_R**b)
-        rows.append(InterpRow(name, idx, p, regime, norm_P, norm_u, norm_R, ratio))
         sup = max(sup, ratio)
-    return sup, rows
+    return sup

@@ -18,7 +18,6 @@ from .haar import HaarCoefficients, haar_synthesize, level_field
 __all__ = [
     "stream",
     "random_field",
-    "annulus_field",
     "standard_random_field",
     "haar_polynomial",
     "cone_band_field",
@@ -68,35 +67,30 @@ def random_field(
     return GridFunction(n, J, vals)
 
 
-def annulus_field(
-    n: int,
-    J: int,
-    seed: int,
-    index: int = 0,
-    band: tuple[float, float] = (2.0, 5.0),
-) -> GridFunction:
-    """Random real field with Gaussian Fourier amplitudes supported on the
-    annulus band[0] <= |xi| <= band[1], unit L2 norm.
+def standard_random_field(n: int, J: int, seed: int = 0) -> GridFunction:
+    """The reference field of the decomposition and decay experiments:
+    Gaussian Fourier amplitudes on the annulus 2 <= |xi| <= 5, mean-zero,
+    unit L2 norm.  The band keeps the field away from both truncation edges
+    of the scale ladder: the coarsest smoothing retains under 0.5 percent of
+    it and the finest resolvable scale separates it cleanly.
 
-    The draw is keyed by (seed, index, band) only, and the band must sit
-    below Nyquist; the same function is produced at every adequate J."""
-    lo, hi = band
+    The draw is keyed by the seed only, so the same function is produced at
+    every J >= 4, where the band sits below Nyquist."""
+    if J < 4:
+        raise ValueError(f"band 2 <= |xi| <= 5 not resolvable at J={J}")
     N = 2**J
-    if hi >= N // 2:
-        raise ValueError(f"band {band} not resolvable at J={J}")
     # deterministic mode list: integer frequencies in the closed annulus,
     # one representative per conjugate pair
     modes = []
-    rng_range = range(-int(hi), int(hi) + 1)
-    for xi in itertools.product(rng_range, repeat=n):
+    for xi in itertools.product(range(-5, 6), repeat=n):
         mag = np.sqrt(sum(x * x for x in xi))
-        if not lo <= mag <= hi:
+        if not 2.0 <= mag <= 5.0:
             continue
         neg = tuple(-x for x in xi)
         if neg < xi:  # keep one of each conjugate pair
             continue
         modes.append(xi)
-    rng = stream(seed, 6, int(lo * 16), int(hi * 16), index)
+    rng = stream(seed, 6, 32, 80, 0)  # (band edges x 16, index)
     spec = np.zeros((N,) * n, dtype=np.complex128)
     for xi in modes:
         c = rng.standard_normal() + 1j * rng.standard_normal()
@@ -111,26 +105,16 @@ def annulus_field(
     return GridFunction(n, J, vals)
 
 
-def standard_random_field(n: int, J: int, seed: int = 0) -> GridFunction:
-    """The reference field of the decomposition and decay experiments:
-    mean-zero, annulus-band-limited (2 <= |xi| <= 5), unit L2 norm.  The
-    band keeps the field away from both truncation edges of the scale
-    ladder: the coarsest smoothing retains under 0.5 percent of it and the
-    finest resolvable scale separates it cleanly."""
-    return annulus_field(n, J, seed, index=0)
-
-
 def haar_polynomial(
     n: int,
     J: int,
     seed: int,
     index: int = 0,
     max_level: Optional[int] = None,
-    density: float = 0.3,
 ) -> GridFunction:
     """Random finite linear combination of Haar functions up to max_level
     (default J-1), with standard-normal coefficients kept with probability
-    ``density``.
+    0.3.
 
     Draws are keyed by (seed, index, max_level) only, so the same function
     is produced at every resolution J > max_level."""
@@ -143,7 +127,7 @@ def haar_polynomial(
         dirs = {}
         for eps_idx in range(1, 2**n):
             coeff = rng.standard_normal((2**j,) * n)
-            mask = rng.random((2**j,) * n) < density
+            mask = rng.random((2**j,) * n) < 0.3
             dirs[eps_idx] = np.where(mask, coeff, 0.0)
         c.levels[j] = dirs
     return haar_synthesize(c)
@@ -155,11 +139,9 @@ def cone_band_field(
     seed: int,
     index: int = 0,
     i0: int = 1,
-    aperture: float = 0.5,
-    band: Optional[tuple[int, int]] = None,
 ) -> GridFunction:
     """Random real field whose spectrum lies in the cone
-    |xi_{i0}| >= aperture * max_{i != i0} |xi_i|, off the hyperplane
+    |xi_{i0}| >= max_{i != i0} |xi_i| / 2, off the hyperplane
     xi_{i0} = 0 and below Nyquist.  Admissible for riesz_inverse."""
     N = 2**J
     k = np.fft.fftfreq(N, d=1.0 / N)
@@ -170,11 +152,7 @@ def cone_band_field(
         freqs.append(np.broadcast_to(k.reshape(shape), (N,) * n))
     others = [np.abs(freqs[ax]) for ax in range(n) if ax != i0 - 1]
     other_max = np.maximum.reduce(others) if others else np.zeros((N,) * n)
-    keep = np.abs(freqs[i0 - 1]) >= np.maximum(aperture * other_max, 1.0)
-    if band is not None:
-        lo, hi = band
-        mag = np.sqrt(sum(f * f for f in freqs))
-        keep &= (mag >= lo) & (mag <= hi)
+    keep = np.abs(freqs[i0 - 1]) >= np.maximum(0.5 * other_max, 1.0)
     for ax in range(n):
         keep &= np.abs(freqs[ax]) < N // 2  # strictly below Nyquist
     rng = stream(seed, 3, n, J, index)
@@ -202,14 +180,13 @@ def trig_band_field(
     seed: int,
     index: int = 0,
     i0: int = 1,
-    band: int = 8,
-    modes: int = 24,
 ) -> GridFunction:
-    """Random real trigonometric polynomial with ``modes`` frequencies drawn
-    from the box [-band, band]^n, kept off the hyperplane xi_{i0} = 0.
+    """Random real trigonometric polynomial with 24 frequencies drawn from
+    the box [-8, 8]^n, kept off the hyperplane xi_{i0} = 0.
 
-    The draw is keyed by (seed, index, band) only and the field is evaluated
-    at cell centers, so refining J samples the same function."""
+    The draw is keyed by (seed, index) only and the field is evaluated at
+    cell centers, so refining J samples the same function."""
+    band = 8
     rng = stream(seed, 5, band, index)
     N = 2**J
     centers = (np.arange(N) + 0.5) / N
@@ -220,7 +197,7 @@ def trig_band_field(
         axes.append(centers.reshape(shape))
     out = np.zeros((N,) * n)
     drawn = 0
-    while drawn < modes:
+    while drawn < 24:
         xi = rng.integers(-band, band + 1, size=n)
         if xi[i0 - 1] == 0:
             continue

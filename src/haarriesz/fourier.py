@@ -179,15 +179,6 @@ def kernel_b_antiderivative2(t: np.ndarray) -> np.ndarray:
     return np.where(t > 1.0, t, np.where(t < -1.0, 0.0, inner))
 
 
-def _tensor(v: np.ndarray, n: int) -> np.ndarray:
-    """n-fold outer product v x ... x v: the separable n-dimensional table of
-    a 1D lag table."""
-    out = v
-    for _ in range(n - 1):
-        out = np.multiply.outer(out, v)
-    return out
-
-
 def _b_scaled_lag_table(s: int, J: int) -> np.ndarray:
     """Exact Galerkin lag response of convolution with 2^s b(2^s .) on the
     level-J grid of piecewise-constant fields: the triangle-weighted kernel
@@ -217,12 +208,14 @@ def _b_scaled_lag_table(s: int, J: int) -> np.ndarray:
 @dataclass
 class ResolvingKernel:
     """Kernel d_s(x) = d(2^s x) 2^{ns} with d(x) = prod b(x_i) - 2^n prod b(2 x_i),
-    as its exact level-J Galerkin lag table (the invariants oracle; delta_conv
-    applies the same operator through its separable symbol).
+    as its exact level-J Galerkin lag tables (delta_conv applies the same
+    operator through its separable symbol).
 
-    ``samples[l]`` is the response at the integer lag l per axis (numpy FFT
-    layout: l = 0, 1, .., N/2-1, -N/2, .., -1 with N = 2^J).  The table is
-    exactly even, so the convolution it defines is self-adjoint.
+    ``samples`` stacks the outer and inner 1D tables T_s and T_{s+1}; the n-D
+    table is their tensor-power difference, which is never formed.
+    ``samples[:, l]`` is the response at the integer lag l (numpy FFT layout:
+    l = 0, 1, .., N/2-1, -N/2, .., -1 with N = 2^J).  Both tables are exactly
+    even, so the convolution they define is self-adjoint.
     """
 
     n: int
@@ -231,26 +224,26 @@ class ResolvingKernel:
     samples: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        outer = _b_scaled_lag_table(self.s, self.J)
-        inner = _b_scaled_lag_table(self.s + 1, self.J)
-        self.samples = _tensor(outer, self.n) - _tensor(inner, self.n)
+        self.samples = np.stack([_b_scaled_lag_table(self.s, self.J),
+                                 _b_scaled_lag_table(self.s + 1, self.J)])
+
+    def _masses(self) -> np.ndarray:
+        return self.samples.sum(axis=1) * 2.0 ** (-self.J)
 
     def integral(self) -> float:
-        return float(self.samples.sum() * 2.0 ** (-self.n * self.J))
+        """Mass of the n-D table: I_s^n - I_{s+1}^n with I the 1D masses."""
+        outer, inner = self._masses()
+        return float(outer**self.n - inner**self.n)
 
     def first_moments(self) -> list[float]:
-        """Moments at the signed lags l 2^-J.  The antipodal lag N/2 is both
-        +1/2 and -1/2 on the torus, so it gets the weight 0."""
+        """Moments at the signed lags l 2^-J: per axis, the 1D first moment
+        times the other axes' masses.  The antipodal lag N/2 is both +1/2
+        and -1/2 on the torus, so it gets the weight 0."""
         N = 2**self.J
         signed = np.fft.fftfreq(N)
         signed[N // 2] = 0.0
-        vol = 2.0 ** (-self.n * self.J)
-        out = []
-        for ax in range(self.n):
-            shape = [1] * self.n
-            shape[ax] = N
-            out.append(float((self.samples * signed.reshape(shape)).sum() * vol))
-        return out
+        outer, inner = (self.samples @ signed) * 2.0 ** (-self.J) * self._masses() ** (self.n - 1)
+        return [float(outer - inner)] * self.n
 
 
 @lru_cache(maxsize=None)

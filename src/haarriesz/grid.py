@@ -234,12 +234,6 @@ class GridFunction:
         self._check_compatible(other)
         return float(np.vdot(self.values, other.values) * self.cell_volume())
 
-    def refine(self, J_new: int) -> "GridFunction":
-        """The same piecewise-constant function sampled at a finer level."""
-        if J_new < self.J:
-            raise ValueError("refine target must not be coarser")
-        return GridFunction(self.n, J_new, _upsample(self.values, J_new))
-
     # -- serialization: 16-byte header (magic, n, J, reserved) + LE float64 --
 
     def to_bytes(self) -> bytes:

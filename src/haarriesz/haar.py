@@ -9,9 +9,8 @@ grid fields are constant on level-J cells, analysis at levels 0..J-1 is exact
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -104,25 +103,6 @@ class HaarCoefficients:
                 total += float(np.vdot(arr, arr)) * vol
         return total
 
-    def iter_entries(self) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], float]]:
-        """(level, k-coords, eps-bits, value) rows, deterministic order."""
-        for j in sorted(self.levels):
-            for eps_idx in sorted(self.levels[j]):
-                bits = tuple((eps_idx >> i) & 1 for i in range(self.n))
-                arr = self.levels[j][eps_idx]
-                for k in np.ndindex(*arr.shape):
-                    yield j, k, bits, float(arr[k])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("level," + ",".join(f"k{i+1}" for i in range(self.n)))
-        buf.write("," + ",".join(f"eps{i+1}" for i in range(self.n)) + ",value\n")
-        for j, k, bits, value in self.iter_entries():
-            buf.write(
-                f"{j}," + ",".join(map(str, k)) + "," + ",".join(map(str, bits))
-                + f",{value!r}\n"
-            )
-        return buf.getvalue()
 
 
 def haar_analyze(u: GridFunction) -> HaarCoefficients:

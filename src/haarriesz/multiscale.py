@@ -33,7 +33,6 @@ __all__ = [
     "OpNormResult",
     "op_norm2_estimate",
     "ring_cover",
-    "ring_projection",
     "ring_projection_operator",
     "default_even_family",
     "rearrangement_operator",
@@ -419,18 +418,6 @@ def _ring_index(
         return np.ravel_multi_index(np.array(ks).T, (2**j,) * len(ks[0]))
 
     return {(jq, je): (flat(q, jq), flat(e, je)) for (jq, je), (q, e) in pairs.items()}
-
-
-def ring_projection(
-    u: GridFunction,
-    family: Sequence[DyadicCube],
-    direction: Direction,
-    lam: int,
-    C: float = 0.5,
-) -> GridFunction:
-    """S(u) = sum_Q <u, h_Q> g_Q / |Q| with g_Q the sum of the Haar
-    functions on the ring cover cells of Q."""
-    return ring_projection_operator(u.n, u.J, family, direction, lam, C).apply(u)
 
 
 def ring_projection_operator(

@@ -26,7 +26,6 @@ from .profiles import (
     indicator_pieces,
     pieces_cell_averages,
     pieces_values,
-    profile_integral,
     profile_product_integral,
     scale_pieces,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "BlockSpec",
     "SquareCollection",
     "build_collection",
-    "block_inner_products",
     "block_vs_haar",
     "block_vs_block",
     "collection_coefficient",
@@ -52,6 +50,10 @@ __all__ = [
 ]
 
 DIRECTION_10 = Direction((1, 0))
+
+# exact-mode enumeration limit: collections and layers of more squares than
+# this are refused (exact mode) or sampled
+CAP = 10**6
 
 # mother pieces in local coordinates (anchor 0, scale 1)
 _A_MOTHER = [SinePiece(0.0, 1.0, 0.0, 1.0, amp=1.0, freq=2.0 * np.pi)]
@@ -150,17 +152,6 @@ def block_vs_block(b1: BlockSpec, b2: BlockSpec) -> float:
     return x1 * x2
 
 
-def block_inner_products(block: BlockSpec, cube: DyadicCube, kind: str) -> float:
-    """Umbrella entry point: kind 'vs_haar10' integrates the block against
-    h_cube^{(1,0)}; 'vs_block' against the block of the same parameters on
-    cube."""
-    if kind == "vs_haar10":
-        return block_vs_haar(block, cube)
-    if kind == "vs_block":
-        return block_vs_block(block, BlockSpec(cube, block.eps_param, block.variant))
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # the layered collections
 
@@ -174,7 +165,6 @@ class SquareCollection:
 
     eps_param: float
     n0: int
-    cap: int = 10**6
 
     def __post_init__(self) -> None:
         if self.level(self.layer_total) >= 62:
@@ -206,10 +196,10 @@ class SquareCollection:
 
     def iter_layer(self, k: int) -> Iterator[DyadicCube]:
         m = self.level(k)
-        if self.layer_count(k) > self.cap:
+        if self.layer_count(k) > CAP:
             raise ValueError(
                 f"layer {k} holds {self.layer_count(k):.3g} squares, beyond the "
-                f"cap {self.cap}; use sampling mode"
+                f"cap {CAP}; use sampling mode"
             )
         for i1 in range(2**m):
             for i2 in range(1, 2**m, 2):
@@ -236,16 +226,16 @@ class SquareCollection:
         return BlockSpec(Q, self.eps_param, variant)
 
 
-def build_collection(eps_param: float, cap: int = 10**6, sampling: bool = False) -> SquareCollection:
+def build_collection(eps_param: float, sampling: bool = False) -> SquareCollection:
     """Construct the layered collection (eps < 1/8 raises: its deepest layer
     level 2 n0 2^n0 is past int64 cube indices); in exact mode refuse
     collections beyond the enumeration cap."""
     eps, n0 = _as_eps(eps_param)
-    coll = SquareCollection(eps_param=eps, n0=n0, cap=cap)
-    if not sampling and coll.total_count() > cap:
+    coll = SquareCollection(eps_param=eps, n0=n0)
+    if not sampling and coll.total_count() > CAP:
         raise ValueError(
             f"collection for eps={eps} holds {coll.total_count():.3g} squares, "
-            f"beyond the cap {cap}; pass sampling=True"
+            f"beyond the cap {CAP}; pass sampling=True"
         )
     return coll
 
@@ -298,19 +288,18 @@ def bessel_lower_bound(
     mode: str = "exact",
     sample_size: int = 200,
     seed: int = 0,
-    cap: int = 10**6,
     layers: Optional[Sequence[int]] = None,
 ) -> float:
     """sum over Q in the collection of <f_eps, h_Q^{(1,0)}>^2 / |Q| -- by
     Bessel a lower bound for the squared L2 norm of the directional
     projection of f_eps.
 
-    exact mode enumerates (guarded by the cap); sampled mode estimates each
+    exact mode enumerates (guarded by CAP); sampled mode estimates each
     layer mean from ``sample_size`` squares drawn with the counter-based
     generator."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    coll = build_collection(eps_param, cap=cap, sampling=(mode == "sampled"))
+    coll = build_collection(eps_param, sampling=(mode == "sampled"))
     ks = list(range(1, coll.layer_total + 1)) if layers is None else list(layers)
     total = 0.0
     if mode == "exact":
@@ -337,7 +326,6 @@ def gram_norm2(
     mode: str = "exact",
     sample_size: int = 200,
     seed: int = 0,
-    cap: int = 10**6,
     diagonal_only: bool = False,
 ) -> float:
     """|| sum of blocks ||_2^2 via the Gram expansion: the diagonal is a
@@ -345,7 +333,7 @@ def gram_norm2(
     terms pair each square with its few coarser partners."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    coll = build_collection(eps_param, cap=cap, sampling=(mode == "sampled"))
+    coll = build_collection(eps_param, sampling=(mode == "sampled"))
     diag = 0.0
     for k in range(1, coll.layer_total + 1):
         rep = coll.block(DyadicCube(2, coll.level(k), (0, 1)), variant)
@@ -384,14 +372,14 @@ def block_field(block: BlockSpec, J: int) -> GridFunction:
     return GridFunction(2, J, np.multiply.outer(v1, v2))
 
 
-def f_eps_field(eps_param: float, J: int, cap: int = 10**6, variant: str = "plain") -> GridFunction:
+def f_eps_field(eps_param: float, J: int) -> GridFunction:
     """Exact cell averages of the full test function (sum over the
     collection) on the level-J grid."""
-    coll = build_collection(eps_param, cap=cap)
+    coll = build_collection(eps_param)
     N = 2**J
     acc = np.zeros((N, N))
     for Q in coll.iter_all():
-        b = coll.block(Q, variant)
+        b = coll.block(Q)
         v1 = pieces_cell_averages(b.x1_pieces(), N)
         v2 = pieces_cell_averages(b.x2_pieces(), N)
         acc += np.multiply.outer(v1, v2)
@@ -446,7 +434,6 @@ def sharpness_experiment_pge2(
     eta: float,
     sample_size: int = 200,
     seed: int = 0,
-    cap: int = 10**6,
 ) -> list[SharpnessRow]:
     """p = 2 regime: per epsilon report the Bessel lower bound L for
     ||P f_eps||_2, the Gram value N for ||f_eps||_2, the exact-identity upper
@@ -454,11 +441,11 @@ def sharpness_experiment_pge2(
     L / (N^{1/2-eta} R^{1/2+eta})."""
     rows: list[SharpnessRow] = []
     for eps in eps_list:
-        coll = build_collection(eps, cap=cap, sampling=True)
-        mode = "exact" if coll.total_count() <= cap else "sampled"
-        L2 = bessel_lower_bound(eps, mode, sample_size, seed, cap)
-        N2 = gram_norm2(eps, "plain", mode, sample_size, seed, cap)
-        Rt2 = gram_norm2(eps, "tilde", mode, sample_size, seed, cap)
+        coll = build_collection(eps, sampling=True)
+        mode = "exact" if coll.total_count() <= CAP else "sampled"
+        L2 = bessel_lower_bound(eps, mode, sample_size, seed)
+        N2 = gram_norm2(eps, "plain", mode, sample_size, seed)
+        Rt2 = gram_norm2(eps, "tilde", mode, sample_size, seed)
         L = math.sqrt(max(L2, 0.0))
         Nn = math.sqrt(max(N2, 0.0))
         R = eps * math.sqrt(max(Rt2, 0.0))

@@ -4,7 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from kernel_oracle import lag_tensor, tensor_invariants
 
+from haarriesz import experiments
 from haarriesz.fields import cone_band_field, random_field
 from haarriesz.fourier import (
     ResolvingKernel,
@@ -17,7 +19,8 @@ from haarriesz.fourier import (
     riesz_inverse,
     smoothing_conv,
 )
-from haarriesz.grid import GridFunction, coordinate_fields, embed
+from haarriesz.grid import Direction, GridFunction, coordinate_fields, embed
+from haarriesz.haar import directional_project
 
 
 class TestRiesz:
@@ -211,8 +214,18 @@ class TestResolvingKernel:
         for m in kern.first_moments():
             assert abs(m) <= 1e-8
 
+    @pytest.mark.parametrize("s,J", [(0, 5), (1, 6), (3, 6), (4, 6), (5, 7)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_invariants_match_tensor_oracle(self, n, s, J):
+        kern = ResolvingKernel(n=n, s=s, J=J)
+        mass, moments = tensor_invariants(n, s, J)
+        assert kern.samples.shape == (2, 2**J)
+        assert abs(kern.integral() - mass) <= 1e-15
+        for got, want in zip(kern.first_moments(), moments, strict=True):
+            assert abs(got - want) <= 1e-15
+
     def test_lag_table_even_and_massless(self):
-        table = ResolvingKernel(n=2, s=2, J=5).samples
+        table = lag_tensor(2, 2, 5)
         reflected = np.roll(table[::-1, ::-1], (1, 1), axis=(0, 1))
         assert np.array_equal(table, reflected)
         assert abs(table.sum() * 2.0 ** (-10)) <= 1e-12
@@ -257,7 +270,7 @@ class TestDeltaConv:
     def test_direct_convolution_oracle(self, n, J, s, seed, cells):
         # brute-force circular convolution with the lag table at a few cells
         u = random_field(n, J, seed=seed)
-        K = ResolvingKernel(n, s, J).samples
+        K = lag_tensor(n, s, J)
         out = delta_conv(u, s)
         N, vol = 2**J, 2.0 ** (-n * J)
         lags = np.arange(N)
@@ -283,3 +296,27 @@ class TestDeltaConv:
     def test_maps_real_to_real(self):
         u = random_field(2, 5, seed=42)
         assert np.isrealobj(delta_conv(u, 2).values)
+
+
+class TestInterpRatioNyquist:
+    """R_1 is zero on the Nyquist plane xi_1 = N/2, where the directional
+    projection need not vanish."""
+
+    def _sup(self, monkeypatch, u):
+        monkeypatch.setattr(experiments, "interpolatory_family", lambda *a: [("nyquist", 0, u)])
+        return experiments.interp_ratio_sup(2, 6, 2.0, Direction((1, 0)), 1)
+
+    def test_nyquist_field_has_infinite_ratio(self, monkeypatch):
+        # u = (-1)^{k_1} v(x_2): R_1 u = 0 but P^{(1,0)} u != 0
+        v = np.random.default_rng(3).standard_normal(64)
+        u = GridFunction(2, 6, np.multiply.outer((-1.0) ** np.arange(64), v))
+        u = u * (1.0 / u.lp_norm(2))
+        assert riesz(u, 1).lp_norm(2) <= 1e-13
+        assert directional_project(u, Direction((1, 0))).lp_norm(2) >= 0.1
+        assert self._sup(monkeypatch, u) == np.inf
+
+    def test_checkerboard_has_zero_ratio(self, monkeypatch):
+        # (-1)^{k_1 + k_2}: R_1 u = 0 and P^{(1,0)} u = 0
+        sign = (-1.0) ** np.arange(64)
+        u = GridFunction(2, 6, np.multiply.outer(sign, sign))
+        assert self._sup(monkeypatch, u) == 0.0

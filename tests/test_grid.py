@@ -89,11 +89,6 @@ class TestGridFunction:
         with pytest.raises(ValueError, match="mismatch"):
             a + b
 
-    def test_refine_preserves_integral(self):
-        u = GridFunction(1, 2, [1.0, 2.0, 3.0, 4.0])
-        v = u.refine(5)
-        assert v.integral() == pytest.approx(u.integral())
-        assert v.lp_norm(2) == pytest.approx(u.lp_norm(2))
 
 
 class TestLpNorm:

@@ -89,14 +89,6 @@ class TestRoundTripAndParseval:
                     cw.levels[j][e], cu.levels[j][e] + 2.0 * cv.levels[j][e], atol=1e-12
                 )
 
-    def test_csv_export(self):
-        u = single_haar_block(2, 2, 0, (0, 0), (1, 1))
-        text = haar_analyze(u).to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "level,k1,k2,eps1,eps2,value"
-        # one nonzero coefficient among all rows
-        nonzero = [ln for ln in lines[1:] if not ln.endswith(",0.0")]
-        assert nonzero == ["0,0,0,1,1,1.0"]
 
 
 class TestLevelPrimitives:

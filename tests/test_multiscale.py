@@ -26,7 +26,6 @@ from haarriesz.multiscale import (
     op_norm2_estimate,
     rearrangement_operator,
     ring_cover,
-    ring_projection,
     ring_projection_operator,
     t_ell,
     t_ell_operator,
@@ -333,13 +332,13 @@ class TestRingProjection:
     def test_orthogonal_input_annihilated(self):
         fam = [DyadicCube(2, 1, (0, 0))]
         u = single_haar_block(2, 6, 2, (2, 2), (1, 0))  # different cube
-        out = ring_projection(u, fam, D10, lam=2)
+        out = ring_projection_operator(2, 6, fam, D10, lam=2).apply(u)
         assert out.lp_norm(2) <= 1e-13
 
     def test_single_term_reproduces_cover_sum(self):
         Q = DyadicCube(2, 0, (0, 0))
         u = single_haar_block(2, 6, 0, (0, 0), (1, 0))
-        out = ring_projection(u, [Q], D10, lam=3)
+        out = ring_projection_operator(2, 6, [Q], D10, lam=3).apply(u)
         cover = ring_cover(Q, D10, lam=3, C=0.5)
         expect = GridFunction.zeros(2, 6)
         for E in cover:
@@ -350,8 +349,9 @@ class TestRingProjection:
         fam = default_even_family(2, 1)
         u = random_field(2, 6, seed=54, index=0)
         v = random_field(2, 6, seed=54, index=1)
-        lhs = ring_projection(u + 2.0 * v, fam, D10, lam=2)
-        rhs = ring_projection(u, fam, D10, lam=2) + 2.0 * ring_projection(v, fam, D10, lam=2)
+        op = ring_projection_operator(2, 6, fam, D10, lam=2)
+        lhs = op.apply(u + 2.0 * v)
+        rhs = op.apply(u) + 2.0 * op.apply(v)
         assert (lhs - rhs).lp_norm(2) <= 1e-12
 
     def test_adjoint_identity(self):

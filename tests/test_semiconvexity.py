@@ -76,27 +76,36 @@ class TestJensen:
             [single_haar_block(2, 4, 0, (0, 0), (1, 0)),
              single_haar_block(2, 4, 0, (0, 0), (0, 1))]
         )
-        defect = jensen_range_check(v, regs["ab"], 0)
+        (defect,) = jensen_range_check(v, [regs["ab"]], 0)
         assert defect == pytest.approx(0.0, abs=1e-12)
 
     def test_convex_quadratic(self):
         quad = Integrand("sq", lambda a: a[..., 0] ** 2 + a[..., 1] ** 2, 2, 2.0, 2.0)
         v = random_haar_vector(4, seed=60, index=0)
-        assert jensen_range_check(v, quad, 1) >= -1e-9
+        assert jensen_range_check(v, [quad], 1)[0] >= -1e-9
 
     @pytest.mark.parametrize("M", [0, 1, 2, 3])
     def test_registry_over_random_fields(self, M):
         regs = registry_integrands()
         for i in range(50):
             v = random_haar_vector(4, seed=61, index=i)
-            for f in regs:
-                assert jensen_range_check(v, f, M) >= -1e-9
+            for defect in jensen_range_check(v, regs, M):
+                assert defect >= -1e-9
 
     def test_rejects_non_convex_integrand(self):
         bad = Integrand("neg_sq", lambda a: -(a[..., 0] ** 2), 2, 2.0, 1.0)
         v = random_haar_vector(4, seed=62, index=0)
         with pytest.raises(ValueError, match="convex"):
-            jensen_range_check(v, bad, 1)
+            jensen_range_check(v, [bad], 1)
+
+    @pytest.mark.parametrize("M", [0, 1, 2, 3])
+    def test_list_form_matches_single_calls(self, M):
+        regs = registry_integrands()
+        for i in range(5):
+            v = random_haar_vector(4, seed=63, index=i)
+            assert jensen_range_check(v, regs, M) == [
+                jensen_range_check(v, [f], M)[0] for f in regs
+            ]
 
     def test_three_component_integrand(self):
         f3 = Integrand(
@@ -111,7 +120,7 @@ class TestJensen:
             [haar_polynomial(3, 3, seed=65, index=i, max_level=2) for i in range(3)]
         )
         for M in (0, 1, 2):
-            assert jensen_range_check(v, f3, M) >= -1e-9
+            assert jensen_range_check(v, [f3], M)[0] >= -1e-9
 
 
 class TestResidualRatio:

@@ -14,7 +14,6 @@ from haarriesz.sharpness import (
     BlockSpec,
     bessel_lower_bound,
     block_field,
-    block_inner_products,
     block_vs_block,
     block_vs_haar,
     build_collection,
@@ -101,10 +100,8 @@ class TestBlocks:
         eps = 0.5
         Q = DyadicCube(2, 0, (0, 0))
         b = BlockSpec(Q, eps)
-        assert block_inner_products(b, Q, "vs_haar10") == pytest.approx(4.0 * eps / PI**2)
-        assert block_inner_products(b, Q, "vs_block") == pytest.approx(eps / 2.0)
-        with pytest.raises(ValueError):
-            block_inner_products(b, Q, "vs_wavelet")
+        assert block_vs_haar(b, Q) == pytest.approx(4.0 * eps / PI**2)
+        assert block_vs_block(b, BlockSpec(Q, eps)) == pytest.approx(eps / 2.0)
 
     def test_eps_must_be_dyadic(self):
         with pytest.raises(ValueError):
