@@ -36,6 +36,7 @@ from .multiscale import (
     op_norm2_estimate,
     rearrangement_operator,
     ring_cover,
+    ring_norm,
     ring_projection_operator,
     t_ell,
     t_ell_operator,

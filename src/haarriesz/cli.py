@@ -277,14 +277,14 @@ def cmd_tl_decay(args, run: Run) -> None:
               " ".join(f"{r/base:.4f}" for r in res))
 
 
-def lambda_scaling(args, run: Run, norms: dict, bits: str, model: str, rate: float,
-                   check: str) -> None:
+def lambda_scaling(args, run: Run, norms: dict, trials: int, bits: str, model: str,
+                   rate: float, check: str) -> None:
     """One row per lambda; each consecutive ratio must be <= 2^(rate*step) * slack."""
     lams = getattr(args, "lambda")
     run.set_columns(SCALING_COLUMNS)
     for lam in lams:
         run.add_row(run.subcommand, args.n, args.J, 2.0, lam, bits, 1,
-                    args.trials, args.seed, norms[lam], model, 0.0)
+                    trials, args.seed, norms[lam], model, 0.0)
     for lo, hi in zip(lams, lams[1:]):
         ratio = norms[hi] / norms[lo]
         bound = 2.0 ** (rate * (hi - lo)) * args.slack
@@ -296,11 +296,12 @@ def cmd_ring_decay(args, run: Run) -> None:
     n, J, lams = args.n, args.J, getattr(args, "lambda")
     if not all(0 <= lam <= J - 2 for lam in lams):
         raise ValidationError(f"--lambda values must lie in 0..J-2 = 0..{J - 2}")
-    enforce_cap(grid_budget(n, J), args.cap_bytes)
-    direction = axis_direction(n, 1)
-    norms = ring_decay_norms(n, J, direction, lams, base_level=1, iters=args.trials * 3,
-                             seed=args.seed)
-    lambda_scaling(args, run, norms, str(direction), "C*2^(-lam/2)", -0.5, "ring-decay ratio")
+    # exact norms from the cover counts (no iterations: trials reads 0); the
+    # cover scan peaks below 8 grids at n = 1, J = 8 and 1.2 grids at n >= 2
+    enforce_cap(grid_budget(n, J, copies=16), args.cap_bytes)
+    norms = ring_decay_norms(n, J, lams)
+    lambda_scaling(args, run, norms, 0, str(axis_direction(n, 1)), "C*2^(-lam/2)", -0.5,
+                   "ring-decay ratio")
 
 
 def cmd_rearrange(args, run: Run) -> None:
@@ -309,7 +310,8 @@ def cmd_rearrange(args, run: Run) -> None:
         raise ValidationError(f"--lambda values must lie in 0..J-1 = 0..{J - 1}")
     enforce_cap(grid_budget(n, J, copies=160), args.cap_bytes)
     norms = rearrangement_norms(n, J, lams, iters=args.trials * 2, seed=args.seed)
-    lambda_scaling(args, run, norms, "1" * n, "C0*2^(n*lam)", n, "rearrange growth")
+    lambda_scaling(args, run, norms, args.trials, "1" * n, "C0*2^(n*lam)", n,
+                   "rearrange growth")
 
 
 def cmd_interp_ratio(args, run: Run) -> None:
@@ -317,9 +319,9 @@ def cmd_interp_ratio(args, run: Run) -> None:
     enforce_cap(grid_budget(n, J + 1), args.cap_bytes)
     direction = axis_direction(n, 1)
     run.set_columns(SCALING_COLUMNS)
-    for p in args.p_list:
-        sup_a = interp_ratio_sup(n, J, p, direction, 1, seed=seed, count=args.trials)
-        sup_b = interp_ratio_sup(n, J + 1, p, direction, 1, seed=seed, count=args.trials)
+    sups_a = interp_ratio_sup(n, J, args.p_list, seed=seed, count=args.trials)
+    sups_b = interp_ratio_sup(n, J + 1, args.p_list, seed=seed, count=args.trials)
+    for p, sup_a, sup_b in zip(args.p_list, sups_a, sups_b):
         rel = abs(sup_b - sup_a) / sup_a if sup_a > 0 else 0.0
         regime = "(1/2,1/2)" if p >= 2 else "(1/p,1/q)"
         for level, sup in ((J, sup_a), (J + 1, sup_b)):
@@ -552,7 +554,7 @@ SUBCOMMANDS: dict[str, tuple[Callable, dict[str, tuple]]] = {
         "--trials": (_int_in(4), 8), "--slack": (float, 2.0)}),
     "ring-decay": (cmd_ring_decay, {
         "--n": (DIM, 2), "--J": (_int_in(2, 12), 7), "--lambda": (parse_int_list, "3,4,5"),
-        "--trials": (_int_in(4), 8), "--slack": (float, 1.5)}),
+        "--slack": (float, 1.5)}),
     "rearrange-scaling": (cmd_rearrange, {
         "--n": (DIM, 2), "--J": (_int_in(2, 12), 7), "--lambda": (parse_int_list, "1,2,3"),
         "--trials": (_int_in(5), 8), "--slack": (float, 1.5)}),

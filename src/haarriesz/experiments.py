@@ -13,14 +13,14 @@ from .fields import (
     trig_band_field,
 )
 from .fourier import riesz
-from .grid import Direction, GridFunction
+from .grid import Direction, GridFunction, axis_direction
 from .haar import directional_project
 from .multiscale import (
     default_even_family,
     default_levels,
     op_norm2_estimate,
     rearrangement_operator,
-    ring_projection_operator,
+    ring_norm,
     t_ell_operator,
 )
 from .sharpness import BlockSpec, block_field, f_eps_field, single_block_square
@@ -76,24 +76,11 @@ def tl_decay_norms(
     return out
 
 
-def ring_decay_norms(
-    n: int,
-    J: int,
-    direction: Direction,
-    lams: Sequence[int],
-    base_level: int = 1,
-    C: float = 0.5,
-    iters: int = 24,
-    seed: int = 0,
-) -> dict[int, float]:
-    """Power-iteration L2 norms of the ring projection over the default
-    sparse per-level family."""
-    family = default_even_family(n, base_level)
-    out: dict[int, float] = {}
-    for lam in lams:
-        op = ring_projection_operator(n, J, family, direction, lam, C)
-        out[lam] = op_norm2_estimate(op, n, J, iters=iters, seed=seed).value
-    return out
+def ring_decay_norms(n: int, J: int, lams: Sequence[int]) -> dict[int, float]:
+    """Exact L2 norms of the ring projection along e_1 over the level-1
+    all-even family, from the cover counts (multiscale.ring_norm)."""
+    family, direction = default_even_family(n, 1), axis_direction(n, 1)
+    return {lam: ring_norm(family, direction, lam, J) for lam in lams}
 
 
 def rearrangement_norms(
@@ -119,7 +106,6 @@ def interpolatory_family(
     n: int,
     J: int,
     seed: int,
-    i0: int = 1,
     count: int = 25,
 ) -> list[tuple[str, int, GridFunction]]:
     """The structured test families for the interpolatory-ratio experiment:
@@ -140,12 +126,12 @@ def interpolatory_family(
     for j, k in blocks:
         for eps_idx in range(1, 2**n):
             bits = tuple((eps_idx >> b) & 1 for b in range(n))
-            if bits[i0 - 1] != 1:
+            if bits[0] != 1:
                 continue
             fams.append(("haar_block", bi, single_haar_block(n, J, j, k, bits)))
             bi += 1
     for i in range(count):
-        fams.append(("trig_cone", i, trig_band_field(n, J, seed, index=i, i0=i0)))
+        fams.append(("trig_cone", i, trig_band_field(n, J, seed, index=i, i0=1)))
     if n == 2:
         fams.append(("f_eps", 0, f_eps_field(0.5, J)))
         for i, eps in enumerate((0.5, 0.25)):
@@ -153,33 +139,27 @@ def interpolatory_family(
     return fams
 
 
-def interp_ratio_sup(
-    n: int,
-    J: int,
-    p: float,
-    direction: Direction,
-    i0: int,
-    seed: int = 0,
-    count: int = 25,
-) -> float:
-    """Empirical sup over the families of the interpolatory ratio:
-    exponents (1/2, 1/2) for p >= 2 and (1/p, 1/q) for p < 2."""
-    if not direction.has_axis(i0):
-        raise ValueError(f"direction {direction} not admissible for axis {i0}")
-    a = 0.5 if p >= 2 else 1.0 / p
-    b = 0.5 if p >= 2 else 1.0 - 1.0 / p
-    sup = 0.0
-    for _, _, u in interpolatory_family(n, J, seed, i0, count):
-        norm_u = u.lp_norm(p)
-        if norm_u <= 1e-14:
-            continue
-        norm_P = directional_project(u, direction).lp_norm(p)
-        norm_R = riesz(u, i0).lp_norm(p)
-        if norm_R <= 1e-13 * norm_u:
-            # R_i0 is zero on the Nyquist plane xi_i0 = N/2, where P need not
-            # vanish: the ratio is 0 only if P u vanishes too
-            ratio = 0.0 if norm_P <= 1e-13 * norm_u else math.inf
-        else:
-            ratio = norm_P / (norm_u**a * norm_R**b)
-        sup = max(sup, ratio)
-    return sup
+def interp_ratio_sup(n: int, J: int, ps: Sequence[float], seed: int = 0,
+                     count: int = 25) -> list[float]:
+    """Empirical sup over the families of the interpolatory ratio along e_1,
+    one per p in ``ps``: exponents (1/2, 1/2) for p >= 2 and (1/p, 1/q) for
+    p < 2.  Each member is projected once, for every p."""
+    direction = axis_direction(n, 1)
+    sups = [0.0] * len(ps)
+    for _, _, u in interpolatory_family(n, J, seed, count):
+        Pu, Ru = directional_project(u, direction), riesz(u, 1)
+        for k, p in enumerate(ps):
+            a = 0.5 if p >= 2 else 1.0 / p
+            b = 0.5 if p >= 2 else 1.0 - 1.0 / p
+            norm_u = u.lp_norm(p)
+            if norm_u <= 1e-14:
+                continue
+            norm_P, norm_R = Pu.lp_norm(p), Ru.lp_norm(p)
+            if norm_R <= 1e-13 * norm_u:
+                # R_1 is zero on the Nyquist plane xi_1 = N/2, where P need not
+                # vanish: the ratio is 0 only if P u vanishes too
+                ratio = 0.0 if norm_P <= 1e-13 * norm_u else math.inf
+            else:
+                ratio = norm_P / (norm_u**a * norm_R**b)
+            sups[k] = max(sups[k], ratio)
+    return sups

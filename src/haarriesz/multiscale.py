@@ -5,8 +5,8 @@ The scale slices T_ell work in Fourier coordinates: per level a coset fold
 and a periodic tile by separable 1D factors, between one rfftn and one
 irfftn (derivation at _slice_levels).  Summing t_ell over ell recovers the
 directional projection on the truncated level window.  Operator norms are
-estimated by power iteration on the normal operator, which yields
-reproducible lower bounds.
+estimated by power iteration on the normal operator (reproducible lower
+bounds); the ring projection's norm is exact, from its cover counts.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "op_norm2_estimate",
     "ring_cover",
     "ring_projection_operator",
+    "ring_norm",
     "default_even_family",
     "rearrangement_operator",
     "default_levels",
@@ -450,6 +451,20 @@ def ring_projection_operator(
         return _level_sum(out, direction, J)
 
     return LinearFieldOp(apply=fwd, adjoint=adj, name=f"ring_S[lam={lam}]")
+
+
+def ring_norm(family: Sequence[DyadicCube], direction: Direction, lam: int, J: int) -> float:
+    """Exact L2 norm of the ring projection S over ``family`` (C = 0.5),
+    validated as ring_projection_operator validates it.
+
+    S h_Q is the sum of the h_E over the cover of Q, and distinct covers
+    share no cell, so S maps distinct Haar functions to orthogonal sums of
+    distinct Haar functions: S*S is diagonal on the h_Q, with entry
+    ||S h_Q||^2 / ||h_Q||^2 = |cover(Q)| |E| / |Q| = |cover(Q)| 2^(-n lam).
+    Hence ||S||^2 = max_Q |cover(Q)| 2^(-n lam)."""
+    index = _ring_index(family, direction, lam, 0.5, J)
+    count = max((int(np.bincount(q).max()) for q, _ in index.values()), default=0)
+    return math.sqrt(count * 2.0 ** (-direction.n * lam))
 
 
 def default_even_family(n: int, j: int) -> list[DyadicCube]:

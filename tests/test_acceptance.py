@@ -111,7 +111,7 @@ def test_criterion_4_tl_decay():
 
 def test_criterion_5_ring_and_rearrangement():
     t0 = time.monotonic()
-    rn = ring_decay_norms(2, 7, D10, (3, 4, 5), base_level=1, iters=24, seed=0)
+    rn = ring_decay_norms(2, 7, (3, 4, 5))
     ring_ok = all(rn[l + 1] / rn[l] <= 2.0**-0.5 * 1.5 for l in (3, 4))
     sn = rearrangement_norms(2, 7, (1, 2, 3), iters=16, seed=0)
     rearr_ok = all(sn[l + 1] / sn[l] <= 2.0**2 * 1.5 for l in (1, 2))
@@ -126,8 +126,8 @@ def test_criterion_6_interpolatory_ratio():
     ok = True
     details = []
     for p in (2.0, 3.0, 1.5):
-        sup_a = interp_ratio_sup(2, 6, p, D10, 1, seed=0, count=20)
-        sup_b = interp_ratio_sup(2, 7, p, D10, 1, seed=0, count=20)
+        sup_a = interp_ratio_sup(2, 6, [p], seed=0, count=20)[0]
+        sup_b = interp_ratio_sup(2, 7, [p], seed=0, count=20)[0]
         rel = abs(sup_b - sup_a) / sup_a
         ok &= math.isfinite(sup_a) and sup_a > 0 and rel <= 0.2
         details.append(f"p={p}: sup={sup_a:.3f} drift={rel:.3f}")

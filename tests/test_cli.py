@@ -229,6 +229,36 @@ def test_out_of_domain_exits_2_naming_the_flag(argv, flag, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_ring_decay_runs_no_iteration(tmp_path, monkeypatch):
+    # the norms come from the cover counts alone
+    def broken(*args, **kwargs):
+        raise AssertionError("ring-decay ran an operator")
+
+    for target in ("haarriesz.experiments.op_norm2_estimate",
+                   "haarriesz.multiscale.op_norm2_estimate",
+                   "haarriesz.multiscale.ring_projection_operator"):
+        monkeypatch.setattr(target, broken)
+    assert main(["ring-decay", "--J", "7", "--lambda", "3,4,5", "--out", str(tmp_path / "x")]) == 0
+    with open(tmp_path / "x" / "results.csv", newline="") as fh:
+        assert {r["trials"] for r in csv.DictReader(fh)} == {"0"}
+
+
+def test_interp_ratio_builds_each_family_once(tmp_path, monkeypatch):
+    from haarriesz import experiments
+
+    built = []
+    family = experiments.interpolatory_family
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return family(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "interpolatory_family", counted)
+    assert main(["interp-ratio", "--J", "4", "--p-list", "2,3,1.5",
+                 "--out", str(tmp_path / "x")]) == 0
+    assert built == [4, 5]
+
+
 def test_internal_error_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal")
@@ -240,7 +270,7 @@ def test_internal_error_propagates(tmp_path, monkeypatch):
 
 FLAG_TABLE = {
     "tl-decay": ["--n", "--J", "--p", "--ell", "--trials", "--slack"],
-    "ring-decay": ["--n", "--J", "--lambda", "--trials", "--slack"],
+    "ring-decay": ["--n", "--J", "--lambda", "--slack"],
     "rearrange-scaling": ["--n", "--J", "--lambda", "--trials", "--slack"],
     "interp-ratio": ["--n", "--J", "--p-list", "--trials"],
     "sharpness": ["--p", "--eps", "--eta", "--sample", "--regime"],
@@ -263,4 +293,4 @@ def test_each_subcommand_declares_only_its_flags():
                     if s not in ("-h", "--help")]
         assert sorted(declared) == sorted([*flags, "--seed", "--out", "--cap-bytes"]), name
         settable += len(declared)
-    assert settable == 56
+    assert settable == 55

@@ -304,7 +304,7 @@ class TestInterpRatioNyquist:
 
     def _sup(self, monkeypatch, u):
         monkeypatch.setattr(experiments, "interpolatory_family", lambda *a: [("nyquist", 0, u)])
-        return experiments.interp_ratio_sup(2, 6, 2.0, Direction((1, 0)), 1)
+        return experiments.interp_ratio_sup(2, 6, [2.0])[0]
 
     def test_nyquist_field_has_infinite_ratio(self, monkeypatch):
         # u = (-1)^{k_1} v(x_2): R_1 u = 0 but P^{(1,0)} u != 0

@@ -26,6 +26,7 @@ from haarriesz.multiscale import (
     op_norm2_estimate,
     rearrangement_operator,
     ring_cover,
+    ring_norm,
     ring_projection_operator,
     t_ell,
     t_ell_operator,
@@ -33,6 +34,24 @@ from haarriesz.multiscale import (
 )
 
 D10 = Direction((1, 0))
+
+
+def ring_builds(fam, lam, J, match=None):
+    """Build the ring projection and its norm over ``fam`` (C = 0.5): both
+    validate the family, and an invalid one makes both raise one message
+    that matches ``match``."""
+    builds = (lambda: ring_projection_operator(2, J, fam, D10, lam, C=0.5),
+              lambda: ring_norm(fam, D10, lam, J))
+    if match is None:
+        for build in builds:
+            build()
+        return
+    messages = []
+    for build in builds:
+        with pytest.raises(ValueError, match=match) as exc:
+            build()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 class TestTEll:
@@ -172,6 +191,18 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert peak <= grid_budget(n, J)
 
+    @pytest.mark.parametrize("n,J", [(1, 8), (2, 7), (3, 6)])
+    def test_ring_decay_fits_its_cap_budget(self, n, J):
+        # what cmd_ring_decay runs after enforce_cap(grid_budget(n, J, copies=16))
+        ring_decay_norms(n, 4, range(0, 3))
+        tracemalloc.start()
+        try:
+            ring_decay_norms(n, J, range(0, J - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid_budget(n, J, copies=16)
+
 
 class TestOpNorm:
     def test_identity(self):
@@ -308,24 +339,22 @@ class TestRingCover:
 
     def test_even_family_is_valid(self):
         fam = default_even_family(2, 2)
-        ring_projection_operator(2, 6, fam, D10, lam=3, C=0.5)
+        ring_builds(fam, 3, 6)
 
     def test_nested_tower_is_valid(self):
         fam = [DyadicCube(2, j, (0, 0)) for j in range(3)]
-        ring_projection_operator(2, 6, fam, D10, lam=3, C=0.5)
+        ring_builds(fam, 3, 6)
 
     def test_validator_names_offending_pair(self):
         # adjacent same-level cubes share boundary ring cells
         fam = [DyadicCube(2, 1, (0, 0)), DyadicCube(2, 1, (1, 0))]
-        with pytest.raises(ValueError, match="share"):
-            ring_projection_operator(2, 6, fam, D10, lam=3, C=0.5)
+        ring_builds(fam, 3, 6, match="share")
 
     def test_validator_rejects_nesting_violation(self):
         # an all-even multi-level family puts fine ring cells inside coarse
         # ones without cube containment
         fam = default_even_family(2, 1) + [DyadicCube(2, 2, (2, 0))]
-        with pytest.raises(ValueError, match="nesting|share"):
-            ring_projection_operator(2, 6, fam, D10, lam=3, C=0.5)
+        ring_builds(fam, 3, 6, match="nesting|share")
 
 
 class TestRingProjection:
@@ -362,14 +391,14 @@ class TestRingProjection:
         assert abs(op.apply(u).inner(v) - u.inner(op.adjoint(v))) <= 1e-12
 
     def test_norm_decay(self):
-        norms = ring_decay_norms(2, 7, D10, (3, 4, 5), base_level=1, iters=24, seed=0)
+        norms = ring_decay_norms(2, 7, (3, 4, 5))
         for lo, hi in ((3, 4), (4, 5)):
             assert norms[hi] / norms[lo] <= 2.0**-0.5 * 1.5
 
     def test_build_rejects_cells_finer_than_the_grid(self):
         # level-1 cube, lambda 3: the cover cells sit at level 4 = J
-        with pytest.raises(ValueError, match=r"cover cell DyadicCube\(n=2, j=4, .*finer than the grid"):
-            ring_projection_operator(2, 4, [DyadicCube(2, 1, (0, 0))], D10, lam=3)
+        ring_builds([DyadicCube(2, 1, (0, 0))], 3, 4,
+                    match=r"cover cell DyadicCube\(n=2, j=4, .*finer than the grid")
 
     @pytest.mark.parametrize(
         "n,J,level,lam",
@@ -378,13 +407,15 @@ class TestRingProjection:
     )
     def test_norm_closed_form(self, n, J, level, lam):
         # distinct h_Q are orthogonal, and so are distinct h_E, so
-        # ||S||^2 = max_Q |union of the cover of Q| / |Q|
+        # ||S||^2 = max_Q |union of the cover of Q| / |Q|; power iteration
+        # is the oracle for the count in ring_norm
         d = Direction((1,) * n)
         fam = default_even_family(n, level)
         op = ring_projection_operator(n, J, fam, d, lam)
         exact = max(sum(E.volume() for E in ring_cover(Q, d, lam)) / Q.volume() for Q in fam)
         value = op_norm2_estimate(op, n, J, iters=24).value
         assert value == pytest.approx(exact**0.5, rel=1e-12)
+        assert ring_norm(fam, d, lam, J) == pytest.approx(exact**0.5, rel=1e-15)
 
 
 def _ring_cases():
