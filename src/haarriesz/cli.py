@@ -224,13 +224,18 @@ def enforce_cap(bytes_needed: int, cap: int) -> None:
         )
 
 
+# per-call Python objects (dicts, cube lists, 1D tables) that do not scale
+# with the grid: ring-decay at n = 1, J = 3 peaks at about 5.1 kB
+GRID_BUDGET_BASE = 1 << 13
+
+
 def grid_budget(n: int, J: int, copies: int = 96) -> int:
-    """Working-set estimate: ``copies`` float64 grids of 2^(nJ) cells.  For
-    tl-decay, 96 covers its grids, rfftn half spectra, fold/tile scratch and
-    Haar pyramid, plus 1D factors and per-call overhead, which matter only
-    at n = 1: tests/test_multiscale.py::TestWorkingSet measures about 8-10
-    copies at n = 2, 3 and about 60 at n = 1, J = 8."""
-    return 8 * 2 ** (n * J) * copies
+    """Working-set estimate: ``copies`` float64 grids of 2^(nJ) cells plus
+    GRID_BUDGET_BASE.  For tl-decay, 96 covers its grids, rfftn half
+    spectra, fold/tile scratch and Haar pyramid, plus 1D factors, which
+    matter only at n = 1: tests/test_multiscale.py::TestWorkingSet measures
+    about 8-10 copies at n = 2, 3 and about 60 at n = 1, J = 8."""
+    return 8 * 2 ** (n * J) * copies + GRID_BUDGET_BASE
 
 
 SCALING_COLUMNS = ["experiment", "n", "J", "p", "ell_or_lambda", "epsilon_bits", "i0",
@@ -357,7 +362,9 @@ def cmd_sharpness(args, run: Run) -> None:
         return rows
 
     if args.regime in ("pge2", "both"):
-        enforce_cap(grid_budget(2, 7, copies=64), args.cap_bytes)
+        # the pair terms are chunked; a sampled layer's index arrays hold
+        # 16 B per draw
+        enforce_cap(grid_budget(2, 7, copies=64) + 16 * args.sample, args.cap_bytes)
         rows = add("pge2", sharpness_experiment_pge2(eps_list, eta, sample_size=args.sample,
                                                      seed=args.seed))
         lead = rows[0]
@@ -365,8 +372,10 @@ def cmd_sharpness(args, run: Run) -> None:
                   lead.lower_P >= 0.1 * math.sqrt(lead.epsilon),
                   f"L={lead.lower_P:.4f}")
     if args.regime in ("ple2", "both"):
+        # the single block's grids at J = n0 + 6 peak at about 6 copies
+        # (tests/test_multiscale.py::TestWorkingSet)
         n0_max = max(int(round(-math.log2(e))) for e in eps_list)
-        enforce_cap(grid_budget(2, n0_max + 6, copies=64), args.cap_bytes)
+        enforce_cap(grid_budget(2, n0_max + 6, copies=16), args.cap_bytes)
         add("ple2", single_block_experiment_ple2(eps_list, args.p, eta, seed=args.seed))
         for e in eps_list:
             c = unit_square_coefficient(e)

@@ -4,7 +4,9 @@ A profile is a list of pieces, each of the form
     t -> const + amp * sin(freq * u + phase),   u = (t - anchor) / scale,
 supported on a t-interval.  Products of two profiles integrate in closed
 form, and every sine argument is evaluated in the local coordinate of the
-finer piece, so deeply rescaled blocks lose no precision.
+finer piece, so deeply rescaled blocks lose no precision.  A piece whose
+fields are arrays stands for many pieces at once (struct of arrays); the
+closed forms evaluate elementwise with numpy broadcasting.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ _W_EPS = 1e-9  # below this local frequency a sinusoid is treated as constant
 
 @dataclass(frozen=True)
 class SinePiece:
+    """One sinusoid piece; its fields may also be arrays that broadcast
+    together, one entry per piece."""
+
     lo: float
     hi: float
     anchor: float
@@ -89,19 +94,23 @@ def indicator_pieces(left: float, width: float) -> list[SinePiece]:
 # closed-form primitives (in a local coordinate u over [a, b])
 
 
-def _int_sin(w: float, phi: float, a: float, b: float) -> float:
-    if abs(w) < _W_EPS:
-        return float(np.sin(phi) * (b - a))
-    return float((np.cos(w * a + phi) - np.cos(w * b + phi)) / w)
+def _int_sin(w, phi, a, b):
+    """integral of sin(w u + phi) over [a, b], elementwise."""
+    small = np.abs(w) < _W_EPS
+    w = np.where(small, 1.0, w)
+    out = (np.cos(w * a + phi) - np.cos(w * b + phi)) / w
+    return np.where(small, np.sin(phi) * (b - a), out) if small.any() else out
 
 
-def _int_cos(w: float, phi: float, a: float, b: float) -> float:
-    if abs(w) < _W_EPS:
-        return float(np.cos(phi) * (b - a))
-    return float((np.sin(w * b + phi) - np.sin(w * a + phi)) / w)
+def _int_cos(w, phi, a, b):
+    """integral of cos(w u + phi) over [a, b], elementwise."""
+    small = np.abs(w) < _W_EPS
+    w = np.where(small, 1.0, w)
+    out = (np.sin(w * b + phi) - np.sin(w * a + phi)) / w
+    return np.where(small, np.cos(phi) * (b - a), out) if small.any() else out
 
 
-def _piece_in_coords(p: SinePiece, anchor: float, scale: float) -> tuple[float, float]:
+def _piece_in_coords(p: SinePiece, anchor, scale):
     """Frequency and phase of p's sinusoid in the coordinate
     u = (t - anchor)/scale."""
     w = p.freq * scale / p.scale
@@ -109,29 +118,32 @@ def _piece_in_coords(p: SinePiece, anchor: float, scale: float) -> tuple[float, 
     return w, phi
 
 
-def integrate_product(p: SinePiece, q: SinePiece) -> float:
-    """integral over t of p(t) q(t) in closed form."""
-    a = max(p.lo, q.lo)
-    b = min(p.hi, q.hi)
-    if b <= a:
-        return 0.0
+def integrate_product(p: SinePiece, q: SinePiece) -> float | np.ndarray:
+    """integral over t of p(t) q(t) in closed form: a float for scalar
+    pieces, an array of the broadcast field shape for array pieces."""
+    a = np.maximum(p.lo, q.lo)
+    b = np.minimum(p.hi, q.hi)
     # work in the local coordinate of the finer piece
-    base = p if p.scale <= q.scale else q
-    ua = (a - base.anchor) / base.scale
-    ub = (b - base.anchor) / base.scale
-    w1, f1 = _piece_in_coords(p, base.anchor, base.scale)
-    w2, f2 = _piece_in_coords(q, base.anchor, base.scale)
+    p_finer = p.scale <= q.scale
+    anchor = np.where(p_finer, p.anchor, q.anchor)
+    scale = np.where(p_finer, p.scale, q.scale)
+    ua = (a - anchor) / scale
+    ub = (b - anchor) / scale
+    w1, f1 = _piece_in_coords(p, anchor, scale)
+    w2, f2 = _piece_in_coords(q, anchor, scale)
+    # each sinusoid term is added where its amplitudes are nonzero, and
+    # evaluated only if they are somewhere
     total = p.const * q.const * (ub - ua)
-    if q.amp != 0.0:
-        total += p.const * q.amp * _int_sin(w2, f2, ua, ub)
-    if p.amp != 0.0:
-        total += q.const * p.amp * _int_sin(w1, f1, ua, ub)
-    if p.amp != 0.0 and q.amp != 0.0:
-        cross = 0.5 * (
-            _int_cos(w1 - w2, f1 - f2, ua, ub) - _int_cos(w1 + w2, f1 + f2, ua, ub)
-        )
-        total += p.amp * q.amp * cross
-    return float(total * base.scale)
+    q_osc, p_osc = np.not_equal(q.amp, 0.0), np.not_equal(p.amp, 0.0)
+    if q_osc.any():
+        total = np.where(q_osc, total + p.const * q.amp * _int_sin(w2, f2, ua, ub), total)
+    if p_osc.any():
+        total = np.where(p_osc, total + q.const * p.amp * _int_sin(w1, f1, ua, ub), total)
+    if (p_osc & q_osc).any():
+        cross = 0.5 * (_int_cos(w1 - w2, f1 - f2, ua, ub) - _int_cos(w1 + w2, f1 + f2, ua, ub))
+        total = np.where(p_osc & q_osc, total + p.amp * q.amp * cross, total)
+    out = np.where(b <= a, 0.0, total * scale)
+    return out if out.ndim else float(out)
 
 
 def profile_integral(pieces: Sequence[SinePiece]) -> float:
@@ -145,12 +157,14 @@ def profile_integral(pieces: Sequence[SinePiece]) -> float:
 
 def profile_product_integral(
     P: Sequence[SinePiece], Q: Sequence[SinePiece]
-) -> float:
+) -> float | np.ndarray:
+    """Sum of integrate_product over all piece pairs, P outer: a float for
+    scalar pieces, an array for array pieces."""
     total = 0.0
     for p in P:
         for q in Q:
             total += integrate_product(p, q)
-    return float(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +187,7 @@ def _piece_mass(p: SinePiece, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     ub = (b - p.anchor) / p.scale
     lin = p.const * (ub - ua)
     if p.amp != 0.0:
-        if abs(p.freq) < _W_EPS:
-            osc = np.sin(p.phase) * (ub - ua)
-        else:
-            osc = (np.cos(p.freq * ua + p.phase) - np.cos(p.freq * ub + p.phase)) / p.freq
-        lin = lin + p.amp * osc
+        lin = lin + p.amp * _int_sin(p.freq, p.phase, ua, ub)
     return lin * p.scale
 
 

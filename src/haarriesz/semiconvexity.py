@@ -10,6 +10,7 @@ deliberately violating sequence demonstrates that the constraint is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -51,6 +52,12 @@ class Integrand:
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(a, dtype=np.float64)), dtype=np.float64)
+
+    @functools.cached_property
+    def separately_convex(self) -> bool:
+        """check_separately_convex with its default lattice, probed on first
+        use only."""
+        return check_separately_convex(self)
 
 
 def check_separately_convex(
@@ -154,9 +161,10 @@ def a0_max_entry(v: VectorField) -> float:
 def jensen_range_check(v: VectorField, fs: Sequence[Integrand], M: int) -> list[float]:
     """Per integrand f of ``fs``, min over level-M cells of
     E_M(f(P(v))) - f(E_M(P(v))); separate convexity makes this nonnegative
-    up to rounding.  P(v) and E_M(P(v)) are computed once for all of ``fs``."""
+    up to rounding.  P(v) and E_M(P(v)) are computed once for all of ``fs``;
+    each integrand's separate-convexity probe runs once per Integrand."""
     for f in fs:
-        if not check_separately_convex(f):
+        if not f.separately_convex:
             raise ValueError(f"integrand {f.name!r} failed the separate-convexity probe")
     if not 0 <= M <= v.J:
         raise ValueError(f"M must be within 0..{v.J}")

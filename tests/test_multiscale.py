@@ -32,6 +32,11 @@ from haarriesz.multiscale import (
     t_ell_operator,
     t_ell_riesz_ratio,
 )
+from haarriesz.sharpness import (
+    sharpness_experiment_pge2,
+    single_block_experiment_ple2,
+    unit_square_coefficient,
+)
 
 D10 = Direction((1, 0))
 
@@ -191,7 +196,7 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert peak <= grid_budget(n, J)
 
-    @pytest.mark.parametrize("n,J", [(1, 8), (2, 7), (3, 6)])
+    @pytest.mark.parametrize("n,J", [(1, 3), (1, 8), (2, 7), (3, 6)])
     def test_ring_decay_fits_its_cap_budget(self, n, J):
         # what cmd_ring_decay runs after enforce_cap(grid_budget(n, J, copies=16))
         ring_decay_norms(n, 4, range(0, 3))
@@ -202,6 +207,35 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= grid_budget(n, J, copies=16)
+
+    def test_sharpness_ple2_fits_its_cap_budget(self):
+        # what cmd_sharpness --regime ple2 runs at the default eps list after
+        # enforce_cap(grid_budget(2, n0_max + 6, copies=16)), n0_max = 3
+        eps_list = [0.5, 0.25, 0.125]
+        single_block_experiment_ple2([0.5], 1.5, 0.1)
+        tracemalloc.start()
+        try:
+            single_block_experiment_ple2(eps_list, 1.5, 0.1, seed=1)
+            for eps in eps_list:
+                unit_square_coefficient(eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid_budget(2, 9, copies=16)
+
+    def test_sharpness_pge2_fits_its_cap_budget(self):
+        # what cmd_sharpness --regime pge2 --sample 20000 runs after
+        # enforce_cap(grid_budget(2, 7, copies=64) + 16 * 20000): the pair
+        # terms are processed in chunks and only the index arrays (16 B per
+        # draw) grow with --sample, so the run fits even the grid part
+        sharpness_experiment_pge2([0.5], 0.1, sample_size=10, seed=1)
+        tracemalloc.start()
+        try:
+            sharpness_experiment_pge2([0.5, 0.25, 0.125], 0.1, sample_size=20000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid_budget(2, 7, copies=64)
 
 
 class TestOpNorm:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from sharpness_oracle import integrate_product as scalar_integrate_product
 
 from haarriesz.profiles import (
     SinePiece,
@@ -67,6 +68,38 @@ class TestIntegrateProduct:
         )[0]
         q2 = SinePiece(0.0, 1.0, 0.0, 1.0, amp=1.0, freq=2 * np.pi)
         assert val == pytest.approx(integrate_product(p2, q2) * 2.0**-36, rel=1e-10)
+
+
+class TestArrayPieces:
+    def test_integrate_product_equals_scalar_form(self):
+        # array fields evaluate every piece pair at once, bit for bit as one
+        # scalar call per pair: disjoint and nested supports, constant and
+        # zero-frequency pieces, and equal frequencies (w1 - w2 = 0)
+        rng = np.random.default_rng(7)
+        size = 400
+
+        def fields():
+            lo = rng.integers(-8, 8, size) / 8.0
+            scale = 2.0 ** -rng.integers(0, 12, size).astype(float)
+            return dict(
+                lo=lo, hi=lo + scale * rng.integers(1, 4, size), anchor=lo, scale=scale,
+                const=rng.choice([0.0, 1.0, -0.5], size), amp=rng.choice([0.0, 1.0, -2.0], size),
+                freq=rng.choice([0.0, np.pi, 2 * np.pi], size),
+                phase=rng.choice([0.0, np.pi / 2, 0.3], size),
+            )
+
+        pf, qf = fields(), fields()
+        same = rng.random(size) < 0.25
+        qf = {key: np.where(same, pf[key], qf[key]) for key in qf}
+        got = integrate_product(SinePiece(**pf), SinePiece(**qf))
+        want = [
+            scalar_integrate_product(SinePiece(**{k: float(v[i]) for k, v in pf.items()}),
+                                     SinePiece(**{k: float(v[i]) for k, v in qf.items()}))
+            for i in range(size)
+        ]
+        assert got.shape == (size,)
+        assert got.tolist() == want
+        assert np.count_nonzero(got) > size // 4
 
 
 class TestProfileHelpers:

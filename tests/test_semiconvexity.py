@@ -98,6 +98,22 @@ class TestJensen:
         with pytest.raises(ValueError, match="convex"):
             jensen_range_check(v, [bad], 1)
 
+    def test_probes_each_integrand_once(self):
+        probes = []
+
+        def ab(a):
+            probes.append(a.shape)
+            return a[..., 0] * a[..., 1]
+
+        f = Integrand("ab_counted", ab, 2, 2.0, 1.0)
+        bad = Integrand("neg_sq", lambda a: -(a[..., 0] ** 2), 2, 2.0, 1.0)
+        for i in range(3):
+            v = random_haar_vector(4, seed=64, index=i)
+            jensen_range_check(v, [f], 1)
+            with pytest.raises(ValueError, match="convex"):
+                jensen_range_check(v, [bad], 1)
+        assert probes.count((61, 61, 2)) == 1
+
     @pytest.mark.parametrize("M", [0, 1, 2, 3])
     def test_list_form_matches_single_calls(self, M):
         regs = registry_integrands()

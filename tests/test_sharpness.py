@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import sharpness_oracle as oracle
 
+from haarriesz import sharpness
 from haarriesz.fourier import riesz
 from haarriesz.grid import DyadicCube
 from haarriesz.haar import bmo_d_norm, directional_project, haar_analyze
@@ -14,6 +16,7 @@ from haarriesz.sharpness import (
     BlockSpec,
     bessel_lower_bound,
     block_field,
+    block_lp_norm,
     block_vs_block,
     block_vs_haar,
     build_collection,
@@ -217,6 +220,47 @@ class TestCoefficientEngine:
         assert gram_norm2(0.5, "plain", "exact", diagonal_only=True) >= block_vs_block(b, b)
 
 
+class TestArrayEngine:
+    """The array engine equals the scalar per-pair loops bit for bit."""
+
+    CASES = [(0.5, "exact"), (0.25, "sampled"), (0.125, "sampled")]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("eps,mode", CASES)
+    def test_gram_equals_scalar_loops(self, eps, mode, seed):
+        for variant in ("plain", "tilde"):
+            assert gram_norm2(eps, variant, mode, seed=seed) == oracle.gram_norm2(
+                eps, variant, mode, seed=seed
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("eps,mode", CASES)
+    def test_bessel_equals_scalar_loops(self, eps, mode, seed):
+        assert bessel_lower_bound(eps, mode, seed=seed) == oracle.bessel_lower_bound(
+            eps, mode, seed=seed
+        )
+
+    def test_coefficients_equal_scalar_loops(self):
+        coll = build_collection(0.5)
+        for Q in coll.iter_all():
+            assert collection_coefficient(coll, Q) == oracle.collection_coefficient(coll, Q)
+        coll = build_collection(0.125, sampling=True)
+        for k in (2, 5, 8):
+            for Q in coll.sample_layer(k, 20, seed=3):
+                assert collection_coefficient(coll, Q) == oracle.collection_coefficient(coll, Q)
+
+    @pytest.mark.parametrize("eps,mode", CASES[:2])
+    def test_chunk_boundaries_keep_the_sums(self, eps, mode, monkeypatch):
+        # running sums carry across chunks: a 7-square chunk splits every layer
+        monkeypatch.setattr(sharpness, "CHUNK", 7)
+        assert gram_norm2(eps, "tilde", mode, seed=1) == oracle.gram_norm2(
+            eps, "tilde", mode, seed=1
+        )
+        assert bessel_lower_bound(eps, mode, seed=1) == oracle.bessel_lower_bound(
+            eps, mode, seed=1
+        )
+
+
 class TestBessel:
     def test_exact_value_at_half(self):
         val = bessel_lower_bound(0.5, "exact")
@@ -309,6 +353,15 @@ class TestExperiments:
             n0 = int(round(-math.log2(eps)))
             norm = dense_lp_norm([BlockSpec(sq, eps)], n0 + 6, p)
             assert norm <= 2.0 * (eps * sq.volume()) ** (1.0 / p)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
+    def test_ple2_separable_norm_matches_dense(self, p):
+        # one level below the experiment's n0 + 6 keeps the eps = 1/16 dense
+        # grid at 2560^2 Gauss nodes; the identity holds on every level
+        for n0 in range(1, 5):
+            block = BlockSpec(single_block_square(), 2.0**-n0)
+            dense = dense_lp_norm([block], n0 + 5, p)
+            assert block_lp_norm(block, n0 + 5, p) == pytest.approx(dense, rel=1e-12, abs=0)
 
     def test_ple2_validates_p(self):
         with pytest.raises(ValueError):
