@@ -36,7 +36,7 @@ from .haar import (
     haar_synthesize,
     square_function,
 )
-from .multiscale import ring_cover, t_ell_operator
+from .multiscale import OpNormResult, ring_cover, t_ell_operator
 from .profiles import haar_pieces, profile_integral, profile_product_integral, sine_cell_averages
 from .semiconvexity import (
     VectorField,
@@ -232,16 +232,24 @@ GRID_BUDGET_BASE = 1 << 13
 def grid_budget(n: int, J: int, copies: int = 96) -> int:
     """Working-set estimate: ``copies`` float64 grids of 2^(nJ) cells plus
     GRID_BUDGET_BASE.  For tl-decay, 96 covers its grids, rfftn half
-    spectra, fold/tile scratch and Haar pyramid, plus 1D factors, which
-    matter only at n = 1: tests/test_multiscale.py::TestWorkingSet measures
-    about 8-10 copies at n = 2, 3 and about 60 at n = 1, J = 8."""
+    spectra, fold/tile scratch, Haar pyramid and Gram multipliers, plus 1D
+    factors, which matter only at n = 1: tests/test_multiscale.py::
+    TestWorkingSet measures about 7-10 copies at n = 2, 3 and about 72 at
+    n = 1, J = 8."""
     return 8 * 2 ** (n * J) * copies + GRID_BUDGET_BASE
 
 
 SCALING_COLUMNS = ["experiment", "n", "J", "p", "ell_or_lambda", "epsilon_bits", "i0",
-                   "trials", "seed", "measured", "bound_model", "slack"]
+                   "trials", "seed", "measured", "bound_model", "slack",
+                   "iterations", "residual", "converged"]
 INTEGRAND_COLUMNS = ["experiment", "f_name", "r", "I_r", "I_limit", "defect_min",
                      "compliant_flag"]
+# the solver columns of a scaling row that runs no power iteration
+NO_SOLVER = (0, 0.0, "")
+
+
+def solver_columns(r: OpNormResult) -> tuple:
+    return r.iterations, r.residual, r.converged
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +262,10 @@ def cmd_tl_decay(args, run: Run) -> None:
     direction = axis_direction(n, 1)
     norms = tl_decay_norms(n, J, direction, ells, iters=args.trials * 3, seed=seed)
     run.set_columns(SCALING_COLUMNS)
-    m0, m_neg1 = norms.get(0), norms.get(-1)
+    values = {ell: r.value for ell, r in norms.items()}
+    m0, m_neg1 = values.get(0), values.get(-1)
     for ell in ells:
-        m = norms[ell]
+        m = values[ell]
         if ell > 0 and m0:
             slack = m / (m0 * 2.0 ** (-ell / 2.0))
             model = "m(0)*2^(-ell/2)"
@@ -267,14 +276,15 @@ def cmd_tl_decay(args, run: Run) -> None:
             slack = 1.0
             model = "reference"
         run.add_row("tl-decay", n, J, p, ell, str(direction), 1,
-                    args.trials, seed, m, model, slack)
+                    args.trials, seed, m, model, slack, *solver_columns(norms[ell]))
         if model != "reference":
             run.check(f"tl-decay ell={ell} slack<=: {args.slack}", slack <= args.slack,
                       f"measured={m:.6f} slack={slack:.4f}")
     # decomposition residual on the standard field
     res, base = decomposition_residuals(n, J, direction, L_max=4, seed=seed)
     run.add_row("tl-decomposition", n, J, p, 4, str(direction), 1,
-                args.trials, seed, res[-1] / base, "<=0.05*||Pu||", (res[-1] / base) / 0.05)
+                args.trials, seed, res[-1] / base, "<=0.05*||Pu||", (res[-1] / base) / 0.05,
+                *NO_SOLVER)
     run.check("tl-decomposition residual <= 0.05", res[-1] <= 0.05 * base,
               f"relative={res[-1]/base:.4f}")
     mono = all(res[i + 1] <= res[i] + 1e-12 for i in range(len(res) - 1))
@@ -284,14 +294,16 @@ def cmd_tl_decay(args, run: Run) -> None:
 
 def lambda_scaling(args, run: Run, norms: dict, trials: int, bits: str, model: str,
                    rate: float, check: str) -> None:
-    """One row per lambda; each consecutive ratio must be <= 2^(rate*step) * slack."""
+    """One row per lambda from norms[lam] = (norm, solver columns); each
+    consecutive ratio must be <= 2^(rate*step) * slack."""
     lams = getattr(args, "lambda")
     run.set_columns(SCALING_COLUMNS)
     for lam in lams:
+        norm, solver = norms[lam]
         run.add_row(run.subcommand, args.n, args.J, 2.0, lam, bits, 1,
-                    trials, args.seed, norms[lam], model, 0.0)
+                    trials, args.seed, norm, model, 0.0, *solver)
     for lo, hi in zip(lams, lams[1:]):
-        ratio = norms[hi] / norms[lo]
+        ratio = norms[hi][0] / norms[lo][0]
         bound = 2.0 ** (rate * (hi - lo)) * args.slack
         run.check(f"{check} lam {lo}->{hi}", ratio <= bound,
                   f"ratio={ratio:.4f} bound={bound:.4f}")
@@ -304,7 +316,7 @@ def cmd_ring_decay(args, run: Run) -> None:
     # exact norms from the cover counts (no iterations: trials reads 0); the
     # cover scan peaks below 8 grids at n = 1, J = 8 and 1.2 grids at n >= 2
     enforce_cap(grid_budget(n, J, copies=16), args.cap_bytes)
-    norms = ring_decay_norms(n, J, lams)
+    norms = {lam: (v, NO_SOLVER) for lam, v in ring_decay_norms(n, J, lams).items()}
     lambda_scaling(args, run, norms, 0, str(axis_direction(n, 1)), "C*2^(-lam/2)", -0.5,
                    "ring-decay ratio")
 
@@ -314,7 +326,8 @@ def cmd_rearrange(args, run: Run) -> None:
     if not all(0 <= lam <= J - 1 for lam in lams):
         raise ValidationError(f"--lambda values must lie in 0..J-1 = 0..{J - 1}")
     enforce_cap(grid_budget(n, J, copies=160), args.cap_bytes)
-    norms = rearrangement_norms(n, J, lams, iters=args.trials * 2, seed=args.seed)
+    results = rearrangement_norms(n, J, lams, iters=args.trials * 2, seed=args.seed)
+    norms = {lam: (r.value, solver_columns(r)) for lam, r in results.items()}
     lambda_scaling(args, run, norms, args.trials, "1" * n, "C0*2^(n*lam)", n,
                    "rearrange growth")
 
@@ -331,7 +344,7 @@ def cmd_interp_ratio(args, run: Run) -> None:
         regime = "(1/2,1/2)" if p >= 2 else "(1/p,1/q)"
         for level, sup in ((J, sup_a), (J + 1, sup_b)):
             run.add_row("interp-ratio", n, level, p, 0, str(direction), 1,
-                        args.trials, seed, sup, f"sup finite, stable {regime}", rel)
+                        args.trials, seed, sup, f"sup finite, stable {regime}", rel, *NO_SOLVER)
         run.check(f"interp-ratio p={p} finite", math.isfinite(sup_a) and sup_a > 0,
                   f"sup={sup_a:.4f}")
         run.check(f"interp-ratio p={p} stable under J->J+1", rel <= 0.2,

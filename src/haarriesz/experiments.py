@@ -16,6 +16,7 @@ from .fourier import riesz
 from .grid import Direction, GridFunction, axis_direction
 from .haar import directional_project
 from .multiscale import (
+    OpNormResult,
     default_even_family,
     default_levels,
     op_norm2_estimate,
@@ -67,12 +68,13 @@ def tl_decay_norms(
     levels: Optional[Sequence[int]] = None,
     iters: int = 24,
     seed: int = 0,
-) -> dict[int, float]:
-    """Power-iteration L2 norms of the scale slices."""
-    out: dict[int, float] = {}
+) -> dict[int, OpNormResult]:
+    """Power-iteration L2 norms of the scale slices, with their solver
+    diagnostics."""
+    out: dict[int, OpNormResult] = {}
     for ell in ells:
         op = t_ell_operator(n, J, direction, ell, levels)
-        out[ell] = op_norm2_estimate(op, n, J, iters=iters, seed=seed).value
+        out[ell] = op_norm2_estimate(op, n, J, iters=iters, seed=seed)
     return out
 
 
@@ -89,12 +91,13 @@ def rearrangement_norms(
     lams: Sequence[int],
     iters: int = 16,
     seed: int = 0,
-) -> dict[int, float]:
-    """Power-iteration L2 norms of the rearrangement operator."""
-    out: dict[int, float] = {}
+) -> dict[int, OpNormResult]:
+    """Power-iteration L2 norms of the rearrangement operator, with their
+    solver diagnostics."""
+    out: dict[int, OpNormResult] = {}
     for lam in lams:
         op = rearrangement_operator(n, J, lam)
-        out[lam] = op_norm2_estimate(op, n, J, iters=iters, seed=seed).value
+        out[lam] = op_norm2_estimate(op, n, J, iters=iters, seed=seed)
     return out
 
 

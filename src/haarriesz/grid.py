@@ -21,6 +21,7 @@ __all__ = [
     "GridFunction",
     "embed",
     "lp_norm",
+    "dot",
     "all_directions",
     "axis_direction",
 ]
@@ -232,7 +233,7 @@ class GridFunction:
 
     def inner(self, other: "GridFunction") -> float:
         self._check_compatible(other)
-        return float(np.vdot(self.values, other.values) * self.cell_volume())
+        return dot(self.values, other.values) * self.cell_volume()
 
     # -- serialization: 16-byte header (magic, n, J, reserved) + LE float64 --
 
@@ -252,12 +253,19 @@ class GridFunction:
         return cls(int(n), int(J), body.copy())
 
 
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum of x*y over all entries of two real arrays of one shape.  numpy's
+    einsum loop adds in one order on every run, where BLAS splits the sum
+    across its threads; so results do not depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", x.ravel(), y.ravel()))
+
+
 def lp_norm(u: GridFunction, p: float) -> float:
     """Exact L^p norm of a piecewise-constant field, p >= 1 finite."""
     if not np.isfinite(p) or p < 1:
         raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
     if p == 2.0:
-        return float(np.sqrt(np.vdot(u.values, u.values) * u.cell_volume()))
+        return float(np.sqrt(dot(u.values, u.values) * u.cell_volume()))
     return float((np.abs(u.values) ** p).sum() * u.cell_volume()) ** (1.0 / p)
 
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import Direction, DyadicCube, GridFunction, _upsample, axis_direction
+from .grid import Direction, DyadicCube, GridFunction, _upsample, axis_direction, dot
 
 __all__ = [
     "HaarCoefficients",
@@ -100,7 +100,7 @@ class HaarCoefficients:
         for j, dirs in self.levels.items():
             vol = 2.0 ** (-self.n * j)
             for arr in dirs.values():
-                total += float(np.vdot(arr, arr)) * vol
+                total += dot(arr, arr) * vol
         return total
 
 

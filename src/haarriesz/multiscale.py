@@ -5,8 +5,12 @@ The scale slices T_ell work in Fourier coordinates: per level a coset fold
 and a periodic tile by separable 1D factors, between one rfftn and one
 irfftn (derivation at _slice_levels).  Summing t_ell over ell recovers the
 directional projection on the truncated level window.  Operator norms are
-estimated by power iteration on the normal operator (reproducible lower
-bounds); the ring projection's norm is exact, from its cover counts.
+estimated by power iteration on the range side, y = T v with the Gram map
+T T^* (reproducible lower bounds).  For T_ell the range vectors are the
+level-coset spectra of the Haar coefficients, on which T T^* is a set of
+separable coset multipliers (_slice_gram): after one rfftn at the start, no
+step touches a grid or an FFT.  The ring projection's norm is exact, from
+its cover counts.
 """
 
 from __future__ import annotations
@@ -15,17 +19,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .fields import cone_band_field, stream
 from .fourier import beta_factor, resolvable, riesz
-from .grid import Direction, DyadicCube, GridFunction
+from .grid import Direction, DyadicCube, GridFunction, dot
 from .haar import haar_analyze, level_coefficients, level_field
 from .profiles import sine_cell_averages
 
 __all__ = [
+    "GramForm",
     "LinearFieldOp",
     "t_ell",
     "t_ell_operator",
@@ -46,22 +51,39 @@ __all__ = [
 
 
 @dataclass
+class GramForm:
+    """The range of an operator T as power iteration walks it: ``start``
+    maps a field v to its image y = T v, ``gram`` applies T T^* to such a
+    y, and ``inner`` is the L2 inner product of the fields that two of them
+    stand for.  Range vectors support y - c * y' and y * c."""
+
+    start: Callable[[GridFunction], Any]
+    gram: Callable[[Any], Any]
+    inner: Callable[[Any, Any], float]
+
+
+@dataclass
 class LinearFieldOp:
     """Uniform handle for a linear map on grid fields, with its adjoint and,
-    optionally, a direct form ``normal`` of adjoint(apply(.))."""
+    optionally, ``range_form``, a builder of a compact GramForm of its
+    range.  Without one the range is apply's GridFunction, with
+    T T^* = apply(adjoint(.))."""
 
     apply: Callable[[GridFunction], GridFunction]
     adjoint: Callable[[GridFunction], GridFunction]
     name: str = "op"
-    normal: Optional[Callable[[GridFunction], GridFunction]] = None
+    range_form: Optional[Callable[[], GramForm]] = None
 
     def __call__(self, u: GridFunction) -> GridFunction:
         return self.apply(u)
 
     def normal_apply(self, u: GridFunction) -> GridFunction:
-        if self.normal is not None:
-            return self.normal(u)
         return self.adjoint(self.apply(u))
+
+    def gram_form(self) -> GramForm:
+        if self.range_form is not None:
+            return self.range_form()
+        return GramForm(self.apply, lambda y: self.apply(self.adjoint(y)), GridFunction.inner)
 
 
 def _level_sum(coeffs: dict[int, np.ndarray], direction: Direction, J: int) -> GridFunction:
@@ -158,10 +180,8 @@ def _slice_levels(
     a_j = delta_s conj(g_j) = (x)(h_s conj g) - (x)(h_{s+1} conj g) and
     g_j = (x) g is the DFT of the level-j Haar function at the origin; the
     level field with coefficients C has the spectrum g_j tile(C).  So
-        T_ell         = -sum_j c g_j       tile(fold(a_j       .)),
-        T_ell^*       = -sum_j c conj(a_j) tile(fold(conj(g_j) .)),
-        T_ell^* T_ell =  sum_j c conj(a_j) tile(fold(a_j       .)),
-    the last because distinct Haar levels are orthogonal."""
+        T_ell   = -sum_j c g_j       tile(fold(a_j       .)),
+        T_ell^* = -sum_j c conj(a_j) tile(fold(conj(g_j) .))."""
     n = direction.n
     for j in dict.fromkeys(levels):
         if not 0 <= j < J:
@@ -229,7 +249,8 @@ def t_ell_operator(
 ) -> LinearFieldOp:
     """T_ell on the levels of the window whose scale j+ell is resolvable,
     with its exact adjoint -sum_j Delta_{j+ell} P_j^(eps) (Delta_s is
-    self-adjoint) and its normal map, each one FFT pair."""
+    self-adjoint), each one FFT pair, and its range as level-coset spectra
+    (_slice_gram)."""
     if direction.n != n:
         raise ValueError("dimension mismatch")
     lv = [j for j in (default_levels(J) if levels is None else levels) if resolvable(j + ell, J)]
@@ -238,16 +259,77 @@ def t_ell_operator(
         steps = _slice_levels(J, direction, ell, lv)
         return _spectral_map(v, ((M, -c, np.conj(g), np.conj(a)) for M, c, a, g in steps))
 
-    def normal(v: GridFunction) -> GridFunction:
-        steps = _slice_levels(J, direction, ell, lv)
-        return _spectral_map(v, ((M, c, a, np.conj(a)) for M, c, a, g in steps))
-
     return LinearFieldOp(
         apply=lambda u: t_ell(u, direction, ell, lv),
         adjoint=adjoint,
         name=f"T[{ell}]^{direction}",
-        normal=normal,
+        range_form=lambda: _slice_gram(J, direction, ell, lv),
     )
+
+
+def _coset_sum(F: np.ndarray, M: int) -> np.ndarray:
+    """Sum of a (M',)*n array over the cosets of Z_M^n in Z_M'^n, M | M'."""
+    n, w = F.ndim, F.shape[0] // M
+    return F.reshape((w, M) * n).sum(axis=tuple(range(0, 2 * n, 2)))
+
+
+def _slice_gram(J: int, direction: Direction, ell: int, levels: Sequence[int]) -> GramForm:
+    """The range of T_ell as the level-coset spectra y = (y_j) of its Haar
+    coefficients, with T T^* as separable coset multipliers.
+
+    By _slice_levels the level-j coefficients C_j of T_ell v have the DFT
+    -c_j z_j on Z_M^n, M = 2^j, with z_j = fold(a_j v^); take
+    y_j = 2^(-nj) DFT(C_j), up to the common sign, = 2^(-n(2J-j)) z_j.
+    Parseval on Z_M^n makes sum_j <y_j, y'_j> the L2 inner product of the
+    level fields.  T^* y has the spectrum sum_j c_j conj(a_j) tile(z_j),
+    because c_k fold(conj(g_j) g_k tile(z_k)) on Z_M^n is z_j when k = j
+    and 0 otherwise (distinct Haar levels are orthogonal); so
+        (T T^* y)_k = sum_j s_kj fold(a_k conj(a_j) tile(y_j)),
+    s_kj = 2^(-n(2J-k-j)).  With W_kj = s_kj fold(a_k conj(a_j)) on the
+    finer of the two levels, that is the coset sum of W_kj y_j down to
+    level k when k <= j, and W_kj times y_j tiled up to level k when k > j.
+    a_k conj(a_j) is a sum of 4 separable products, so each W_kj is a sum
+    of 4 tensor products of 1D folds."""
+    n = direction.n
+    lv = [(M, c, a) for M, c, a, _ in _slice_levels(J, direction, ell, levels)]
+    bounds = np.cumsum([0] + [M**n for M, _, _ in lv])
+
+    def cross(k: int, j: int) -> np.ndarray:
+        (Mk, ck, ak), (Mj, cj, aj) = lv[k], lv[j]
+        M = max(Mk, Mj)
+        f = np.einsum("piwm,qiwm->pqim", ak.reshape(2, n, -1, M),
+                      np.conj(aj).reshape(2, n, -1, M)).reshape(4, n, M)
+        W = f[:, 0]
+        for i in range(1, n):
+            W = W[..., np.newaxis] * f[:, i].reshape((4,) + (1,) * i + (M,))
+        return W.sum(axis=0) * math.sqrt(ck * cj)
+
+    W = {(k, j): cross(k, j) for k in range(len(lv)) for j in range(len(lv))}
+
+    def start(v: GridFunction) -> np.ndarray:
+        spec = np.fft.rfftn(v.values, axes=tuple(range(n)))
+        y = np.empty(bounds[-1], dtype=complex)
+        for (M, c, a), lo, hi in zip(lv, bounds, bounds[1:]):
+            y[lo:hi] = (_fold(spec, a, M) * (2.0 ** (-n * J) * math.sqrt(c))).ravel()
+        return y
+
+    def gram(y: np.ndarray) -> np.ndarray:
+        parts = [y[lo:hi].reshape((M,) * n) for (M, _, _), lo, hi in zip(lv, bounds, bounds[1:])]
+        out = np.empty_like(y)
+        for k, (Mk, _, _) in enumerate(lv):
+            acc = np.zeros((Mk,) * n, dtype=complex)
+            for j, yj in enumerate(parts):
+                Mj = yj.shape[0]
+                if Mk <= Mj:
+                    acc += _coset_sum(W[k, j] * yj, Mk)
+                else:
+                    # y_j tiled up to level k, by broadcasting over the cosets
+                    tiled = W[k, j].reshape((Mk // Mj, Mj) * n) * yj.reshape((1, Mj) * n)
+                    acc += tiled.reshape(acc.shape)
+            out[bounds[k]:bounds[k + 1]] = acc.ravel()
+        return out
+
+    return GramForm(start, gram, lambda x, y: dot(x.view(np.float64), y.view(np.float64)))
 
 
 def t_ell_riesz_ratio(
@@ -293,6 +375,12 @@ class OpNormResult:
     residual: float = 0.0
 
 
+def _unit_start(n: int, J: int, seed: int) -> GridFunction:
+    """The start vector of power iteration: a unit Gaussian field."""
+    v = GridFunction(n, J, stream(seed, 4, n, J).standard_normal((2**J,) * n))
+    return v * (1.0 / v.lp_norm(2))
+
+
 def op_norm2_estimate(
     op: LinearFieldOp,
     n: int,
@@ -301,33 +389,40 @@ def op_norm2_estimate(
     seed: int = 0,
     tol: float = 1e-4,
 ) -> OpNormResult:
-    """Power iteration on op^T op: the Rayleigh sequence is nondecreasing and
-    its final square root ``value`` is a lower bound on the L2 operator norm.
+    """Power iteration on N = op^T op, run on the range side: it carries
+    y_k = op v_k for the unit field iterates v_k, and y_(k+1) = g / w_k
+    with g = op op^T y_k (op.gram_form) and w_k = ||N v_k|| =
+    sqrt(<y_k, g>).  The Rayleigh quotients <v_k, N v_k> = ||y_k||^2 are
+    nondecreasing, and the final square root ``value`` is a lower bound on
+    the L2 operator norm.
 
     ``residual`` is the eigen-residual ||N v - theta v||_2 of the final unit
-    iterate v and its Rayleigh quotient theta = rayleigh[-1], with
-    N = op^T op.  N is symmetric, so some eigenvalue of N lies within
-    ``residual`` of theta.  ``converged`` is the certificate
-    residual <= tol * theta: theta lies within tol * theta of *an*
-    eigenvalue of N.  It does not prove that eigenvalue is the largest, so
-    ``value`` stays a lower bound on the norm either way."""
+    iterate v and its Rayleigh quotient theta = rayleigh[-1].  With y and
+    y' the last two range iterates and w' the normaliser of y', that is
+    ||op^T r|| for r = y - theta y' / w', computed as sqrt(<r, op op^T r>).
+    N is symmetric, so some eigenvalue of N lies within ``residual`` of
+    theta.  ``converged`` is the certificate residual <= tol * theta: theta
+    lies within tol * theta of *an* eigenvalue of N.  It does not prove
+    that eigenvalue is the largest, so ``value`` stays a lower bound on the
+    norm either way."""
     if iters < 10:
         raise ValueError("need at least 10 iterations")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol}")
-    rng = stream(seed, 4, n, J)
-    v = GridFunction(n, J, rng.standard_normal((2**J,) * n))
-    v = v * (1.0 / v.lp_norm(2))
-    history: list[float] = []
-    for _ in range(iters):
-        w = op.normal_apply(v)
-        history.append(max(v.inner(w), 0.0))
-        wn = w.lp_norm(2)
+    form = op.gram_form()
+    y = form.start(_unit_start(n, J, seed))
+    history = [form.inner(y, y)]
+    for _ in range(iters - 1):
+        g = form.gram(y)
+        wn = math.sqrt(max(form.inner(y, g), 0.0))
         if wn <= 1e-300:
             return OpNormResult(0.0, len(history), True, history, 0.0)
-        v_last, v = v, w * (1.0 / wn)
+        y_last, w_last, y = y, wn, g * (1.0 / wn)
+        history.append(form.inner(y, y))
     theta = history[-1]
-    residual = (w - theta * v_last).lp_norm(2)
+    r = y - (theta / w_last) * y_last
+    del g, y, y_last  # only r stays alive through its Gram map
+    residual = math.sqrt(max(form.inner(r, form.gram(r)), 0.0))
     return OpNormResult(math.sqrt(theta), iters, residual <= tol * theta, history, residual)
 
 

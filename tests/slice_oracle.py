@@ -1,4 +1,5 @@
-"""Grid-space scale slices, the oracle for the Fourier-coordinate T_ell.
+"""Grid-space scale slices, the oracle for the Fourier-coordinate T_ell, and
+field-side power iteration, the oracle for the range-side op_norm2_estimate.
 
 T_ell = -sum_j P_j^(eps) Delta_{j+ell} and its adjoint
 -sum_j Delta_{j+ell} P_j^(eps), with P_j^(eps) = level_field o
@@ -6,9 +7,13 @@ level_coefficients and Delta_s = delta_conv: one rfftn/irfftn pair and one
 block-mean pickup per level.  ``levels`` must be resolvable at every level.
 """
 
+import math
+
+from haarriesz.fields import stream
 from haarriesz.fourier import delta_conv
 from haarriesz.grid import GridFunction
 from haarriesz.haar import level_coefficients, level_field
+from haarriesz.multiscale import OpNormResult
 
 
 def _pick(u, j, direction):
@@ -27,3 +32,24 @@ def grid_t_ell_adjoint(v, direction, ell, levels):
     for j in levels:
         acc = acc - delta_conv(_pick(v, j, direction), j + ell)
     return acc
+
+
+def field_op_norm2_estimate(op, n, J, iters=20, seed=0, tol=1e-4):
+    """Power iteration on the field side, v -> N v / ||N v|| with
+    N = op.normal_apply, from op_norm2_estimate's start vector: the oracle
+    for its range-side iteration (same Rayleigh sequence, residual and flag
+    in exact arithmetic)."""
+    rng = stream(seed, 4, n, J)
+    v = GridFunction(n, J, rng.standard_normal((2**J,) * n))
+    v = v * (1.0 / v.lp_norm(2))
+    history = []
+    for _ in range(iters):
+        w = op.normal_apply(v)
+        history.append(max(v.inner(w), 0.0))
+        wn = w.lp_norm(2)
+        if wn <= 1e-300:
+            return OpNormResult(0.0, len(history), True, history, 0.0)
+        v_last, v = v, w * (1.0 / wn)
+    theta = history[-1]
+    residual = (w - theta * v_last).lp_norm(2)
+    return OpNormResult(math.sqrt(theta), iters, residual <= tol * theta, history, residual)

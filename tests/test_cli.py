@@ -294,3 +294,24 @@ def test_each_subcommand_declares_only_its_flags():
         assert sorted(declared) == sorted([*flags, "--seed", "--out", "--cap-bytes"]), name
         settable += len(declared)
     assert settable == 55
+
+
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # every reduction behind a CSV value adds in a fixed order (grid.dot),
+    # not across however many threads BLAS splits it into
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / f"t{threads}"
+        subprocess.run([sys.executable, "-m", "haarriesz.cli", "rearrange-scaling", "--n", "2",
+                        "--J", "7", "--lambda", "1,2", "--seed", "1", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append((out / "results.csv").read_bytes())
+    assert outputs[0] == outputs[1]

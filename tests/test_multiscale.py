@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from rearrangement_oracle import PredecessorSplit, rearrangement_op, sine_profile_family
 from ring_oracle import ring_adjoint, ring_apply, ring_covers, validate_ring_family
-from slice_oracle import grid_t_ell, grid_t_ell_adjoint
+from slice_oracle import field_op_norm2_estimate, grid_t_ell, grid_t_ell_adjoint
 
 from haarriesz.cli import grid_budget
 from haarriesz.experiments import (
@@ -180,7 +180,7 @@ class TestSpectralSlices:
 
 
 class TestWorkingSet:
-    @pytest.mark.parametrize("n,J", [(1, 8), (2, 6), (3, 5)])
+    @pytest.mark.parametrize("n,J", [(1, 8), (2, 6), (3, 5), (2, 8)])
     def test_tl_decay_fits_its_cap_budget(self, n, J):
         # what cmd_tl_decay runs after enforce_cap(grid_budget(n, J)); a
         # J = 4 run first keeps numpy's lazy imports out of the trace
@@ -315,10 +315,72 @@ class TestOpNorm:
                     assert min(abs(theta - lam) for lam in (1.0, 0.9025)) <= r.residual
 
 
+def _assert_same_estimate(got, want):
+    """Range-side against field-side power iteration: the same Rayleigh
+    sequence in exact arithmetic, so value and every entry agree to rel
+    1e-12.  The residual is a difference of two vectors of size ~theta, so
+    its rounding error is a multiple of eps * theta; it agrees to rel 1e-9
+    above a floor of 1e-12 * theta (1e-8 of the converged threshold)."""
+    theta = want.rayleigh[-1]
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    assert got.iterations == want.iterations
+    assert got.rayleigh == pytest.approx(want.rayleigh, rel=1e-12)
+    assert abs(got.residual - want.residual) <= 1e-9 * want.residual + 1e-12 * theta
+    assert got.converged == want.converged
+
+
+class TestRangeSideIteration:
+    """op_norm2_estimate walks the range, y = T v with T T^*; the field-side
+    loop on T^* T (slice_oracle.field_op_norm2_estimate) is its oracle."""
+
+    @pytest.mark.parametrize("window", ["default", "edges"])
+    @pytest.mark.parametrize("n,J", [(1, 7), (2, 6), (3, 5)])
+    def test_slices_match_field_side(self, n, J, window):
+        direction = axis_direction(n, 1)
+        lv = None if window == "default" else [0, 2, J - 1]
+        for ell in range(-4, 5):
+            op = t_ell_operator(n, J, direction, ell, lv)
+            got = op_norm2_estimate(op, n, J, iters=24, seed=1)
+            want = field_op_norm2_estimate(op, n, J, iters=24, seed=1)
+            _assert_same_estimate(got, want)
+
+    def test_rearrangement_matches_field_side(self):
+        for lam in (1, 2):
+            op = rearrangement_operator(2, 5, lam)
+            got = op_norm2_estimate(op, 2, 5, iters=16, seed=1)
+            want = field_op_norm2_estimate(op, 2, 5, iters=16, seed=1)
+            _assert_same_estimate(got, want)
+
+    def test_range_inner_product_is_the_field_one(self):
+        # the level-coset spectra stand for T u: their inner products and
+        # Gram map are those of the fields
+        op = t_ell_operator(2, 6, Direction((1, 1)), 1, [0, 2, 5])
+        form = op.gram_form()
+        u = random_field(2, 6, seed=63, index=0)
+        v = random_field(2, 6, seed=63, index=1)
+        yu, yv = form.start(u), form.start(v)
+        assert form.inner(yu, yv) == pytest.approx(op.apply(u).inner(op.apply(v)), rel=1e-12)
+        want = op.apply(op.normal_apply(v)).inner(op.apply(u))
+        assert form.inner(yu, form.gram(yv)) == pytest.approx(want, rel=1e-12)
+
+    def test_slice_estimate_runs_no_step_fft(self, monkeypatch):
+        # one rfftn builds the start vector; no step transforms a grid
+        calls = {"rfftn": 0, "irfftn": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        op = t_ell_operator(2, 6, D10, 0)
+        op_norm2_estimate(op, 2, 6, iters=24, seed=1)
+        assert calls["rfftn"] <= 1 and calls["irfftn"] == 0
+
+
 class TestTlDecay:
     def test_norm_decay_at_p2(self):
         norms = tl_decay_norms(2, 7, D10, range(-4, 5), iters=24, seed=0)
-        m = norms
+        m = {ell: r.value for ell, r in norms.items()}
         for ell in (1, 2, 3, 4):
             assert m[ell] <= m[0] * 2.0 ** (-ell / 2.0) * 2.0
         for ell in (2, 3, 4):
@@ -583,4 +645,4 @@ class TestRearrangement:
     def test_growth_scaling(self):
         norms = rearrangement_norms(2, 7, (1, 2, 3), iters=16, seed=0)
         for lo, hi in ((1, 2), (2, 3)):
-            assert norms[hi] / norms[lo] <= 2.0**2 * 1.5
+            assert norms[hi].value / norms[lo].value <= 2.0**2 * 1.5
