@@ -231,12 +231,18 @@ GRID_BUDGET_BASE = 1 << 13
 
 def grid_budget(n: int, J: int, copies: int = 96) -> int:
     """Working-set estimate: ``copies`` float64 grids of 2^(nJ) cells plus
-    GRID_BUDGET_BASE.  For tl-decay, 96 covers its grids, rfftn half
-    spectra, fold/tile scratch, Haar pyramid and Gram multipliers, plus 1D
-    factors, which matter only at n = 1: tests/test_multiscale.py::
-    TestWorkingSet measures about 7-10 copies at n = 2, 3 and about 72 at
-    n = 1, J = 8."""
+    GRID_BUDGET_BASE.  Each subcommand charges the copies its run peaks at;
+    tests/test_multiscale.py::TestWorkingSet measures them.  tl-decay
+    charges TL_DECAY_COPIES[n]: at n = 2, 3 its grids, rfftn half spectra,
+    fold scratch, Haar pyramid and Gram multipliers peak at about 4-9
+    copies; at n = 1 the 1D factors and the Gram multipliers, which grow
+    like J 2^J against the 2^J-cell grid, peak at about 97 copies at
+    J = 12."""
     return 8 * 2 ** (n * J) * copies + GRID_BUDGET_BASE
+
+
+# the grid copies cmd_tl_decay charges, per n (see grid_budget)
+TL_DECAY_COPIES = {1: 128, 2: 16, 3: 16}
 
 
 SCALING_COLUMNS = ["experiment", "n", "J", "p", "ell_or_lambda", "epsilon_bits", "i0",
@@ -258,7 +264,7 @@ def solver_columns(r: OpNormResult) -> tuple:
 
 def cmd_tl_decay(args, run: Run) -> None:
     n, J, p, ells, seed = args.n, args.J, args.p, args.ell, args.seed
-    enforce_cap(grid_budget(n, J), args.cap_bytes)
+    enforce_cap(grid_budget(n, J, copies=TL_DECAY_COPIES[n]), args.cap_bytes)
     direction = axis_direction(n, 1)
     norms = tl_decay_norms(n, J, direction, ells, iters=args.trials * 3, seed=seed)
     run.set_columns(SCALING_COLUMNS)
@@ -280,10 +286,15 @@ def cmd_tl_decay(args, run: Run) -> None:
         if model != "reference":
             run.check(f"tl-decay ell={ell} slack<=: {args.slack}", slack <= args.slack,
                       f"measured={m:.6f} slack={slack:.4f}")
-    # decomposition residual on the standard field
-    res, base = decomposition_residuals(n, J, direction, L_max=4, seed=seed)
+    # decomposition residual on the standard field; from L = J-1 on it is the
+    # truncation floor, its limit as L -> inf
+    res, base = decomposition_residuals(n, J, direction, L_max=max(4, J - 1), seed=seed)
+    floor, res = res[-1], res[:5]
     run.add_row("tl-decomposition", n, J, p, 4, str(direction), 1,
                 args.trials, seed, res[-1] / base, "<=0.05*||Pu||", (res[-1] / base) / 0.05,
+                *NO_SOLVER)
+    run.add_row("tl-decomposition-floor", n, J, p, J - 1, str(direction), 1,
+                args.trials, seed, floor / base, "<=0.05*||Pu||", (floor / base) / 0.05,
                 *NO_SOLVER)
     run.check("tl-decomposition residual <= 0.05", res[-1] <= 0.05 * base,
               f"relative={res[-1]/base:.4f}")

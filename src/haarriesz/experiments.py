@@ -22,6 +22,7 @@ from .multiscale import (
     op_norm2_estimate,
     rearrangement_operator,
     ring_norm,
+    slice_sum_residuals,
     t_ell_operator,
 )
 from .sharpness import BlockSpec, block_field, f_eps_field, single_block_square
@@ -45,18 +46,13 @@ def decomposition_residuals(
     seed: int = 0,
 ) -> tuple[list[float], float]:
     """Residuals ||P u - sum_{|ell| <= L} T_ell u||_2 for L = 0..L_max on the
-    standard random field, plus ||P u||_2 for normalization."""
+    standard random field, in closed form (multiscale.slice_sum_residuals),
+    plus ||P u||_2 for normalization, from the Haar side.  From L = J-1 on
+    the residual is the truncation floor."""
     lv = default_levels(J) if levels is None else list(levels)
     u = standard_random_field(n, J, seed)
-    target = directional_project(u, direction, lv)
-    base = target.lp_norm(2)
-    acc = GridFunction.zeros(n, J)
-    residuals = []
-    for L in range(L_max + 1):
-        ells = [0] if L == 0 else [-L, L]
-        for ell in ells:
-            acc = acc + t_ell_operator(n, J, direction, ell, lv).apply(u)
-        residuals.append((target - acc).lp_norm(2))
+    residuals = slice_sum_residuals(u, direction, range(L_max + 1), lv)
+    base = directional_project(u, direction, lv).lp_norm(2)
     return residuals, base
 
 

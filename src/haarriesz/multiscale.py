@@ -9,8 +9,11 @@ estimated by power iteration on the range side, y = T v with the Gram map
 T T^* (reproducible lower bounds).  For T_ell the range vectors are the
 level-coset spectra of the Haar coefficients, on which T T^* is a set of
 separable coset multipliers (_slice_gram): after one rfftn at the start, no
-step touches a grid or an FFT.  The ring projection's norm is exact, from
-its cover counts.
+step touches a grid or an FFT.  On each level the partial sums of the T_ell
+telescope to one difference of smoothings, so the residuals of the scale
+decomposition are Parseval sums over the same level-coset spectra
+(slice_sum_residuals): one rfftn, and per level one fold per scale.  The
+ring projection's norm is exact, from its cover counts.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "LinearFieldOp",
     "t_ell",
     "t_ell_operator",
+    "slice_sum_residuals",
     "t_ell_riesz_ratio",
     "OpNormResult",
     "op_norm2_estimate",
@@ -168,6 +172,15 @@ def _haar_factor(J: int, j: int, bit: int) -> np.ndarray:
     return out
 
 
+def _window(J: int, levels: Iterable[int]) -> list[int]:
+    """The distinct levels of a window, in order; one outside 0..J-1 raises."""
+    lv = list(dict.fromkeys(levels))
+    for j in lv:
+        if not 0 <= j < J:
+            raise ValueError(f"no coefficients at level {j} (J={J})")
+    return lv
+
+
 def _slice_levels(
     J: int, direction: Direction, ell: int, levels: Sequence[int]
 ) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
@@ -183,9 +196,7 @@ def _slice_levels(
         T_ell   = -sum_j c g_j       tile(fold(a_j       .)),
         T_ell^* = -sum_j c conj(a_j) tile(fold(conj(g_j) .))."""
     n = direction.n
-    for j in dict.fromkeys(levels):
-        if not 0 <= j < J:
-            raise ValueError(f"no coefficients at level {j} (J={J})")
+    for j in _window(J, levels):
         g = np.array([[_haar_factor(J, j, b) for b in direction.bits]])
         h = np.array([beta_factor(j + ell, J), beta_factor(j + ell + 1, J)])
         a = h[:, np.newaxis, :] * np.conj(g)
@@ -330,6 +341,46 @@ def _slice_gram(J: int, direction: Direction, ell: int, levels: Sequence[int]) -
         return out
 
     return GramForm(start, gram, lambda x, y: dot(x.view(np.float64), y.view(np.float64)))
+
+
+def slice_sum_residuals(
+    u: GridFunction, direction: Direction, orders: Sequence[int], levels: Sequence[int]
+) -> list[float]:
+    """||P u - sum_{|ell| <= L} T_ell u||_2 for each L in ``orders``, with P
+    the direction-eps projection on the level window and T_ell as
+    t_ell_operator keeps it, by Parseval on the level-coset spectra: one
+    rfftn and no grid-sized field per slice.
+
+    On level j t_ell_operator keeps the scales s = j + ell with
+    0 <= s <= J-2, and Delta_s = beta_s - beta_{s+1} telescopes: the level-j
+    part of sum_{|ell| <= L} T_ell is P_j (beta_{b+1} - beta_a), with
+    a = max(0, j-L) and b+1 = min(J-1, j+L+1).  So the level-j part of the
+    residual is P_j (I - beta_{b+1} + beta_a) u, whose coset spectrum (as
+    in _slice_gram) is 2^(-n(2J-j)) fold(conj(g_j) (1 - h_{b+1} + h_a) u^)
+    on Z_M^n, M = 2^j, and distinct levels are orthogonal.  The fold is
+    linear, so each level folds u^ once per distinct scale.  From L = J-1
+    on, every level reaches both ends of the ladder, a = 0 and b+1 = J-1:
+    that residual is the truncation floor ||P (I - beta_{J-1} + beta_0) u||."""
+    n, J = u.n, u.J
+    if direction.n != n:
+        raise ValueError("dimension mismatch")
+    lv = _window(J, levels)
+    spec = np.fft.rfftn(u.values, axes=tuple(range(n)))
+    squares = [0.0] * len(orders)
+    for j in lv:
+        g = np.conj([_haar_factor(J, j, b) for b in direction.bits])
+        folds: dict[Optional[int], np.ndarray] = {}
+
+        def fold(s: Optional[int]) -> np.ndarray:
+            if s not in folds:
+                f = g if s is None else g * beta_factor(s, J)
+                folds[s] = _fold(spec, f[np.newaxis], 2**j) * 2.0 ** (-n * (2 * J - j))
+            return folds[s]
+
+        for k, L in enumerate(orders):
+            y = fold(None) - fold(min(J - 1, j + L + 1)) + fold(max(0, j - L))
+            squares[k] += dot(y.view(np.float64), y.view(np.float64))
+    return [math.sqrt(x) for x in squares]
 
 
 def t_ell_riesz_ratio(

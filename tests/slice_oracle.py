@@ -1,5 +1,7 @@
-"""Grid-space scale slices, the oracle for the Fourier-coordinate T_ell, and
-field-side power iteration, the oracle for the range-side op_norm2_estimate.
+"""Grid-space scale slices, the oracle for the Fourier-coordinate T_ell;
+field-side power iteration, the oracle for the range-side op_norm2_estimate;
+and the slice-by-slice field sum, the oracle for the closed-form
+decomposition residuals.
 
 T_ell = -sum_j P_j^(eps) Delta_{j+ell} and its adjoint
 -sum_j Delta_{j+ell} P_j^(eps), with P_j^(eps) = level_field o
@@ -9,11 +11,11 @@ block-mean pickup per level.  ``levels`` must be resolvable at every level.
 
 import math
 
-from haarriesz.fields import stream
+from haarriesz.fields import standard_random_field, stream
 from haarriesz.fourier import delta_conv
 from haarriesz.grid import GridFunction
-from haarriesz.haar import level_coefficients, level_field
-from haarriesz.multiscale import OpNormResult
+from haarriesz.haar import directional_project, level_coefficients, level_field
+from haarriesz.multiscale import OpNormResult, default_levels, t_ell_operator
 
 
 def _pick(u, j, direction):
@@ -53,3 +55,18 @@ def field_op_norm2_estimate(op, n, J, iters=20, seed=0, tol=1e-4):
     theta = history[-1]
     residual = (w - theta * v_last).lp_norm(2)
     return OpNormResult(math.sqrt(theta), iters, residual <= tol * theta, history, residual)
+
+
+def field_decomposition_residuals(n, J, direction, L_max, levels=None, seed=0):
+    """decomposition_residuals by summing the fields t_ell_operator(ell).apply(u)
+    for |ell| <= L and measuring P u minus the sum: one FFT pair per slice."""
+    lv = default_levels(J) if levels is None else list(levels)
+    u = standard_random_field(n, J, seed)
+    target = directional_project(u, direction, lv)
+    acc = GridFunction.zeros(n, J)
+    residuals = []
+    for L in range(L_max + 1):
+        for ell in [0] if L == 0 else [-L, L]:
+            acc = acc + t_ell_operator(n, J, direction, ell, lv).apply(u)
+        residuals.append((target - acc).lp_norm(2))
+    return residuals, target.lp_norm(2)

@@ -64,6 +64,20 @@ class TestTlDecay:
             if r["bound_model"] != "reference":
                 assert float(r["slack"]) <= 2.0
 
+    def test_floor_row(self, tmp_path):
+        # at J = 5 the order L = 4 = J-1 of the decomposition row already
+        # reaches the truncation floor
+        out = tmp_path / "tl"
+        main(["tl-decay", "--J", "5", "--ell=0..1", "--trials", "4", "--seed", "1",
+              "--out", str(out)])
+        with open(out / "results.csv", newline="") as fh:
+            rows = {r["experiment"]: r for r in csv.DictReader(fh)}
+        floor = rows["tl-decomposition-floor"]
+        assert floor["ell_or_lambda"] == "4"
+        assert floor["measured"] == rows["tl-decomposition"]["measured"]
+        assert float(floor["slack"]) == float(floor["measured"]) / 0.05
+        assert [floor[c] for c in ("iterations", "residual", "converged")] == ["0", "0.0", ""]
+
 
 class TestSharpness:
     def test_growth_column(self, tmp_path):

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 from rearrangement_oracle import PredecessorSplit, rearrangement_op, sine_profile_family
 from ring_oracle import ring_adjoint, ring_apply, ring_covers, validate_ring_family
-from slice_oracle import field_op_norm2_estimate, grid_t_ell, grid_t_ell_adjoint
+from slice_oracle import (
+    field_decomposition_residuals,
+    field_op_norm2_estimate,
+    grid_t_ell,
+    grid_t_ell_adjoint,
+)
 
-from haarriesz.cli import grid_budget
+from haarriesz.cli import TL_DECAY_COPIES, grid_budget
 from haarriesz.experiments import (
     decomposition_residuals,
     rearrangement_norms,
@@ -39,6 +44,18 @@ from haarriesz.sharpness import (
 )
 
 D10 = Direction((1, 0))
+
+
+def count_ffts(monkeypatch) -> dict[str, int]:
+    """Calls of np.fft.rfftn and np.fft.irfftn from now on, counted live."""
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
 
 
 def ring_builds(fam, lam, J, match=None):
@@ -179,22 +196,64 @@ class TestSpectralSlices:
             t_ell(u, D10, -4, levels=[5])
 
 
+class TestClosedFormResiduals:
+    """decomposition_residuals by Parseval on the level-coset spectra
+    (multiscale.slice_sum_residuals) against the slice-by-slice field sum
+    (slice_oracle.field_decomposition_residuals).  The two add the same
+    terms in different orders, hence the 1e-12 relative tolerance."""
+
+    @pytest.mark.parametrize("L_max", [0, 4, 6])
+    @pytest.mark.parametrize("window", ["default", "edges"])
+    @pytest.mark.parametrize("n,J,bits", SLICE_CASES)
+    def test_matches_the_slice_sum(self, n, J, bits, window, L_max):
+        direction = Direction(bits)
+        lv = None if window == "default" else [0, 2, J - 1]
+        got, base = decomposition_residuals(n, J, direction, L_max, lv, seed=3)
+        want, want_base = field_decomposition_residuals(n, J, direction, L_max, lv, seed=3)
+        assert base == pytest.approx(want_base, rel=1e-12, abs=0)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("window", ["default", "edges"])
+    @pytest.mark.parametrize("n,J", [(1, 7), (2, 7), (3, 6)])
+    def test_floor_is_the_truncation(self, n, J, window):
+        # from L = J-1 on every level of the window reaches both ends of the
+        # scale ladder, so the residual is that of P (I - beta_{J-1} + beta_0)
+        direction = axis_direction(n, 1)
+        lv = default_levels(J) if window == "default" else [0, 2, J - 1]
+        res, _ = decomposition_residuals(n, J, direction, L_max=J + 1, levels=lv, seed=5)
+        u = standard_random_field(n, J, 5)
+        tail = u - smoothing_conv(u, J - 1) + smoothing_conv(u, 0)
+        expect = directional_project(tail, direction, lv).lp_norm(2)
+        assert res[J - 1:] == pytest.approx([expect] * 3, rel=1e-12, abs=0)
+
+    def test_runs_one_rfftn_and_no_irfftn(self, monkeypatch):
+        calls = count_ffts(monkeypatch)
+        decomposition_residuals(3, 5, axis_direction(3, 1), L_max=4, seed=1)
+        assert calls == {"rfftn": 1, "irfftn": 0}
+
+    @pytest.mark.parametrize("levels,bad", [([0, 7], 7), ([-1, 2], -1)])
+    def test_rejects_levels_off_the_grid(self, levels, bad):
+        with pytest.raises(ValueError, match=rf"no coefficients at level {bad} \(J=6\)"):
+            decomposition_residuals(2, 6, D10, 2, levels=levels, seed=1)
+
+
 class TestWorkingSet:
-    @pytest.mark.parametrize("n,J", [(1, 8), (2, 6), (3, 5), (2, 8)])
+    @pytest.mark.parametrize("n,J", [(1, 8), (1, 12), (2, 6), (3, 5), (2, 8), (3, 7)])
     def test_tl_decay_fits_its_cap_budget(self, n, J):
-        # what cmd_tl_decay runs after enforce_cap(grid_budget(n, J)); a
-        # J = 4 run first keeps numpy's lazy imports out of the trace
+        # what cmd_tl_decay runs after
+        # enforce_cap(grid_budget(n, J, copies=TL_DECAY_COPIES[n])); a J = 4
+        # run first keeps numpy's lazy imports out of the trace
         direction = axis_direction(n, 1)
         tl_decay_norms(n, 4, direction, [0], iters=10, seed=1)
         decomposition_residuals(n, 4, direction, L_max=1, seed=1)
         tracemalloc.start()
         try:
             tl_decay_norms(n, J, direction, range(-4, 5), iters=24, seed=1)
-            decomposition_residuals(n, J, direction, L_max=4, seed=1)
+            decomposition_residuals(n, J, direction, L_max=max(4, J - 1), seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= grid_budget(n, J)
+        assert peak <= grid_budget(n, J, copies=TL_DECAY_COPIES[n])
 
     @pytest.mark.parametrize("n,J", [(1, 3), (1, 8), (2, 7), (3, 6)])
     def test_ring_decay_fits_its_cap_budget(self, n, J):
@@ -365,13 +424,7 @@ class TestRangeSideIteration:
 
     def test_slice_estimate_runs_no_step_fft(self, monkeypatch):
         # one rfftn builds the start vector; no step transforms a grid
-        calls = {"rfftn": 0, "irfftn": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        calls = count_ffts(monkeypatch)
         op = t_ell_operator(2, 6, D10, 0)
         op_norm2_estimate(op, 2, 6, iters=24, seed=1)
         assert calls["rfftn"] <= 1 and calls["irfftn"] == 0
