@@ -40,7 +40,6 @@ from .multiscale import (
     ring_projection_operator,
     t_ell,
     t_ell_operator,
-    t_ell_riesz_ratio,
 )
 from .sharpness import (
     BlockSpec,

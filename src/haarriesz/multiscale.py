@@ -1,19 +1,20 @@
 """Multiscale slices of the directional projections, ring-domain projections,
 rearrangement operators, and operator-norm measurement.
 
-The scale slices T_ell work in Fourier coordinates: per level a coset fold
-and a periodic tile by separable 1D factors, between one rfftn and one
-irfftn (derivation at _slice_levels).  Summing t_ell over ell recovers the
-directional projection on the truncated level window.  Operator norms are
-estimated by power iteration on the range side, y = T v with the Gram map
-T T^* (reproducible lower bounds).  For T_ell the range vectors are the
-level-coset spectra of the Haar coefficients, on which T T^* is a set of
-separable coset multipliers (_slice_gram): after one rfftn at the start, no
-step touches a grid or an FFT.  On each level the partial sums of the T_ell
-telescope to one difference of smoothings, so the residuals of the scale
-decomposition are Parseval sums over the same level-coset spectra
-(slice_sum_residuals): one rfftn, and per level one fold per scale.  The
-ring projection's norm is exact, from its cover counts.
+The scale slices T_ell and their adjoints are applied by their definition,
+per level one resolving convolution and one Haar coefficient pickup.
+Summing t_ell over ell recovers the directional projection on the
+truncated level window.  Operator norms are estimated by power iteration
+on the range side, y = T v with the Gram map T T^* (reproducible lower
+bounds).  Fourier coordinates appear only where that traffic runs: for
+T_ell the range vectors are the level-coset spectra of the Haar
+coefficients, on which T T^* is a set of separable coset multipliers
+(_slice_gram), so after one rfftn at the start no step touches a grid or
+an FFT.  On each level the partial sums of the T_ell telescope to one
+difference of smoothings, so the residuals of the scale decomposition are
+Parseval sums over the same level-coset spectra (slice_sum_residuals): one
+rfftn, and per level one fold per scale.  The ring projection's norm is
+exact, from its cover counts.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .fields import cone_band_field, stream
-from .fourier import beta_factor, resolvable, riesz
+from .fields import stream
+from .fourier import beta_factor, delta_conv, resolvable
 from .grid import Direction, DyadicCube, GridFunction, dot
 from .haar import haar_analyze, level_coefficients, level_field
 from .profiles import sine_cell_averages
@@ -38,7 +39,6 @@ __all__ = [
     "t_ell",
     "t_ell_operator",
     "slice_sum_residuals",
-    "t_ell_riesz_ratio",
     "OpNormResult",
     "op_norm2_estimate",
     "ring_cover",
@@ -100,7 +100,86 @@ def _level_sum(coeffs: dict[int, np.ndarray], direction: Direction, J: int) -> G
 
 
 # ---------------------------------------------------------------------------
-# the scale slices T_ell, in Fourier coordinates
+# the scale slices T_ell
+
+
+def default_levels(J: int) -> list[int]:
+    """Default truncated level window [1, J-2]."""
+    return list(range(1, max(J - 1, 1)))
+
+
+def _window(J: int, levels: Iterable[int]) -> list[int]:
+    """The distinct levels of a window, in order; one outside 0..J-1 raises."""
+    lv = list(dict.fromkeys(levels))
+    for j in lv:
+        if not 0 <= j < J:
+            raise ValueError(f"no coefficients at level {j} (J={J})")
+    return lv
+
+
+def t_ell(
+    u: GridFunction,
+    direction: Direction,
+    ell: int,
+    levels: Optional[Sequence[int]] = None,
+) -> GridFunction:
+    """Scale slice of the directional projection,
+    T_ell u = -sum_j P_j^(eps) Delta_{j+ell} u over the level window, where
+    P_j^(eps) keeps the level-j, direction-eps Haar part.
+
+    The resolving kernel telescopes to minus the identity, so the slices
+    carry a compensating sign; with it, summing t_ell over ell converges to
+    the directional projection on the level window.
+
+    Any (j, ell) whose scale j+ell is not ``resolvable`` raises;
+    t_ell_operator drops those levels instead.
+    """
+    if direction.n != u.n:
+        raise ValueError("dimension mismatch")
+    lv = default_levels(u.J) if levels is None else list(levels)
+    bad = [j for j in lv if not resolvable(j + ell, u.J)]
+    if bad:
+        raise ValueError(
+            f"unresolvable (level, ell) pairs at J={u.J}: "
+            + ", ".join(f"({j},{ell})" for j in bad)
+        )
+    coeffs = {j: level_coefficients(delta_conv(u, j + ell), j, direction) for j in _window(u.J, lv)}
+    return -_level_sum(coeffs, direction, u.J)
+
+
+def t_ell_operator(
+    n: int,
+    J: int,
+    direction: Direction,
+    ell: int,
+    levels: Optional[Sequence[int]] = None,
+) -> LinearFieldOp:
+    """T_ell on the distinct levels of the window whose scale j+ell is
+    resolvable, with its exact adjoint -sum_j Delta_{j+ell} P_j^(eps)
+    (Delta_s is self-adjoint), and its range as level-coset spectra
+    (_slice_gram).  A kept level outside 0..J-1 raises here."""
+    if direction.n != n:
+        raise ValueError("dimension mismatch")
+    window = default_levels(J) if levels is None else levels
+    lv = _window(J, [j for j in window if resolvable(j + ell, J)])
+
+    def adjoint(v: GridFunction) -> GridFunction:
+        acc = GridFunction.zeros(n, J)
+        for j in lv:
+            picked = level_field(level_coefficients(v, j, direction), direction, J)
+            acc = acc - delta_conv(picked, j + ell)
+        return acc
+
+    return LinearFieldOp(
+        apply=lambda u: t_ell(u, direction, ell, lv),
+        adjoint=adjoint,
+        name=f"T[{ell}]^{direction}",
+        range_form=lambda: _slice_gram(J, direction, ell, lv),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the range of T_ell and the decomposition residuals, in Fourier coordinates
 #
 # A separable sum m on Z_N^n is stacked as 1D factors f[q, i, :] over the N
 # frequencies of the numpy FFT layout: m = sum_q f[q, 0] x ... x f[q, n-1].
@@ -138,26 +217,6 @@ def _fold(spec: np.ndarray, f: np.ndarray, M: int) -> np.ndarray:
     return full.reshape(full.shape[:-1] + (w, M)).sum(axis=-2)
 
 
-def _tile(F: np.ndarray, f: np.ndarray, acc: np.ndarray) -> None:
-    """acc += m(xi) F(xi mod M) on the rfftn half spectrum, for a full
-    (M,)*n array F and the separable sum m = f: the transpose of _fold,
-    one axis at a time (the first for every term in one batched product)."""
-    T, n, N = f.shape
-    M = F.shape[0]
-    w, H = N // M, N // 2 + 1
-    blocks = f.reshape(T, n, w, M)
-    y = F[..., np.arange(H) % M] * _on_axis(f[:, -1, :H], n - 1, n)
-    for ax in range(n - 2, 0, -1):
-        sh = y.shape
-        y = y.reshape(sh[: ax + 1] + (1, M) + sh[ax + 2:]) * _on_axis(blocks[:, ax], ax, n)
-        y = y.reshape(sh[: ax + 1] + (N,) + sh[ax + 2:])
-    if n == 1:
-        acc += y.sum(axis=0)
-    else:
-        view = acc.reshape(w, M, -1).transpose(1, 0, 2)
-        view += np.matmul(blocks[:, 0].transpose(2, 1, 0), y.reshape(T, M, -1).transpose(1, 0, 2))
-
-
 @lru_cache(maxsize=None)
 def _haar_factor(J: int, j: int, bit: int) -> np.ndarray:
     """DFT on Z_N, N = 2^J, of the 1D factor of the level-j Haar function at
@@ -172,110 +231,26 @@ def _haar_factor(J: int, j: int, bit: int) -> np.ndarray:
     return out
 
 
-def _window(J: int, levels: Iterable[int]) -> list[int]:
-    """The distinct levels of a window, in order; one outside 0..J-1 raises."""
-    lv = list(dict.fromkeys(levels))
-    for j in lv:
-        if not 0 <= j < J:
-            raise ValueError(f"no coefficients at level {j} (J={J})")
-    return lv
-
-
 def _slice_levels(
     J: int, direction: Direction, ell: int, levels: Sequence[int]
-) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
-    """(M, c, a_j, g_j) per level j, with M = 2^j, c = 2^(-2n(J-j)), and the
-    separable sums a_j (two terms) and g_j (one term) defined below, built
-    from the cached 1D factors.
+) -> Iterator[tuple[int, float, np.ndarray]]:
+    """(M, c, a_j) per level j of a t_ell_operator window, with M = 2^j,
+    c = 2^(-2n(J-j)), and the two-term separable sum a_j defined below,
+    built from the cached 1D factors.
 
     By Poisson summation, the level-j, direction-eps Haar coefficients of
     Delta_s u have the DFT c fold(a_j u^) on Z_M^n, where
     a_j = delta_s conj(g_j) = (x)(h_s conj g) - (x)(h_{s+1} conj g) and
     g_j = (x) g is the DFT of the level-j Haar function at the origin; the
-    level field with coefficients C has the spectrum g_j tile(C).  So
-        T_ell   = -sum_j c g_j       tile(fold(a_j       .)),
-        T_ell^* = -sum_j c conj(a_j) tile(fold(conj(g_j) .))."""
+    level field with coefficients C has the spectrum g_j tile(C), tile the
+    periodic extension."""
     n = direction.n
-    for j in _window(J, levels):
+    for j in levels:
         g = np.array([[_haar_factor(J, j, b) for b in direction.bits]])
         h = np.array([beta_factor(j + ell, J), beta_factor(j + ell + 1, J)])
         a = h[:, np.newaxis, :] * np.conj(g)
         a[1, 0] *= -1.0
-        yield 2**j, 2.0 ** (-2 * n * (J - j)), a, g
-
-
-def _spectral_map(u: GridFunction, steps: Iterable[tuple]) -> GridFunction:
-    """irfftn of the sum over steps (M, c, m, m') of c m' tile(fold(m u^)):
-    one FFT pair."""
-    axes = tuple(range(u.n))
-    spec = np.fft.rfftn(u.values, axes=axes)
-    acc = np.zeros_like(spec)
-    for M, c, fold_f, tile_f in steps:
-        _tile(c * _fold(spec, fold_f, M), tile_f, acc)
-    return GridFunction(u.n, u.J, np.fft.irfftn(acc, s=u.values.shape, axes=axes))
-
-
-def default_levels(J: int) -> list[int]:
-    """Default truncated level window [1, J-2]."""
-    return list(range(1, max(J - 1, 1)))
-
-
-def t_ell(
-    u: GridFunction,
-    direction: Direction,
-    ell: int,
-    levels: Optional[Sequence[int]] = None,
-) -> GridFunction:
-    """Scale slice of the directional projection,
-    T_ell u = -sum_j P_j^(eps) Delta_{j+ell} u over the level window, where
-    P_j^(eps) keeps the level-j, direction-eps Haar part; computed in
-    Fourier coordinates (see _slice_levels).
-
-    The resolving kernel telescopes to minus the identity, so the slices
-    carry a compensating sign; with it, summing t_ell over ell converges to
-    the directional projection on the level window.
-
-    Any (j, ell) whose scale j+ell is not ``resolvable`` raises;
-    t_ell_operator drops those levels instead.
-    """
-    if direction.n != u.n:
-        raise ValueError("dimension mismatch")
-    lv = default_levels(u.J) if levels is None else list(levels)
-    bad = [j for j in lv if not resolvable(j + ell, u.J)]
-    if bad:
-        raise ValueError(
-            f"unresolvable (level, ell) pairs at J={u.J}: "
-            + ", ".join(f"({j},{ell})" for j in bad)
-        )
-    steps = ((M, -c, a, g) for M, c, a, g in _slice_levels(u.J, direction, ell, lv))
-    return _spectral_map(u, steps)
-
-
-def t_ell_operator(
-    n: int,
-    J: int,
-    direction: Direction,
-    ell: int,
-    levels: Optional[Sequence[int]] = None,
-) -> LinearFieldOp:
-    """T_ell on the levels of the window whose scale j+ell is resolvable,
-    with its exact adjoint -sum_j Delta_{j+ell} P_j^(eps) (Delta_s is
-    self-adjoint), each one FFT pair, and its range as level-coset spectra
-    (_slice_gram)."""
-    if direction.n != n:
-        raise ValueError("dimension mismatch")
-    lv = [j for j in (default_levels(J) if levels is None else levels) if resolvable(j + ell, J)]
-
-    def adjoint(v: GridFunction) -> GridFunction:
-        steps = _slice_levels(J, direction, ell, lv)
-        return _spectral_map(v, ((M, -c, np.conj(g), np.conj(a)) for M, c, a, g in steps))
-
-    return LinearFieldOp(
-        apply=lambda u: t_ell(u, direction, ell, lv),
-        adjoint=adjoint,
-        name=f"T[{ell}]^{direction}",
-        range_form=lambda: _slice_gram(J, direction, ell, lv),
-    )
+        yield 2**j, 2.0 ** (-2 * n * (J - j)), a
 
 
 def _coset_sum(F: np.ndarray, M: int) -> np.ndarray:
@@ -300,9 +275,11 @@ def _slice_gram(J: int, direction: Direction, ell: int, levels: Sequence[int]) -
     finer of the two levels, that is the coset sum of W_kj y_j down to
     level k when k <= j, and W_kj times y_j tiled up to level k when k > j.
     a_k conj(a_j) is a sum of 4 separable products, so each W_kj is a sum
-    of 4 tensor products of 1D folds."""
+    of 4 tensor products of 1D folds.  The tests hold ``start`` to the
+    definition: block j is -2^(-nj) DFT of the level-j coefficients of
+    t_ell_operator's apply."""
     n = direction.n
-    lv = [(M, c, a) for M, c, a, _ in _slice_levels(J, direction, ell, levels)]
+    lv = list(_slice_levels(J, direction, ell, levels))
     bounds = np.cumsum([0] + [M**n for M, _, _ in lv])
 
     def cross(k: int, j: int) -> np.ndarray:
@@ -381,36 +358,6 @@ def slice_sum_residuals(
             y = fold(None) - fold(min(J - 1, j + L + 1)) + fold(max(0, j - L))
             squares[k] += dot(y.view(np.float64), y.view(np.float64))
     return [math.sqrt(x) for x in squares]
-
-
-def t_ell_riesz_ratio(
-    n: int,
-    J: int,
-    direction: Direction,
-    i0: int,
-    ell: int,
-    p: float,
-    trials: int,
-    seed: int,
-    levels: Optional[Sequence[int]] = None,
-) -> float:
-    """max over sampled admissible w of ||T_ell w||_p / ||R_{i0} w||_p --
-    a lower estimate of the operator norm of T_ell composed with the inverse
-    Riesz transform."""
-    if not direction.has_axis(i0):
-        raise ValueError(f"direction {direction} does not oscillate along axis {i0}")
-    if trials < 1:
-        raise ValueError("empty family")
-    op = t_ell_operator(n, J, direction, ell, levels)
-    best = 0.0
-    for t in range(trials):
-        w = cone_band_field(n, J, seed, index=1000 * (ell + 64) + t, i0=i0)
-        denom = riesz(w, i0).lp_norm(p)
-        if denom <= 1e-14:
-            raise ValueError(f"inadmissible sample {t}: R_{i0} w vanishes")
-        num = op.apply(w).lp_norm(p)
-        best = max(best, num / denom)
-    return best
 
 
 # ---------------------------------------------------------------------------

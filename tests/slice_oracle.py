@@ -1,39 +1,16 @@
-"""Grid-space scale slices, the oracle for the Fourier-coordinate T_ell;
-field-side power iteration, the oracle for the range-side op_norm2_estimate;
-and the slice-by-slice field sum, the oracle for the closed-form
-decomposition residuals.
-
-T_ell = -sum_j P_j^(eps) Delta_{j+ell} and its adjoint
--sum_j Delta_{j+ell} P_j^(eps), with P_j^(eps) = level_field o
-level_coefficients and Delta_s = delta_conv: one rfftn/irfftn pair and one
-block-mean pickup per level.  ``levels`` must be resolvable at every level.
+"""Field-side power iteration, the oracle for the range-side
+op_norm2_estimate; and the slice-by-slice field sum, the oracle for the
+closed-form decomposition residuals.  Both run t_ell_operator's grid-space
+apply and adjoint (one resolving convolution and one Haar pickup per
+level), which are the definition of T_ell and need no oracle of their own.
 """
 
 import math
 
 from haarriesz.fields import standard_random_field, stream
-from haarriesz.fourier import delta_conv
 from haarriesz.grid import GridFunction
-from haarriesz.haar import directional_project, level_coefficients, level_field
+from haarriesz.haar import directional_project
 from haarriesz.multiscale import OpNormResult, default_levels, t_ell_operator
-
-
-def _pick(u, j, direction):
-    return level_field(level_coefficients(u, j, direction), direction, u.J)
-
-
-def grid_t_ell(u, direction, ell, levels):
-    acc = GridFunction.zeros(u.n, u.J)
-    for j in levels:
-        acc = acc - _pick(delta_conv(u, j + ell), j, direction)
-    return acc
-
-
-def grid_t_ell_adjoint(v, direction, ell, levels):
-    acc = GridFunction.zeros(v.n, v.J)
-    for j in levels:
-        acc = acc - delta_conv(_pick(v, j, direction), j + ell)
-    return acc
 
 
 def field_op_norm2_estimate(op, n, J, iters=20, seed=0, tol=1e-4):

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from rearrangement_oracle import PredecessorSplit, rearrangement_op, sine_profile_family
 from ring_oracle import ring_adjoint, ring_apply, ring_covers, validate_ring_family
-from slice_oracle import (
-    field_decomposition_residuals,
-    field_op_norm2_estimate,
-    grid_t_ell,
-    grid_t_ell_adjoint,
-)
+from slice_oracle import field_decomposition_residuals, field_op_norm2_estimate
 
 from haarriesz.cli import TL_DECAY_COPIES, grid_budget
 from haarriesz.experiments import (
@@ -23,7 +18,7 @@ from haarriesz.experiments import (
 from haarriesz.fields import random_field, single_haar_block, standard_random_field
 from haarriesz.fourier import resolvable, smoothing_conv
 from haarriesz.grid import Direction, DyadicCube, GridFunction, axis_direction
-from haarriesz.haar import directional_project, haar_analyze
+from haarriesz.haar import directional_project, haar_analyze, level_coefficients
 from haarriesz.multiscale import (
     LinearFieldOp,
     default_even_family,
@@ -35,7 +30,6 @@ from haarriesz.multiscale import (
     ring_projection_operator,
     t_ell,
     t_ell_operator,
-    t_ell_riesz_ratio,
 )
 from haarriesz.sharpness import (
     sharpness_experiment_pge2,
@@ -114,10 +108,46 @@ class TestTEll:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_adjoint_identity(self, n):
-        op = t_ell_operator(n, 6, axis_direction(n, 1), 1)
         u = random_field(n, 6, seed=53, index=0)
         v = random_field(n, 6, seed=53, index=1)
-        assert abs(op.apply(u).inner(v) - u.inner(op.adjoint(v))) <= 1e-12
+        directions = [axis_direction(n, 1)] + ([Direction((1,) * n)] if n > 1 else [])
+        for direction in directions:
+            for lv in (None, [0, 2, 5]):
+                for ell in (-1, 1):
+                    op = t_ell_operator(n, 6, direction, ell, lv)
+                    lhs, rhs = op.apply(u).inner(v), u.inner(op.adjoint(v))
+                    assert abs(lhs - rhs) <= 1e-12, (direction, lv, ell)
+
+    def test_repeated_levels_count_once(self):
+        u = random_field(2, 6, seed=54, index=0)
+        v = random_field(2, 6, seed=54, index=1)
+        once, twice = (t_ell_operator(2, 6, D10, 0, lv) for lv in ([2, 3], [2, 2, 3]))
+        assert np.array_equal(twice.apply(u).values, once.apply(u).values)
+        assert np.array_equal(twice.adjoint(v).values, once.adjoint(v).values)
+        assert np.array_equal(twice.gram_form().start(u), once.gram_form().start(u))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fields_constant_across_e1_see_the_1d_slice(self, n):
+        # on u = f (x) 1 the e_1 Haar functions act as h (x) 1 and beta_s has
+        # mass 1 on every transverse axis, so T_ell and its adjoint act as
+        # their 1D versions on f
+        J = 6
+        f = random_field(1, J, seed=55, nyquist_free=False)
+
+        def spread(g):
+            return GridFunction(n, J, np.broadcast_to(
+                g.values.reshape((-1,) + (1,) * (n - 1)), (2**J,) * n).copy())
+
+        for ell in range(-3, 4):
+            kept = [j for j in default_levels(J) if resolvable(j + ell, J)]
+            ops = {m: t_ell_operator(m, J, axis_direction(m, 1), ell) for m in (1, n)}
+            pairs = {
+                "t_ell": (t_ell(spread(f), axis_direction(n, 1), ell, kept),
+                          t_ell(f, axis_direction(1, 1), ell, kept)),
+                "adjoint": (ops[n].adjoint(spread(f)), ops[1].adjoint(f)),
+            }
+            for name, (got, want) in pairs.items():
+                assert _rel(got, spread(want)) <= 1e-12, (ell, name)
 
     def test_decomposition_converges_monotonically(self):
         res, base = decomposition_residuals(2, 7, D10, L_max=4, seed=0)
@@ -153,34 +183,33 @@ def _rel(got, want):
 
 
 class TestSpectralSlices:
-    """T_ell in Fourier coordinates against the grid-space level-local form
-    (slice_oracle), on the default window and on one reaching levels 0 and
-    J-1, for every ell in -4..4 that keeps a resolvable level."""
+    """The range form of T_ell in Fourier coordinates (the level-coset
+    spectra of _slice_gram.start) against the grid-space apply, level by
+    level, on the default window and on one reaching levels 0 and J-1, for
+    every ell in -4..4 that keeps a resolvable level."""
 
     @pytest.mark.parametrize("window", ["default", "edges"])
     @pytest.mark.parametrize("n,J,bits", SLICE_CASES)
     def test_matches_grid_space_form(self, n, J, bits, window):
         direction = Direction(bits)
         lv = default_levels(J) if window == "default" else [0, 2, J - 1]
-        # Nyquist content exercises the half-spectrum completion
-        u = random_field(n, J, seed=60, index=0, nyquist_free=False)
-        v = random_field(n, J, seed=60, index=1, nyquist_free=False)
+        # Nyquist content exercises the half-spectrum completion of _fold
+        u = random_field(n, J, seed=60, nyquist_free=False)
         checked = 0
         for ell in range(-4, 5):
             kept = [j for j in lv if resolvable(j + ell, J)]
             if not kept:
                 continue
             op = t_ell_operator(n, J, direction, ell, lv)
-            tu = grid_t_ell(u, direction, ell, kept)
-            normal = grid_t_ell_adjoint(tu, direction, ell, kept)
-            pairs = {
-                "t_ell": (t_ell(u, direction, ell, kept), tu),
-                "adjoint": (op.adjoint(v), grid_t_ell_adjoint(v, direction, ell, kept)),
-                "normal_apply": (op.normal_apply(u), normal),
-                "adjoint(apply)": (op.adjoint(op.apply(u)), normal),
-            }
-            for name, (got, want) in pairs.items():
-                assert _rel(got, want) <= 1e-13, (ell, name)
+            y, tu = op.gram_form().start(u), op.apply(u)
+            lo = 0
+            for j in kept:
+                # y_j = -2^(-nj) DFT of the level-j coefficients of T_ell u
+                want = -(2.0 ** (-n * j)) * np.fft.fftn(level_coefficients(tu, j, direction))
+                got = y[lo:lo + want.size].reshape(want.shape)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (ell, j)
+                lo += want.size
+            assert lo == y.size
             checked += 1
         assert checked >= 6
 
@@ -191,9 +220,17 @@ class TestSpectralSlices:
         assert op.adjoint(u).lp_norm(2) == 0.0
 
     def test_rejects_levels_off_the_grid(self):
-        u = random_field(2, 5, seed=62)
-        with pytest.raises(ValueError, match="no coefficients at level 5"):
-            t_ell(u, D10, -4, levels=[5])
+        # ell = -4 drops level 0 as unresolvable and keeps level 7 (scale 3)
+        u = random_field(2, 6, seed=62)
+        calls = {
+            "t_ell": lambda: t_ell(u, D10, -4, levels=[7]),
+            "apply": lambda: t_ell_operator(2, 6, D10, -4, [0, 7]).apply(u),
+            "adjoint": lambda: t_ell_operator(2, 6, D10, -4, [0, 7]).adjoint(u),
+            "range form": lambda: t_ell_operator(2, 6, D10, -4, [0, 7]).gram_form().start(u),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=r"no coefficients at level 7 \(J=6\)"):
+                call()
 
 
 class TestClosedFormResiduals:
@@ -438,26 +475,6 @@ class TestTlDecay:
             assert m[ell] <= m[0] * 2.0 ** (-ell / 2.0) * 2.0
         for ell in (2, 3, 4):
             assert m[-ell] <= m[-1] * 2.0 ** (-(ell - 1) / 2.0) * 2.0
-
-    def test_riesz_ratio_scaling(self):
-        r = {ell: t_ell_riesz_ratio(2, 6, D10, 1, ell, 2.0, trials=4, seed=0)
-             for ell in range(-3, 4)}
-        for ell in (1, 2, 3):
-            assert r[ell] <= r[0] * 2.0 ** (ell / 2.0) * 2.0
-        for ell in (2, 3):
-            assert r[-ell] <= r[-1] * 2.0 ** (-(ell - 1) / 2.0) * 2.0
-
-    def test_riesz_ratio_requires_admissible_direction(self):
-        with pytest.raises(ValueError):
-            t_ell_riesz_ratio(2, 6, Direction((0, 1)), 1, 0, 2.0, trials=2, seed=0)
-
-    def test_riesz_ratio_trivial_zero(self):
-        # an empty level window makes every slice vanish: ratio 0
-        assert t_ell_riesz_ratio(2, 6, D10, 1, 0, 2.0, trials=1, seed=0, levels=[]) == 0.0
-
-    def test_riesz_ratio_requires_trials(self):
-        with pytest.raises(ValueError, match="empty"):
-            t_ell_riesz_ratio(2, 6, D10, 1, 0, 2.0, trials=0, seed=0)
 
 
 class TestRingCover:
