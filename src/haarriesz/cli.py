@@ -161,6 +161,7 @@ class Run:
         self.rows: list[list] = []
         self.assertions: list[Assertion] = []
         self.t_start = time.time()
+        self.cpu_start = time.process_time()
 
     def set_columns(self, cols: Sequence[str]) -> None:
         self.columns = list(cols)
@@ -193,6 +194,9 @@ class Run:
             "parameters": {k: self.params[k] for k in sorted(self.params)},
             "started_unix": self.t_start,
             "finished_unix": time.time(),
+            # CPU of every thread of the process (BLAS too); above the wall
+            # time between the two stamps when threads run in parallel
+            "cpu_s": time.process_time() - self.cpu_start,
             "results_digest_sha256": digest,
             "assertions_total": len(self.assertions),
             "assertions_failed": [a.name for a in failed],
@@ -408,19 +412,24 @@ def cmd_sharpness(args, run: Run) -> None:
                       f"coef={c!r}")
 
 
+# jensen_range_check stacks every field it is given; cmd_jensen hands it at
+# most JENSEN_BATCH fields at a time, which peak at about 12 grid copies each
+# (tests/test_multiscale.py::TestWorkingSet)
+JENSEN_BATCH = 64
+
+
 def cmd_jensen(args, run: Run) -> None:
     n, J, seed, trials = args.n, args.J, args.seed, args.trials
-    enforce_cap(grid_budget(n, J), args.cap_bytes)
+    enforce_cap(grid_budget(n, J, copies=16 * min(trials, JENSEN_BATCH)), args.cap_bytes)
     run.set_columns(INTEGRAND_COLUMNS)
     regs = registry_integrands()
     worst = {M: [math.inf] * len(regs) for M in range(0, 4)}
     for M in worst:
-        for i in range(trials):
-            v = VectorField(
-                [haar_polynomial(n, J, seed, index=1000 * M + 2 * i + c, max_level=J - 1)
-                 for c in range(n)]
-            )
-            defects = jensen_range_check(v, regs, M)
+        for start in range(0, trials, JENSEN_BATCH):
+            vs = [VectorField([haar_polynomial(n, J, seed, index=1000 * M + 2 * i + c,
+                                               max_level=J - 1) for c in range(n)])
+                  for i in range(start, min(start + JENSEN_BATCH, trials))]
+            defects = jensen_range_check(vs, regs, M)
             worst[M] = [min(w, d) for w, d in zip(worst[M], defects)]
     for k, f in enumerate(regs):
         for M in worst:
@@ -437,15 +446,16 @@ def cmd_semicontinuity(args, run: Run) -> None:
     phi = GridFunction.constant(n, J, 1.0)
     r_list = list(range(1, min(J - 2, 6) + 1))
     run.set_columns(INTEGRAND_COLUMNS)
-    for f in regs:
-        rows = semicontinuity_experiment(f, phi, r_list, lambda r: oscillation_sequence(n, J, r))
+    per_f = semicontinuity_experiment(regs, phi, r_list, lambda r: oscillation_sequence(n, J, r))
+    for f, rows in zip(regs, per_f):
         for row in rows:
             run.add_row("semicontinuity", row.f_name, row.r, row.I_r, row.I_limit,
                         row.I_r - row.I_limit, row.compliant)
         worst = min(row.I_r - row.I_limit for row in rows)
         run.check(f"semicontinuity compliant f={f.name}", worst >= -1e-8,
                   f"min(I_r - I_inf)={worst:.3e}")
-    crows = semicontinuity_experiment(regs[0], phi, r_list, lambda r: contrast_sequence(n, J, r))
+    (crows,) = semicontinuity_experiment([regs[0]], phi, r_list,
+                                         lambda r: contrast_sequence(n, J, r))
     for row in crows:
         run.add_row("semicontinuity-contrast", row.f_name, row.r, row.I_r, row.I_limit,
                     row.I_r - row.I_limit, row.compliant)
@@ -556,7 +566,7 @@ def cmd_selftest(args, run: Run) -> None:
     if n == 2:
         v = VectorField([haar_polynomial(2, min(J, 4), seed, index=7, max_level=2),
                          haar_polynomial(2, min(J, 4), seed, index=8, max_level=2)])
-        for f, defect in zip(regs[:3], jensen_range_check(v, regs[:3], 1)):
+        for f, defect in zip(regs[:3], jensen_range_check([v], regs[:3], 1)):
             row(f"jensen[{f.name}]", min(defect, 0.0), 0.0, 1e-9)
     # serialization
     blob = u.to_bytes()

@@ -7,7 +7,6 @@ manifests reproduce identical numbers.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,25 +78,20 @@ def standard_random_field(n: int, J: int, seed: int = 0) -> GridFunction:
     if J < 4:
         raise ValueError(f"band 2 <= |xi| <= 5 not resolvable at J={J}")
     N = 2**J
-    # deterministic mode list: integer frequencies in the closed annulus,
-    # one representative per conjugate pair
-    modes = []
-    for xi in itertools.product(range(-5, 6), repeat=n):
-        mag = np.sqrt(sum(x * x for x in xi))
-        if not 2.0 <= mag <= 5.0:
-            continue
-        neg = tuple(-x for x in xi)
-        if neg < xi:  # keep one of each conjugate pair
-            continue
-        modes.append(xi)
+    # deterministic mode list: integer frequencies in the closed annulus, in
+    # itertools.product order, one representative per conjugate pair (the
+    # one whose first nonzero coordinate is negative, so that -xi > xi)
+    xi = np.indices((11,) * n).reshape(n, -1).T - 5
+    mag2 = (xi * xi).sum(axis=1)
+    first = xi[np.arange(len(xi)), np.argmax(xi != 0, axis=1)]
+    xi = xi[(4 <= mag2) & (mag2 <= 25) & (first < 0)]
     rng = stream(seed, 6, 32, 80, 0)  # (band edges x 16, index)
+    draws = rng.standard_normal((len(xi), 2))
+    c = draws[:, 0] + 1j * draws[:, 1]
+    # the 2 len(xi) cells are distinct: |xi_ax| <= 5 < N/2
     spec = np.zeros((N,) * n, dtype=np.complex128)
-    for xi in modes:
-        c = rng.standard_normal() + 1j * rng.standard_normal()
-        idx = tuple(x % N for x in xi)
-        idx_neg = tuple((-x) % N for x in xi)
-        spec[idx] += c
-        spec[idx_neg] += np.conj(c)
+    spec[tuple((xi % N).T)] = c
+    spec[tuple((-xi % N).T)] = np.conj(c)
     vals = np.fft.ifftn(spec).real
     norm = float(np.sqrt(np.mean(vals**2)))
     if norm > 0:
@@ -188,22 +182,21 @@ def trig_band_field(
     cell centers, so refining J samples the same function."""
     band = 8
     rng = stream(seed, 5, band, index)
-    N = 2**J
-    centers = (np.arange(N) + 0.5) / N
-    axes = []
-    for ax in range(n):
-        shape = [1] * n
-        shape[ax] = N
-        axes.append(centers.reshape(shape))
-    out = np.zeros((N,) * n)
-    drawn = 0
-    while drawn < 24:
+    xis, coeffs = [], []
+    while len(xis) < 24:
         xi = rng.integers(-band, band + 1, size=n)
         if xi[i0 - 1] == 0:
             continue
         amp = rng.standard_normal()
         phase = rng.random() * 2.0 * np.pi
-        arg = sum(2.0 * np.pi * xi[ax] * axes[ax] for ax in range(n))
-        out = out + amp * np.cos(arg + phase)
-        drawn += 1
+        xis.append(xi)
+        coeffs.append(amp * np.exp(1j * phase))
+    # Re sum_k amp_k e^{i phase_k} prod_ax e^{2 pi i xi_k,ax x_ax}: one
+    # separable factor per axis, contracted over k
+    N = 2**J
+    centers = (np.arange(N) + 0.5) / N
+    factors = np.exp(2j * np.pi * np.array(xis)[:, :, None] * centers)
+    axes = "abc"[:n]
+    spec = "k," + ",".join("k" + a for a in axes) + "->" + axes
+    out = np.einsum(spec, np.array(coeffs), *(factors[:, ax] for ax in range(n))).real
     return GridFunction(n, J, out)

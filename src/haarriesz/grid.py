@@ -29,10 +29,11 @@ __all__ = [
 _MAGIC = b"HRL1"
 
 
-def _upsample(arr: np.ndarray, J: int) -> np.ndarray:
-    """Spread an array of level-j cell values to the level-J grid."""
-    w = 2**J // arr.shape[0]
-    for ax in range(arr.ndim):
+def _upsample(arr: np.ndarray, J: int, n: int) -> np.ndarray:
+    """Spread level-j cell values, held on the trailing n axes of ``arr``, to
+    the level-J grid; any leading axes are a stack of fields."""
+    w = 2**J // arr.shape[-1]
+    for ax in range(-n, 0):
         arr = np.repeat(arr, w, axis=ax)
     return arr
 

@@ -39,14 +39,15 @@ def _halve(arr: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _split_block(avg: np.ndarray, n: int) -> dict[int, np.ndarray]:
-    """One analysis step: cell averages at level j+1 -> {bit pattern: array at
-    level j}.  Pattern 0 carries the parent averages; pattern eps the
-    direction-eps coefficients (already |Q|-normalized)."""
+    """One analysis step on the trailing n axes (any leading axes are a stack
+    of fields): cell averages at level j+1 -> {bit pattern: array at level
+    j}.  Pattern 0 carries the parent averages; pattern eps the direction-eps
+    coefficients (already |Q|-normalized)."""
     parts = {0: avg}
     for ax in range(n):
         nxt: dict[int, np.ndarray] = {}
         for bits, arr in parts.items():
-            lo, hi = _halve(arr, ax)
+            lo, hi = _halve(arr, ax - n)
             nxt[bits] = (lo + hi) / 2.0
             nxt[bits | (1 << ax)] = (lo - hi) / 2.0
         parts = nxt
@@ -60,8 +61,10 @@ def _merge_block(parts: dict[int, np.ndarray], n: int) -> np.ndarray:
         nxt: dict[int, np.ndarray] = {}
         for base in [bits for bits in cur if not bits & (1 << ax)]:
             s, d = cur[base], cur[base | (1 << ax)]
-            out = np.empty(s.shape[:ax] + (2 * s.shape[ax],) + s.shape[ax + 1:])
-            even, odd = _halve(out, ax)  # views into out
+            shape = list(s.shape)
+            shape[ax - n] *= 2
+            out = np.empty(shape)
+            even, odd = _halve(out, ax - n)  # views into out
             np.add(s, d, out=even)
             np.subtract(s, d, out=odd)
             nxt[base] = out
@@ -69,11 +72,38 @@ def _merge_block(parts: dict[int, np.ndarray], n: int) -> np.ndarray:
     return cur[0]
 
 
-def _block_mean(arr: np.ndarray, j: int) -> np.ndarray:
-    """Level-j cell averages of an array given on a finer dyadic grid."""
-    w = arr.shape[0] >> j
-    blocked = arr.reshape([2**j, w] * arr.ndim)
-    return blocked.mean(axis=tuple(range(1, 2 * arr.ndim, 2)))
+def _block_mean(arr: np.ndarray, j: int, n: int) -> np.ndarray:
+    """Level-j cell averages of fields given on a finer dyadic grid, held on
+    the trailing n axes of ``arr``."""
+    lead = arr.ndim - n
+    w = arr.shape[-1] >> j
+    blocked = arr.reshape(arr.shape[:lead] + (2**j, w) * n)
+    return blocked.mean(axis=tuple(range(lead + 1, blocked.ndim, 2)))
+
+
+def _analyze(avg: np.ndarray, n: int, J: int
+             ) -> tuple[np.ndarray, dict[int, dict[int, np.ndarray]]]:
+    """Haar pyramid of level-J cell values on the trailing n axes: (global
+    means, {level: {direction index: coefficients}})."""
+    levels = {}
+    for j in range(J - 1, -1, -1):
+        parts = _split_block(avg, n)
+        avg = parts.pop(0)
+        levels[j] = parts
+    return avg, levels
+
+
+def _synthesize(avg: np.ndarray, levels: dict[int, dict[int, np.ndarray]], n: int,
+                J: int) -> np.ndarray:
+    """Inverse of _analyze; directions absent from ``levels`` are zero."""
+    for j in range(0, J):
+        parts = {0: avg}
+        dirs = levels.get(j, {})
+        for eps_idx in range(1, 2**n):
+            arr = dirs.get(eps_idx)
+            parts[eps_idx] = arr if arr is not None else np.zeros_like(avg)
+        avg = _merge_block(parts, n)
+    return avg
 
 
 @dataclass
@@ -107,29 +137,13 @@ class HaarCoefficients:
 
 def haar_analyze(u: GridFunction) -> HaarCoefficients:
     """Full Haar decomposition of a grid field (exact)."""
-    n, J = u.n, u.J
-    out = HaarCoefficients(n=n, J=J, mean=0.0)
-    avg = u.values
-    for j in range(J - 1, -1, -1):
-        parts = _split_block(avg, n)
-        avg = parts.pop(0)
-        out.levels[j] = parts
-    out.mean = float(avg.reshape(()))
-    return out
+    avg, levels = _analyze(u.values, u.n, u.J)
+    return HaarCoefficients(n=u.n, J=u.J, mean=float(avg.reshape(())), levels=levels)
 
 
 def haar_synthesize(c: HaarCoefficients) -> GridFunction:
     """Inverse of haar_analyze (exact up to rounding)."""
-    n, J = c.n, c.J
-    avg = np.full((1,) * n, c.mean)
-    for j in range(0, J):
-        parts = {0: avg}
-        dirs = c.levels.get(j, {})
-        for eps_idx in range(1, 2**n):
-            arr = dirs.get(eps_idx)
-            parts[eps_idx] = arr if arr is not None else np.zeros_like(avg)
-        avg = _merge_block(parts, n)
-    return GridFunction(n, J, avg)
+    return GridFunction(c.n, c.J, _synthesize(np.full((1,) * c.n, c.mean), c.levels, c.n, c.J))
 
 
 def level_coefficients(u: GridFunction, j: int, direction: Direction) -> np.ndarray:
@@ -140,7 +154,7 @@ def level_coefficients(u: GridFunction, j: int, direction: Direction) -> np.ndar
         raise ValueError("dimension mismatch")
     if not 0 <= j < u.J:
         raise ValueError(f"no coefficients at level {j} (J={u.J})")
-    return _split_block(_block_mean(u.values, j + 1), u.n)[direction.index]
+    return _split_block(_block_mean(u.values, j + 1, u.n), u.n)[direction.index]
 
 
 def level_field(coeffs: np.ndarray, direction: Direction, J: int) -> GridFunction:
@@ -154,7 +168,15 @@ def level_field(coeffs: np.ndarray, direction: Direction, J: int) -> GridFunctio
     zero = np.zeros_like(coeffs)
     parts = {bits: zero for bits in range(2**n)}
     parts[direction.index] = coeffs
-    return GridFunction(n, J, _upsample(_merge_block(parts, n), J))
+    return GridFunction(n, J, _upsample(_merge_block(parts, n), J, n))
+
+
+def _project_stack(values: np.ndarray, n: int, J: int, eps_idx: int) -> np.ndarray:
+    """P^(eps) at every level of the fields on the trailing n axes of
+    ``values``: directional_project for a stack of fields."""
+    _, levels = _analyze(values, n, J)
+    kept = {j: {eps_idx: dirs[eps_idx]} for j, dirs in levels.items()}
+    return _synthesize(np.zeros(values.shape[:-n] + (1,) * n), kept, n, J)
 
 
 def directional_project(
@@ -195,7 +217,7 @@ def conditional_expectation(u: GridFunction, M: int) -> GridFunction:
     """E_M: replace u by its mean on every level-M cell."""
     if not 0 <= M <= u.J:
         raise ValueError(f"M must be within 0..{u.J}, got {M}")
-    return GridFunction(u.n, u.J, _upsample(_block_mean(u.values, M), u.J))
+    return GridFunction(u.n, u.J, _upsample(_block_mean(u.values, M, u.n), u.J, u.n))
 
 
 def square_function(u: GridFunction) -> GridFunction:
@@ -207,7 +229,7 @@ def square_function(u: GridFunction) -> GridFunction:
         lvl = np.zeros((2**j,) * u.n)
         for arr in dirs.values():
             lvl += arr * arr
-        acc += _upsample(lvl, u.J)
+        acc += _upsample(lvl, u.J, u.n)
     return GridFunction(u.n, u.J, np.sqrt(acc))
 
 

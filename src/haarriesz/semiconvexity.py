@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fourier import derivative, riesz
-from .grid import GridFunction
-from .haar import conditional_expectation, vector_project
+from .grid import GridFunction, axis_direction
+from .haar import _block_mean, _project_stack, conditional_expectation, vector_project
 from .profiles import sine_cell_averages
 
 __all__ = [
@@ -158,24 +158,33 @@ def a0_max_entry(v: VectorField) -> float:
     return max(float(np.abs(e.values).max()) for e in entries.values())
 
 
-def jensen_range_check(v: VectorField, fs: Sequence[Integrand], M: int) -> list[float]:
-    """Per integrand f of ``fs``, min over level-M cells of
-    E_M(f(P(v))) - f(E_M(P(v))); separate convexity makes this nonnegative
-    up to rounding.  P(v) and E_M(P(v)) are computed once for all of ``fs``;
+def jensen_range_check(vs: Sequence[VectorField], fs: Sequence[Integrand], M: int) -> list[float]:
+    """Per integrand f of ``fs``, min over the fields v of ``vs`` and the
+    level-M cells of E_M(f(P(v))) - f(E_M(P(v))); separate convexity makes
+    this nonnegative up to rounding.  Component i of every field joins one
+    stack, so P^(e_i), E_M and each integrand run once for the whole family;
     each integrand's separate-convexity probe runs once per Integrand."""
     for f in fs:
         if not f.separately_convex:
             raise ValueError(f"integrand {f.name!r} failed the separate-convexity probe")
-    if not 0 <= M <= v.J:
-        raise ValueError(f"M must be within 0..{v.J}")
-    w = vector_project(v.components)
-    pw = np.stack([c.values for c in w], axis=-1)
-    ew = np.stack([conditional_expectation(c, M).values for c in w], axis=-1)
-    out = []
-    for f in fs:
-        lhs = conditional_expectation(GridFunction(v.n, v.J, f(pw)), M)
-        out.append(float((lhs.values - f(ew)).min()))
-    return out
+    if not vs:
+        raise ValueError("no vector fields")
+    n, J = vs[0].n, vs[0].J
+    if any((v.n, v.J) != (n, J) for v in vs):
+        raise ValueError("vector fields live on different grids")
+    if not 0 <= M <= J:
+        raise ValueError(f"M must be within 0..{J}")
+    # pw[i, b] = P^(e_i) of component i of field b
+    pw = np.stack([
+        _project_stack(np.stack([v.components[i].values for v in vs]), n, J,
+                       axis_direction(n, i + 1).index)
+        for i in range(n)
+    ])
+    # both terms of the defect are constant on level-M cells: compare the
+    # level-M averages, with the component axis last for the integrands
+    ew = np.moveaxis(_block_mean(pw, M, n), 0, -1)
+    pw = np.moveaxis(pw, 0, -1)
+    return [float((_block_mean(f(pw), M, n) - f(ew)).min()) for f in fs]
 
 
 def residual_ratio(v: VectorField, p: float) -> float:
@@ -243,20 +252,22 @@ class SemicontinuityRow:
 
 
 def semicontinuity_experiment(
-    f: Integrand,
+    fs: Sequence[Integrand],
     phi: GridFunction,
     r_list: Sequence[int],
     sequence: Callable[[int], VectorField],
-) -> list[SemicontinuityRow]:
-    """Tabulate I_r = sum f(v_r) phi vol against the weak-limit row
-    I_inf = int f(v) phi, v the global means of v_r.
+) -> list[list[SemicontinuityRow]]:
+    """Per integrand f of ``fs``, tabulate I_r = sum f(v_r) phi vol against
+    the weak-limit row I_inf = int f(v) phi, v the global means of v_r.  Each
+    v_r, its off-diagonal gradient and its weak limit are built once for all
+    of ``fs``.
 
     Sequences whose off-diagonal gradient exceeds 1e-8 are flagged as
     contrast rows rather than rejected.
     """
     if float(phi.values.min()) < 0.0:
         raise ValueError("test function must be nonnegative")
-    rows: list[SemicontinuityRow] = []
+    rows: list[list[SemicontinuityRow]] = [[] for _ in fs]
     vol = phi.cell_volume()
     for r in r_list:
         v = sequence(r)
@@ -264,10 +275,10 @@ def semicontinuity_experiment(
             raise ValueError("sequence and test function live on different grids")
         a0 = a0_max_entry(v)
         compliant = a0 <= 1e-8
-        fv = f(v.stacked())
-        I_r = float((fv * phi.values).sum() * vol)
-        limit = [conditional_expectation(c, 0) for c in v.components]
-        f_lim = f(np.stack([c.values for c in limit], axis=-1))
-        I_inf = float((f_lim * phi.values).sum() * vol)
-        rows.append(SemicontinuityRow(f.name, r, I_r, I_inf, a0, compliant))
+        stacked = v.stacked()
+        limit = np.stack([conditional_expectation(c, 0).values for c in v.components], axis=-1)
+        for f, f_rows in zip(fs, rows):
+            I_r = float((f(stacked) * phi.values).sum() * vol)
+            I_inf = float((f(limit) * phi.values).sum() * vol)
+            f_rows.append(SemicontinuityRow(f.name, r, I_r, I_inf, a0, compliant))
     return rows

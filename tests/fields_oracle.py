@@ -1,0 +1,58 @@
+"""Scalar-loop forms of two field families, the oracles for
+``fields.trig_band_field`` (one full-grid cosine per frequency) and
+``fields.standard_random_field`` (one Python step per annulus mode)."""
+
+import itertools
+
+import numpy as np
+
+from haarriesz.fields import stream
+
+
+def trig_band_cos_loop(n, J, seed, index=0, i0=1):
+    """sum_k amp_k cos(2 pi xi_k . x + phase_k) at the cell centers, with the
+    draws of ``trig_band_field``."""
+    band = 8
+    rng = stream(seed, 5, band, index)
+    N = 2**J
+    centers = (np.arange(N) + 0.5) / N
+    axes = []
+    for ax in range(n):
+        shape = [1] * n
+        shape[ax] = N
+        axes.append(centers.reshape(shape))
+    out = np.zeros((N,) * n)
+    drawn = 0
+    while drawn < 24:
+        xi = rng.integers(-band, band + 1, size=n)
+        if xi[i0 - 1] == 0:
+            continue
+        amp = rng.standard_normal()
+        phase = rng.random() * 2.0 * np.pi
+        arg = sum(2.0 * np.pi * xi[ax] * axes[ax] for ax in range(n))
+        out = out + amp * np.cos(arg + phase)
+        drawn += 1
+    return out
+
+
+def standard_field_mode_loop(n, J, seed=0):
+    """The values of ``standard_random_field``, one annulus mode at a time."""
+    N = 2**J
+    modes = []
+    for xi in itertools.product(range(-5, 6), repeat=n):
+        mag = np.sqrt(sum(x * x for x in xi))
+        if not 2.0 <= mag <= 5.0:
+            continue
+        neg = tuple(-x for x in xi)
+        if neg < xi:  # keep one of each conjugate pair
+            continue
+        modes.append(xi)
+    rng = stream(seed, 6, 32, 80, 0)
+    spec = np.zeros((N,) * n, dtype=np.complex128)
+    for xi in modes:
+        c = rng.standard_normal() + 1j * rng.standard_normal()
+        spec[tuple(x % N for x in xi)] += c
+        spec[tuple((-x) % N for x in xi)] += np.conj(c)
+    vals = np.fft.ifftn(spec).real
+    norm = float(np.sqrt(np.mean(vals**2)))
+    return vals / norm if norm > 0 else vals

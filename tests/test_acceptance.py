@@ -192,7 +192,7 @@ def test_criterion_9_jensen():
             [haar_polynomial(2, 4, seed=109, index=2 * i + c, max_level=3) for c in (0, 1)]
         )
         for M in range(0, 4):
-            worst = min(worst, *jensen_range_check(v, regs, M))
+            worst = min(worst, *jensen_range_check([v], regs, M))
     elapsed = time.monotonic() - t0
     report(9, "Jensen on the projection range", worst >= -1e-9,
            f"min defect={worst:.2e} over 200x4x4", elapsed, 60.0)
@@ -205,10 +205,11 @@ def test_criterion_10_semicontinuity():
     r_list = [1, 2, 3, 4, 5]
     compliant_ok = True
     for f in regs.values():
-        rows = semicontinuity_experiment(f, phi, r_list, lambda r: oscillation_sequence(2, 8, r))
+        (rows,) = semicontinuity_experiment([f], phi, r_list,
+                                            lambda r: oscillation_sequence(2, 8, r))
         compliant_ok &= all(row.I_r >= row.I_limit - 1e-8 for row in rows)
-    crows = semicontinuity_experiment(
-        regs["ab"], phi, r_list, lambda r: contrast_sequence(2, 8, r)
+    (crows,) = semicontinuity_experiment(
+        [regs["ab"]], phi, r_list, lambda r: contrast_sequence(2, 8, r)
     )
     violation = max(row.I_limit - row.I_r for row in crows)
     elapsed = time.monotonic() - t0

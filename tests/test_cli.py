@@ -38,6 +38,7 @@ class TestSelftest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["assertions_failed"] == []
         assert manifest["parameters"]["seed"] == 7
+        assert manifest["cpu_s"] > 0.0
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

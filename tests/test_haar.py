@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from haarriesz.fields import random_field, single_haar_block
-from haarriesz.grid import Direction, DyadicCube, GridFunction, all_directions, embed
+from haarriesz.grid import Direction, DyadicCube, GridFunction, _upsample, all_directions, embed
 from haarriesz.haar import (
     HaarCoefficients,
+    _block_mean,
+    _merge_block,
+    _project_stack,
+    _split_block,
     bmo_d_norm,
     conditional_expectation,
     directional_project,
@@ -268,3 +272,34 @@ class TestBmo:
     def test_matches_oscillation_form(self, n, J):
         u = random_field(n, J, seed=24, mean_zero=False)
         assert bmo_d_norm(u) == pytest.approx(bmo_oscillation_bruteforce(u), rel=1e-10)
+
+
+@pytest.mark.parametrize("n,J", [(1, 4), (2, 4), (3, 3)])
+def test_primitives_on_a_stack_equal_per_field_results(n, J):
+    # leading axes (2, 3) are a stack of six fields
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((2, 3) + (2**J,) * n)
+    fields = stack.reshape((6,) + (2**J,) * n)
+
+    def member(arr, b):
+        return arr.reshape((6,) + arr.shape[2:])[b]
+
+    parts = _split_block(stack, n)
+    merged = _merge_block(parts, n)
+    eps = 2**n - 1
+    projected = _project_stack(stack, n, J, eps)
+    for b, f in enumerate(fields):
+        single = _split_block(f, n)
+        assert sorted(parts) == sorted(single)
+        assert all(np.array_equal(member(parts[k], b), single[k]) for k in single)
+        assert np.array_equal(member(merged, b), _merge_block(single, n))
+        u = GridFunction(n, J, f)
+        assert np.array_equal(member(projected, b),
+                              directional_project(u, Direction((1,) * n)).values)
+    for j in range(J + 1):
+        means = _block_mean(stack, j, n)
+        assert means.shape == (2, 3) + (2**j,) * n
+        spread = _upsample(means, J, n)
+        for b, f in enumerate(fields):
+            assert np.array_equal(member(means, b), _block_mean(f, j, n))
+            assert np.array_equal(member(spread, b), _upsample(_block_mean(f, j, n), J, n))

@@ -8,14 +8,14 @@ from rearrangement_oracle import PredecessorSplit, rearrangement_op, sine_profil
 from ring_oracle import ring_adjoint, ring_apply, ring_covers, validate_ring_family
 from slice_oracle import field_decomposition_residuals, field_op_norm2_estimate
 
-from haarriesz.cli import TL_DECAY_COPIES, grid_budget
+from haarriesz.cli import JENSEN_BATCH, TL_DECAY_COPIES, grid_budget
 from haarriesz.experiments import (
     decomposition_residuals,
     rearrangement_norms,
     ring_decay_norms,
     tl_decay_norms,
 )
-from haarriesz.fields import random_field, single_haar_block, standard_random_field
+from haarriesz.fields import haar_polynomial, random_field, single_haar_block, standard_random_field
 from haarriesz.fourier import resolvable, smoothing_conv
 from haarriesz.grid import Direction, DyadicCube, GridFunction, axis_direction
 from haarriesz.haar import directional_project, haar_analyze, level_coefficients
@@ -31,6 +31,7 @@ from haarriesz.multiscale import (
     t_ell,
     t_ell_operator,
 )
+from haarriesz.semiconvexity import VectorField, jensen_range_check, registry_integrands
 from haarriesz.sharpness import (
     sharpness_experiment_pge2,
     single_block_experiment_ple2,
@@ -303,6 +304,24 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= grid_budget(n, J, copies=16)
+
+    @pytest.mark.parametrize("n,J", [(2, 3), (2, 4), (3, 4)])
+    @pytest.mark.parametrize("batch", [1, JENSEN_BATCH])
+    def test_jensen_fits_its_cap_budget(self, n, J, batch):
+        # one cmd_jensen batch, after enforce_cap(grid_budget(n, J,
+        # copies=16 * batch)); the first call runs the integrands'
+        # separate-convexity probes, whose lattice does not scale with J
+        regs = registry_integrands()
+        jensen_range_check([VectorField([GridFunction.zeros(n, 3) for _ in range(n)])], regs, 0)
+        tracemalloc.start()
+        try:
+            vs = [VectorField([haar_polynomial(n, J, 1, index=n * i + c) for c in range(n)])
+                  for i in range(batch)]
+            jensen_range_check(vs, regs, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid_budget(n, J, copies=16 * batch)
 
     def test_sharpness_ple2_fits_its_cap_budget(self):
         # what cmd_sharpness --regime ple2 runs at the default eps list after

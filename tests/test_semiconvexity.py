@@ -76,27 +76,27 @@ class TestJensen:
             [single_haar_block(2, 4, 0, (0, 0), (1, 0)),
              single_haar_block(2, 4, 0, (0, 0), (0, 1))]
         )
-        (defect,) = jensen_range_check(v, [regs["ab"]], 0)
+        (defect,) = jensen_range_check([v], [regs["ab"]], 0)
         assert defect == pytest.approx(0.0, abs=1e-12)
 
     def test_convex_quadratic(self):
         quad = Integrand("sq", lambda a: a[..., 0] ** 2 + a[..., 1] ** 2, 2, 2.0, 2.0)
         v = random_haar_vector(4, seed=60, index=0)
-        assert jensen_range_check(v, [quad], 1)[0] >= -1e-9
+        assert jensen_range_check([v], [quad], 1)[0] >= -1e-9
 
     @pytest.mark.parametrize("M", [0, 1, 2, 3])
     def test_registry_over_random_fields(self, M):
         regs = registry_integrands()
         for i in range(50):
             v = random_haar_vector(4, seed=61, index=i)
-            for defect in jensen_range_check(v, regs, M):
+            for defect in jensen_range_check([v], regs, M):
                 assert defect >= -1e-9
 
     def test_rejects_non_convex_integrand(self):
         bad = Integrand("neg_sq", lambda a: -(a[..., 0] ** 2), 2, 2.0, 1.0)
         v = random_haar_vector(4, seed=62, index=0)
         with pytest.raises(ValueError, match="convex"):
-            jensen_range_check(v, [bad], 1)
+            jensen_range_check([v], [bad], 1)
 
     def test_probes_each_integrand_once(self):
         probes = []
@@ -109,9 +109,9 @@ class TestJensen:
         bad = Integrand("neg_sq", lambda a: -(a[..., 0] ** 2), 2, 2.0, 1.0)
         for i in range(3):
             v = random_haar_vector(4, seed=64, index=i)
-            jensen_range_check(v, [f], 1)
+            jensen_range_check([v], [f], 1)
             with pytest.raises(ValueError, match="convex"):
-                jensen_range_check(v, [bad], 1)
+                jensen_range_check([v], [bad], 1)
         assert probes.count((61, 61, 2)) == 1
 
     @pytest.mark.parametrize("M", [0, 1, 2, 3])
@@ -119,9 +119,26 @@ class TestJensen:
         regs = registry_integrands()
         for i in range(5):
             v = random_haar_vector(4, seed=63, index=i)
-            assert jensen_range_check(v, regs, M) == [
-                jensen_range_check(v, [f], M)[0] for f in regs
+            assert jensen_range_check([v], regs, M) == [
+                jensen_range_check([v], [f], M)[0] for f in regs
             ]
+
+    @pytest.mark.parametrize("n,J", [(2, 4), (3, 3), (3, 4)])
+    @pytest.mark.parametrize("M", [0, 1, 2, 3])
+    def test_family_equals_min_over_single_fields(self, n, J, M):
+        regs = registry_integrands()
+        vs = [VectorField([haar_polynomial(n, J, seed=66, index=n * i + c) for c in range(n)])
+              for i in range(7)]
+        singles = [jensen_range_check([v], regs, M) for v in vs]
+        assert jensen_range_check(vs, regs, M) == [min(d) for d in zip(*singles)]
+
+    def test_rejects_empty_and_mixed_families(self):
+        regs = registry_integrands()
+        with pytest.raises(ValueError, match="no vector fields"):
+            jensen_range_check([], regs, 0)
+        with pytest.raises(ValueError, match="different grids"):
+            jensen_range_check([random_haar_vector(4, 67, 0), random_haar_vector(3, 67, 0)],
+                               regs, 0)
 
     def test_three_component_integrand(self):
         f3 = Integrand(
@@ -136,7 +153,7 @@ class TestJensen:
             [haar_polynomial(3, 3, seed=65, index=i, max_level=2) for i in range(3)]
         )
         for M in (0, 1, 2):
-            assert jensen_range_check(v, [f3], M)[0] >= -1e-9
+            assert jensen_range_check([v], [f3], M)[0] >= -1e-9
 
 
 class TestResidualRatio:
@@ -178,8 +195,8 @@ class TestSemicontinuity:
         self.phi = GridFunction.constant(2, 8, 1.0)
 
     def test_compliant_product_sequence(self):
-        rows = semicontinuity_experiment(
-            self.regs["ab"], self.phi, [1, 2, 3, 4],
+        (rows,) = semicontinuity_experiment(
+            [self.regs["ab"]], self.phi, [1, 2, 3, 4],
             lambda r: oscillation_sequence(2, 8, r),
         )
         for row in rows:
@@ -189,15 +206,15 @@ class TestSemicontinuity:
 
     def test_convex_integrand_classical(self):
         quad = Integrand("sq", lambda a: a[..., 0] ** 2 + a[..., 1] ** 2, 2, 2.0, 2.0)
-        rows = semicontinuity_experiment(
-            quad, self.phi, [1, 2, 3], lambda r: oscillation_sequence(2, 8, r)
+        (rows,) = semicontinuity_experiment(
+            [quad], self.phi, [1, 2, 3], lambda r: oscillation_sequence(2, 8, r)
         )
         for row in rows:
             assert row.I_r >= row.I_limit - 1e-9
 
     def test_contrast_violates(self):
-        rows = semicontinuity_experiment(
-            self.regs["ab"], self.phi, [2, 3],
+        (rows,) = semicontinuity_experiment(
+            [self.regs["ab"]], self.phi, [2, 3],
             lambda r: contrast_sequence(2, 8, r),
         )
         for row in rows:
@@ -208,24 +225,35 @@ class TestSemicontinuity:
     def test_positively_correlated_contrast_converges_upward(self):
         # same-sign components: the product integrand converges to 1/2, not
         # to the weak-limit value 0
-        rows = semicontinuity_experiment(
-            self.regs["ab"], self.phi, [3],
+        (rows,) = semicontinuity_experiment(
+            [self.regs["ab"]], self.phi, [3],
             lambda r: contrast_sequence(2, 8, r, amplitudes=(1.0, 1.0)),
         )
         assert rows[0].I_r == pytest.approx(0.5, abs=5e-3)
         assert not rows[0].compliant
 
+    @pytest.mark.parametrize("n,J", [(2, 8), (3, 5)])
+    @pytest.mark.parametrize("sequence", [oscillation_sequence, contrast_sequence])
+    def test_integrand_list_matches_single_runs(self, n, J, sequence):
+        fs = registry_integrands()
+        phi = GridFunction.constant(n, J, 1.0)
+        rows = semicontinuity_experiment(fs, phi, [1, 2, 3], lambda r: sequence(n, J, r))
+        assert rows == [
+            semicontinuity_experiment([f], phi, [1, 2, 3], lambda r: sequence(n, J, r))[0]
+            for f in fs
+        ]
+
     def test_rejects_negative_test_function(self):
         phi = GridFunction.constant(2, 8, -1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             semicontinuity_experiment(
-                self.regs["ab"], phi, [1], lambda r: oscillation_sequence(2, 8, r)
+                [self.regs["ab"]], phi, [1], lambda r: oscillation_sequence(2, 8, r)
             )
 
     def test_nonconstant_test_function(self):
         phi = embed(lambda x, y: 1.0 + 0.5 * np.cos(2 * np.pi * x), 2, 8, quad_order=3)
-        rows = semicontinuity_experiment(
-            self.regs["quad_cross"], phi, [2, 3, 4],
+        (rows,) = semicontinuity_experiment(
+            [self.regs["quad_cross"]], phi, [2, 3, 4],
             lambda r: oscillation_sequence(2, 8, r),
         )
         for row in rows:
