@@ -18,7 +18,6 @@ from .haar import (
     haar_analyze,
     haar_synthesize,
     square_function,
-    vector_project,
 )
 from .fourier import (
     ResolvingKernel,
@@ -48,7 +47,6 @@ from .sharpness import (
     build_collection,
     f_eps_field,
     gram_norm2,
-    mother_profiles,
     sharpness_experiment_pge2,
     single_block_experiment_ple2,
 )
@@ -59,7 +57,6 @@ from .semiconvexity import (
     check_separately_convex,
     jensen_range_check,
     registry_integrands,
-    residual_ratio,
     semicontinuity_experiment,
 )
 

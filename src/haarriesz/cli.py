@@ -54,8 +54,9 @@ from .experiments import (
     tl_decay_norms,
 )
 from .sharpness import (
+    A_PROFILE,
+    B_PROFILE,
     build_collection,
-    mother_profiles,
     sharpness_experiment_pge2,
     single_block_experiment_ple2,
     unit_square_coefficient,
@@ -552,13 +553,12 @@ def cmd_selftest(args, run: Run) -> None:
         measure = sum(E.volume() for E in cover)
         row("ring-cover-measure", measure, 40.0 / 64.0, 1e-12)
         # mother profile integrals
-        m = mother_profiles()
-        row("profile-A-mean", profile_integral(list(m.A)), 0.0, 1e-14)
-        row("profile-B-mean", profile_integral(list(m.B)), 0.0, 1e-14)
-        row("profile-A-vs-haar", profile_product_integral(list(m.A), haar_pieces(0.0, 1.0)),
+        row("profile-A-mean", profile_integral(A_PROFILE), 0.0, 1e-14)
+        row("profile-B-mean", profile_integral(B_PROFILE), 0.0, 1e-14)
+        row("profile-A-vs-haar", profile_product_integral(A_PROFILE, haar_pieces(0.0, 1.0)),
             2.0 / math.pi, 1e-12)
-        row("profile-A-energy", profile_product_integral(list(m.A), list(m.A)), 0.5, 1e-12)
-        row("profile-B-energy", profile_product_integral(list(m.B), list(m.B)), 1.0, 1e-12)
+        row("profile-A-energy", profile_product_integral(A_PROFILE, A_PROFILE), 0.5, 1e-12)
+        row("profile-B-energy", profile_product_integral(B_PROFILE, B_PROFILE), 1.0, 1e-12)
         for e in (0.5, 0.25):
             row(f"block-coefficient[eps={e}]", unit_square_coefficient(e), 4.0 * e / math.pi**2, 1e-10)
     # jensen quick cases
@@ -589,18 +589,19 @@ FLAG_HELP = {
 }
 COMMON_FLAGS = {"--seed": (int, 0), "--cap-bytes": (int, DEFAULT_CAP_BYTES)}
 DIM = _int_in(1, 3)
+SLACK = _domain(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 SUBCOMMANDS: dict[str, tuple[Callable, dict[str, tuple]]] = {
     "tl-decay": (cmd_tl_decay, {
         "--n": (DIM, 2), "--J": (_int_in(4, 12), 7),
         "--p": (_domain(float, lambda p: p == 2, "2"), 2.0), "--ell": (parse_int_list, "-4..4"),
-        "--trials": (_int_in(4), 8), "--slack": (float, 2.0)}),
+        "--trials": (_int_in(4), 8), "--slack": (SLACK, 2.0)}),
     "ring-decay": (cmd_ring_decay, {
         "--n": (DIM, 2), "--J": (_int_in(2, 12), 7), "--lambda": (parse_int_list, "3,4,5"),
-        "--slack": (float, 1.5)}),
+        "--slack": (SLACK, 1.5)}),
     "rearrange-scaling": (cmd_rearrange, {
         "--n": (DIM, 2), "--J": (_int_in(2, 12), 7), "--lambda": (parse_int_list, "1,2,3"),
-        "--trials": (_int_in(5), 8), "--slack": (float, 1.5)}),
+        "--trials": (_int_in(5), 8), "--slack": (SLACK, 1.5)}),
     "interp-ratio": (cmd_interp_ratio, {
         "--n": (DIM, 2), "--J": (_int_in(4, 12), 7),
         "--p-list": (_domain(parse_float_list, lambda p: 1 <= p < math.inf, "in [1, inf)"), "2"),
@@ -609,7 +610,7 @@ SUBCOMMANDS: dict[str, tuple[Callable, dict[str, tuple]]] = {
         "--p": (_domain(float, lambda p: 1 < p <= 2, "in (1, 2]"), 1.5),
         "--eps": (_domain(parse_eps_list, lambda e: 0 < e <= 0.5 and math.frexp(e)[0] == 0.5,
                           "2^-k with k >= 1"), "1/2,1/4,1/8"),
-        "--eta": (float, 0.1), "--sample": (_int_in(10), 200),
+        "--eta": (_domain(float, math.isfinite, "finite"), 0.1), "--sample": (_int_in(10), 200),
         "--regime": (_domain(str, lambda r: r in ("pge2", "ple2", "both"), "pge2, ple2 or both"), "both")}),
     "jensen": (cmd_jensen, {"--n": (_int_in(2, 3), 2), "--J": (_int_in(3, 4), 4),
                             "--trials": (_int_in(1), 10)}),

@@ -4,7 +4,7 @@ and the acceptance suite."""
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .fields import (
     haar_polynomial,
@@ -106,15 +106,15 @@ def interpolatory_family(
     J: int,
     seed: int,
     count: int = 25,
-) -> list[tuple[str, int, GridFunction]]:
+) -> Iterator[tuple[str, int, GridFunction]]:
     """The structured test families for the interpolatory-ratio experiment:
     Haar polynomials, single Haar blocks, trigonometric cone fields, the
     coarsest layered test function, and single tensor blocks.  Every member
     is the same underlying function at every J (so the measured sup is
-    comparable across resolutions)."""
-    fams: list[tuple[str, int, GridFunction]] = []
+    comparable across resolutions).  Members are built one at a time, as
+    they are drawn, so only one is alive at once."""
     for i in range(count):
-        fams.append(("haar_poly", i, haar_polynomial(n, J, seed, index=i, max_level=3)))
+        yield "haar_poly", i, haar_polynomial(n, J, seed, index=i, max_level=3)
     blocks = [
         (0, (0,) * n),
         (1, (0,) * n),
@@ -127,15 +127,14 @@ def interpolatory_family(
             bits = tuple((eps_idx >> b) & 1 for b in range(n))
             if bits[0] != 1:
                 continue
-            fams.append(("haar_block", bi, single_haar_block(n, J, j, k, bits)))
+            yield "haar_block", bi, single_haar_block(n, J, j, k, bits)
             bi += 1
     for i in range(count):
-        fams.append(("trig_cone", i, trig_band_field(n, J, seed, index=i, i0=1)))
+        yield "trig_cone", i, trig_band_field(n, J, seed, index=i, i0=1)
     if n == 2:
-        fams.append(("f_eps", 0, f_eps_field(0.5, J)))
+        yield "f_eps", 0, f_eps_field(0.5, J)
         for i, eps in enumerate((0.5, 0.25)):
-            fams.append(("block", i, block_field(BlockSpec(single_block_square(), eps), J)))
-    return fams
+            yield "block", i, block_field(BlockSpec(single_block_square(), eps), J)
 
 
 def interp_ratio_sup(n: int, J: int, ps: Sequence[float], seed: int = 0,

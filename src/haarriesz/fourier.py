@@ -27,8 +27,6 @@ __all__ = [
     "riesz_inverse",
     "derivative",
     "antiderivative",
-    "kernel_b",
-    "kernel_b_antiderivative",
     "ResolvingKernel",
     "resolvable",
     "beta_factor",
@@ -151,24 +149,10 @@ def riesz_inverse(u: GridFunction, i0: int, mode: str = "direct") -> GridFunctio
 # resolving kernels
 
 
-def kernel_b(t: np.ndarray) -> np.ndarray:
-    """Even bump b(t) = (15/16)(1-t^2)^2 on [-1,1]: 0 <= b <= 15/16,
-    integral one, Lip(b) <= 8."""
-    t = np.asarray(t, dtype=np.float64)
-    inside = np.abs(t) <= 1.0
-    q = 1.0 - t * t
-    return np.where(inside, (15.0 / 16.0) * q * q, 0.0)
-
-
-def kernel_b_antiderivative(t: np.ndarray) -> np.ndarray:
-    """int_{-1}^{t} b, clamped outside the support (0 below, 1 above)."""
-    t = np.clip(np.asarray(t, dtype=np.float64), -1.0, 1.0)
-    return (15.0 / 16.0) * (t - 2.0 * t**3 / 3.0 + t**5 / 5.0) + 0.5
-
-
 def kernel_b_antiderivative2(t: np.ndarray) -> np.ndarray:
-    """Twice-iterated antiderivative of b: int_{-1}^{t} int_{-1}^{s} b.
-    Equals 0 below the support and t above it."""
+    """Twice-iterated antiderivative int_{-1}^{t} int_{-1}^{s} b of the even
+    bump b(t) = (15/16)(1-t^2)^2 on [-1,1] (integral one).  Equals 0 below
+    the support and t above it."""
     t = np.asarray(t, dtype=np.float64)
     tc = np.clip(t, -1.0, 1.0)
     inner = (

@@ -69,10 +69,6 @@ class Direction:
         """Bit pattern as an integer in 1..2^n-1 (axis 0 is the low bit)."""
         return sum(b << i for i, b in enumerate(self.bits))
 
-    def has_axis(self, i: int) -> bool:
-        """True when the 1-based axis i oscillates."""
-        return self.bits[i - 1] == 1
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -124,37 +120,11 @@ class DyadicCube:
     def lower(self) -> tuple[float, ...]:
         return tuple(ki * self.side for ki in self.k)
 
-    def predecessor(self, lam: int) -> "DyadicCube":
-        """The lam-th dyadic predecessor (lam levels up)."""
-        if lam < 0:
-            raise ValueError("predecessor order must be >= 0")
-        if self.j - lam < 0:
-            raise ValueError(f"cube at level {self.j} has no {lam}-th predecessor")
-        return DyadicCube(self.n, self.j - lam, tuple(ki >> lam for ki in self.k))
-
     def contains(self, other: "DyadicCube") -> bool:
         if other.j < self.j:
             return False
         shift = other.j - self.j
         return all((ok >> shift) == sk for ok, sk in zip(other.k, self.k))
-
-    def child_rank(self, lam: int) -> int:
-        """Lexicographic rank of this cube among the 2^(n*lam) descendants of
-        its lam-th predecessor (row-major over axes)."""
-        if self.j - lam < 0:
-            raise ValueError("rank undefined: no such predecessor")
-        mask = (1 << lam) - 1
-        rank = 0
-        for ki in self.k:
-            rank = (rank << lam) | (ki & mask)
-        return rank
-
-    def cell_slices(self, J: int) -> tuple[slice, ...]:
-        """Index slices of the level-J cells covered by this cube."""
-        if J < self.j:
-            raise ValueError(f"grid level {J} coarser than cube level {self.j}")
-        w = 1 << (J - self.j)
-        return tuple(slice(ki * w, (ki + 1) * w) for ki in self.k)
 
 
 class GridFunction:
@@ -307,17 +277,3 @@ def embed(
             raise ValueError(f"non-finite sample in cell {tuple(bad)}")
         acc = acc + w * vals
     return GridFunction(n, J, acc)
-
-
-def coordinate_fields(n: int, J: int) -> list[GridFunction]:
-    """Cell averages of the coordinate functions x_1..x_n (exact: averages of
-    a linear function are its cell-center values)."""
-    N = 2**J
-    centers = (np.arange(N) + 0.5) / N
-    out = []
-    for ax in range(n):
-        shape = [1] * n
-        shape[ax] = N
-        arr = np.broadcast_to(centers.reshape(shape), (N,) * n).copy()
-        out.append(GridFunction(n, J, arr))
-    return out

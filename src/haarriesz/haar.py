@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import Direction, DyadicCube, GridFunction, _upsample, axis_direction, dot
+from .grid import Direction, DyadicCube, GridFunction, _upsample, dot
 
 __all__ = [
     "HaarCoefficients",
@@ -23,7 +23,6 @@ __all__ = [
     "level_coefficients",
     "level_field",
     "directional_project",
-    "vector_project",
     "conditional_expectation",
     "square_function",
     "bmo_d_norm",
@@ -199,18 +198,6 @@ def directional_project(
         if j in keep and j in c.levels:
             out.levels[j] = {eps_idx: c.levels[j][eps_idx]}
     return haar_synthesize(out)
-
-
-def vector_project(v: Sequence[GridFunction]) -> list[GridFunction]:
-    """Component-wise projection P(v) = (P^(e_1) v_1, ..., P^(e_n) v_n)."""
-    if not v:
-        raise ValueError("empty vector field")
-    n = v[0].n
-    if len(v) != n:
-        raise ValueError(f"need {n} components, got {len(v)}")
-    for comp in v[1:]:
-        v[0]._check_compatible(comp)
-    return [directional_project(comp, axis_direction(n, i + 1)) for i, comp in enumerate(v)]
 
 
 def conditional_expectation(u: GridFunction, M: int) -> GridFunction:

@@ -1,6 +1,5 @@
 """Separately convex integrands, Jensen's inequality on the range of the
-vector projection, the residual ratio, and the desk-scale lower
-semicontinuity experiment.
+vector projection, and the desk-scale lower semicontinuity experiment.
 
 The differential constraint here is the off-diagonal gradient: it vanishes
 exactly when each component depends on its own coordinate alone.  For such
@@ -11,15 +10,14 @@ deliberately violating sequence demonstrates that the constraint is needed.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .fourier import derivative, riesz
+from .fourier import derivative
 from .grid import GridFunction, axis_direction
-from .haar import _block_mean, _project_stack, conditional_expectation, vector_project
+from .haar import _block_mean, _project_stack, conditional_expectation
 from .profiles import sine_cell_averages
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "a0_apply",
     "a0_max_entry",
     "jensen_range_check",
-    "residual_ratio",
     "SemicontinuityRow",
     "semicontinuity_experiment",
     "oscillation_sequence",
@@ -40,35 +37,26 @@ __all__ = [
 
 @dataclass
 class Integrand:
-    """Real integrand on R^d (d = 2 or 3) with a growth declaration
-    0 <= f(a) <= C (1 + |a|^p).  ``fn`` must broadcast over leading axes of
-    a stacked argument array of shape (..., d)."""
+    """Real integrand on R^d (d = 2 or 3).  ``fn`` must broadcast over
+    leading axes of a stacked argument array of shape (..., d)."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     d: int
-    growth_p: float
-    growth_C: float
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(a, dtype=np.float64)), dtype=np.float64)
 
     @functools.cached_property
     def separately_convex(self) -> bool:
-        """check_separately_convex with its default lattice, probed on first
-        use only."""
+        """check_separately_convex, probed on first use only."""
         return check_separately_convex(self)
 
 
-def check_separately_convex(
-    f: Integrand,
-    box: float = 3.0,
-    step: float = 0.1,
-    tol: float = -1e-9,
-) -> bool:
+def check_separately_convex(f: Integrand) -> bool:
     """Probe separate convexity: along every axis, second differences on the
-    lattice [-box, box]^d must be >= tol."""
-    grid = np.arange(-box, box + step / 2, step)
+    lattice [-3, 3]^d of step 0.1 must be >= -1e-9."""
+    grid = np.arange(-3.0, 3.05, 0.1)
     mesh = np.meshgrid(*([grid] * f.d), indexing="ij")
     pts = np.stack(mesh, axis=-1)
     vals = f(pts)
@@ -80,7 +68,7 @@ def check_separately_convex(
         sl_mid[ax] = slice(1, -1)
         sl_hi[ax] = slice(2, None)
         second = vals[tuple(sl_lo)] - 2.0 * vals[tuple(sl_mid)] + vals[tuple(sl_hi)]
-        if float(second.min()) < tol:
+        if float(second.min()) < -1e-9:
             return False
     return True
 
@@ -88,24 +76,12 @@ def check_separately_convex(
 def registry_integrands() -> list[Integrand]:
     """The built-in separately convex integrands (all planar)."""
     return [
-        Integrand("ab", lambda a: a[..., 0] * a[..., 1], 2, 2.0, 1.0),
-        Integrand(
-            "abs_sum", lambda a: np.abs(a[..., 0]) + np.abs(a[..., 1]), 2, 1.0, 2.0
-        ),
-        Integrand(
-            "quad_cross",
-            lambda a: a[..., 0] ** 2 + a[..., 1] ** 2 + a[..., 0] * a[..., 1],
-            2,
-            2.0,
-            2.0,
-        ),
-        Integrand(
-            "relu_prod",
-            lambda a: np.maximum(a[..., 0], 0.0) * np.maximum(a[..., 1], 0.0),
-            2,
-            2.0,
-            1.0,
-        ),
+        Integrand("ab", lambda a: a[..., 0] * a[..., 1], 2),
+        Integrand("abs_sum", lambda a: np.abs(a[..., 0]) + np.abs(a[..., 1]), 2),
+        Integrand("quad_cross",
+                  lambda a: a[..., 0] ** 2 + a[..., 1] ** 2 + a[..., 0] * a[..., 1], 2),
+        Integrand("relu_prod",
+                  lambda a: np.maximum(a[..., 0], 0.0) * np.maximum(a[..., 1], 0.0), 2),
     ]
 
 
@@ -134,11 +110,6 @@ class VectorField:
 
     def stacked(self) -> np.ndarray:
         return np.stack([c.values for c in self.components], axis=-1)
-
-    def lp_norm(self, p: float) -> float:
-        mag = np.sqrt(sum(c.values**2 for c in self.components))
-        vol = self.components[0].cell_volume()
-        return float((mag**p).sum() * vol) ** (1.0 / p)
 
 
 def a0_apply(v: VectorField) -> dict[tuple[int, int], GridFunction]:
@@ -187,58 +158,34 @@ def jensen_range_check(vs: Sequence[VectorField], fs: Sequence[Integrand], M: in
     return [float((_block_mean(f(pw), M, n) - f(ew)).min()) for f in fs]
 
 
-def residual_ratio(v: VectorField, p: float) -> float:
-    """||v - P(v)||_p / (||v||_p^{1/2} (sum_{i != j} ||R_i v_j||_p)^{1/2}),
-    with 0/0 -> 0."""
-    if p < 2:
-        raise ValueError("the residual inequality is stated for p >= 2")
-    w = vector_project(v.components)
-    diff = VectorField([a - b for a, b in zip(v.components, w)])
-    num = diff.lp_norm(p)
-    cross = 0.0
-    for i in range(1, v.n + 1):
-        for j in range(1, v.n + 1):
-            if i == j:
-                continue
-            cross += riesz(v.components[j - 1], i).lp_norm(p)
-    denom = v.lp_norm(p) ** 0.5 * cross**0.5
-    if denom == 0.0:
-        return 0.0 if num <= 1e-12 else math.inf
-    return num / denom
-
-
 # ---------------------------------------------------------------------------
 # semicontinuity experiment
 
 
-def oscillation_sequence(n: int, J: int, r: int, amplitudes: Optional[Sequence[float]] = None) -> VectorField:
+def oscillation_sequence(n: int, J: int, r: int) -> VectorField:
     """Compliant sequence member: component i is a zero-mean profile
     oscillating at frequency 2^r in its own coordinate alone, embedded
     exactly (cell averages of sin)."""
-    amp = list(amplitudes) if amplitudes is not None else [1.0] * n
     N = 2**J
     comps = []
     for ax in range(n):
         vals1d = sine_cell_averages(N, 2.0 * np.pi * 2**r, 0.0, 0.0, 1.0)
         shape = [1] * n
         shape[ax] = N
-        arr = np.broadcast_to(vals1d.reshape(shape), (N,) * n).copy() * amp[ax]
+        arr = np.broadcast_to(vals1d.reshape(shape), (N,) * n).copy()
         comps.append(GridFunction(n, J, arr))
     return VectorField(comps)
 
 
-def contrast_sequence(
-    n: int, J: int, r: int, amplitudes: Optional[Sequence[float]] = None
-) -> VectorField:
+def contrast_sequence(n: int, J: int, r: int) -> VectorField:
     """Deliberate violation: every component oscillates in x_1, so the
-    off-diagonal gradient is large.  The default amplitudes (1, -1, ...)
+    off-diagonal gradient is large.  The amplitudes (1, -1, ...)
     anti-correlate the components, which drives product-type integrands
     strictly below their weak-limit value."""
-    amp = list(amplitudes) if amplitudes is not None else [(-1.0) ** i for i in range(n)]
     N = 2**J
     vals1d = sine_cell_averages(N, 2.0 * np.pi * 2**r, 0.0, 0.0, 1.0)
     arr = np.broadcast_to(vals1d.reshape([N] + [1] * (n - 1)), (N,) * n)
-    return VectorField([GridFunction(n, J, arr * a) for a in amp])
+    return VectorField([GridFunction(n, J, arr * (-1.0) ** i) for i in range(n)])
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,14 +31,15 @@ from .profiles import (
 )
 
 __all__ = [
-    "MotherProfiles",
-    "mother_profiles",
+    "A_PROFILE",
+    "B_PROFILE",
+    "A_TILDE_PROFILE",
+    "B_TILDE_PROFILE",
     "BlockSpec",
     "SquareCollection",
     "build_collection",
     "block_vs_haar",
     "block_vs_block",
-    "collection_coefficient",
     "bessel_lower_bound",
     "gram_norm2",
     "f_eps_field",
@@ -56,38 +57,20 @@ DIRECTION_10 = Direction((1, 0))
 # this are refused (exact mode) or sampled
 CAP = 10**6
 
-# mother pieces in local coordinates (anchor 0, scale 1)
-_A_MOTHER = [SinePiece(0.0, 1.0, 0.0, 1.0, amp=1.0, freq=2.0 * np.pi)]
-_B_MOTHER = [SinePiece(-1.0, 1.0, 0.0, 1.0, amp=1.0, freq=np.pi)]
-_A_TILDE_MOTHER = [
-    SinePiece(0.0, 1.0, 0.0, 1.0, amp=2.0 * np.pi, freq=2.0 * np.pi, phase=np.pi / 2.0)
-]
-_B_TILDE_MOTHER = [
-    SinePiece(
-        -1.0, 1.0, 0.0, 1.0, const=-1.0 / np.pi, amp=-1.0 / np.pi, freq=np.pi,
-        phase=np.pi / 2.0,
-    )
-]
-
-
-@dataclass(frozen=True)
-class MotherProfiles:
-    """The 1D profiles generating the blocks.
-
-    A(u) = sin(2 pi u) on [0,1]: mean zero, <A, h> = 2/pi, int A^2 = 1/2.
-    B(u) = sin(pi u) on [-1,1]: mean zero, int B^2 = 1.
-    A~ = A' and B~ = int B: the pair realizing the Riesz identity
-    R_1(g_Q) = eps R_2(g~_Q) exactly.
-    """
-
-    A: tuple[SinePiece, ...] = tuple(_A_MOTHER)
-    B: tuple[SinePiece, ...] = tuple(_B_MOTHER)
-    A_tilde: tuple[SinePiece, ...] = tuple(_A_TILDE_MOTHER)
-    B_tilde: tuple[SinePiece, ...] = tuple(_B_TILDE_MOTHER)
-
-
-def mother_profiles() -> MotherProfiles:
-    return MotherProfiles()
+# The 1D mother profiles generating the blocks, in local coordinates
+# (anchor 0, scale 1).  A(u) = sin(2 pi u) on [0,1]: mean zero,
+# <A, h> = 2/pi, int A^2 = 1/2.  B(u) = sin(pi u) on [-1,1]: mean zero,
+# int B^2 = 1.  A~ = A' and B~ = int B: the pair realizing the Riesz identity
+# R_1(g_Q) = eps R_2(g~_Q) exactly.
+A_PROFILE = (SinePiece(0.0, 1.0, 0.0, 1.0, amp=1.0, freq=2.0 * np.pi),)
+B_PROFILE = (SinePiece(-1.0, 1.0, 0.0, 1.0, amp=1.0, freq=np.pi),)
+A_TILDE_PROFILE = (
+    SinePiece(0.0, 1.0, 0.0, 1.0, amp=2.0 * np.pi, freq=2.0 * np.pi, phase=np.pi / 2.0),
+)
+B_TILDE_PROFILE = (
+    SinePiece(-1.0, 1.0, 0.0, 1.0, const=-1.0 / np.pi, amp=-1.0 / np.pi, freq=np.pi,
+              phase=np.pi / 2.0),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +110,7 @@ def _block_pieces(side, i1, i2, eps: float, variant: str):
     """x1 and x2 pieces of the blocks on the squares (i1, i2) of side
     ``side``; with arrays, each piece field is an array of their broadcast
     shape."""
-    mo = mother_profiles()
-    a, b = (mo.A, mo.B) if variant == "plain" else (mo.A_tilde, mo.B_tilde)
+    a, b = (A_PROFILE, B_PROFILE) if variant == "plain" else (A_TILDE_PROFILE, B_TILDE_PROFILE)
     return scale_pieces(a, i1 * side, side), scale_pieces(b, i2 * side, eps * side)
 
 
@@ -195,13 +177,6 @@ class SquareCollection:
     def total_count(self) -> float:
         return sum(self.layer_count(k) for k in range(1, self.layer_total + 1))
 
-    def layer_measure(self, k: int) -> float:
-        m = self.level(k)
-        return self.layer_count(k) * 4.0 ** (-m)
-
-    def total_measure(self) -> float:
-        return sum(self.layer_measure(k) for k in range(1, self.layer_total + 1))
-
     def layer_indices(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates (i1, i2) of every square of layer k as int64 arrays,
         i1 outer."""
@@ -214,15 +189,6 @@ class SquareCollection:
         i1, i2 = np.divmod(np.arange(int(self.layer_count(k)), dtype=np.int64), 2 ** (m - 1))
         return i1, 2 * i2 + 1
 
-    def iter_layer(self, k: int) -> Iterator[DyadicCube]:
-        m = self.level(k)
-        for i1, i2 in zip(*self.layer_indices(k)):
-            yield DyadicCube(2, m, (int(i1), int(i2)))
-
-    def iter_all(self) -> Iterator[DyadicCube]:
-        for k in range(1, self.layer_total + 1):
-            yield from self.iter_layer(k)
-
     def sample_indices(self, k: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates (i1, i2) of ``count`` squares of layer k drawn with
         the counter-based generator, as int64 arrays."""
@@ -233,17 +199,6 @@ class SquareCollection:
         i2 *= 2
         i2 += 1
         return i1, i2
-
-    def sample_layer(self, k: int, count: int, seed: int) -> list[DyadicCube]:
-        m = self.level(k)
-        return [DyadicCube(2, m, (int(a), int(b)))
-                for a, b in zip(*self.sample_indices(k, count, seed))]
-
-    def layer_of(self, Q: DyadicCube) -> int:
-        for k in range(1, self.layer_total + 1):
-            if self.level(k) == Q.j:
-                return k
-        raise ValueError(f"cube level {Q.j} not a layer level")
 
     def block(self, Q: DyadicCube, variant: str = "plain") -> BlockSpec:
         return BlockSpec(Q, self.eps_param, variant)
@@ -330,12 +285,6 @@ def _cross_terms(coll: SquareCollection, k: int, i1: np.ndarray, i2: np.ndarray,
     return 2.0 * _vs_block(xq, _block_pieces(sidep, j1, j2, eps, variant))
 
 
-def collection_coefficient(coll: SquareCollection, Q: DyadicCube) -> float:
-    """<f_eps, h_Q^{(1,0)}> for Q in the collection."""
-    i1, i2 = (np.array([i]) for i in Q.k)
-    return float(_coefficients(coll, coll.layer_of(Q), i1, i2)[0])
-
-
 def _layer_sums(coll: SquareCollection, ks: Sequence[int], mode: str, sample_size: int,
                 seed: int, terms) -> float:
     """Sum of ``terms(k, i1, i2)`` over the squares of the layers ks: one
@@ -368,7 +317,6 @@ def bessel_lower_bound(
     mode: str = "exact",
     sample_size: int = 200,
     seed: int = 0,
-    layers: Optional[Sequence[int]] = None,
 ) -> float:
     """sum over Q in the collection of <f_eps, h_Q^{(1,0)}>^2 / |Q| -- by
     Bessel a lower bound for the squared L2 norm of the directional
@@ -379,13 +327,12 @@ def bessel_lower_bound(
     generator."""
     _check_mode(mode, sample_size)
     coll = build_collection(eps_param, sampling=(mode == "sampled"))
-    ks = range(1, coll.layer_total + 1) if layers is None else layers
 
     def terms(k: int, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
         c = _coefficients(coll, k, i1, i2)
         return c * c / 2.0 ** (-2 * coll.level(k))
 
-    return _layer_sums(coll, ks, mode, sample_size, seed, terms)
+    return _layer_sums(coll, range(1, coll.layer_total + 1), mode, sample_size, seed, terms)
 
 
 def gram_norm2(
@@ -394,7 +341,6 @@ def gram_norm2(
     mode: str = "exact",
     sample_size: int = 200,
     seed: int = 0,
-    diagonal_only: bool = False,
 ) -> float:
     """|| sum of blocks ||_2^2 via the Gram expansion: the diagonal is a
     closed form; same-layer off-diagonal terms vanish exactly; cross-layer
@@ -405,8 +351,6 @@ def gram_norm2(
     for k in range(1, coll.layer_total + 1):
         rep = coll.block(DyadicCube(2, coll.level(k), (0, 1)), variant)
         diag += block_vs_block(rep, rep) * coll.layer_count(k)
-    if diagonal_only:
-        return diag
     cross = _layer_sums(coll, range(2, coll.layer_total + 1), mode, sample_size, seed,
                         lambda k, i1, i2: _cross_terms(coll, k, i1, i2, variant))
     return diag + cross
@@ -431,11 +375,11 @@ def f_eps_field(eps_param: float, J: int) -> GridFunction:
     coll = build_collection(eps_param)
     N = 2**J
     acc = np.zeros((N, N))
-    for Q in coll.iter_all():
-        x1, x2 = coll.block(Q).pieces()
-        v1 = pieces_cell_averages(x1, N)
-        v2 = pieces_cell_averages(x2, N)
-        acc += np.multiply.outer(v1, v2)
+    for k in range(1, coll.layer_total + 1):
+        side = 2.0 ** (-coll.level(k))
+        for i1, i2 in zip(*coll.layer_indices(k)):
+            x1, x2 = _block_pieces(side, int(i1), int(i2), coll.eps_param, "plain")
+            acc += np.multiply.outer(pieces_cell_averages(x1, N), pieces_cell_averages(x2, N))
     return GridFunction(2, J, acc)
 
 

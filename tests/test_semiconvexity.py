@@ -3,6 +3,7 @@ semicontinuity experiment."""
 
 import numpy as np
 import pytest
+from projection_oracle import residual_ratio
 
 from haarriesz.fields import haar_polynomial
 from haarriesz.grid import GridFunction, embed
@@ -16,7 +17,6 @@ from haarriesz.semiconvexity import (
     jensen_range_check,
     oscillation_sequence,
     registry_integrands,
-    residual_ratio,
     semicontinuity_experiment,
 )
 
@@ -34,16 +34,16 @@ class TestSeparateConvexity:
             assert check_separately_convex(f), f.name
 
     def test_rejects_concave(self):
-        bad = Integrand("neg_sq", lambda a: -(a[..., 0] ** 2), 2, 2.0, 1.0)
+        bad = Integrand("neg_sq", lambda a: -(a[..., 0] ** 2), 2)
         assert not check_separately_convex(bad)
 
     def test_accepts_product(self):
-        ab = Integrand("ab", lambda a: a[..., 0] * a[..., 1], 2, 2.0, 1.0)
+        ab = Integrand("ab", lambda a: a[..., 0] * a[..., 1], 2)
         assert check_separately_convex(ab)
 
     def test_rejects_saddle_in_single_axis(self):
         # convex in a, concave in b
-        bad = Integrand("mixed", lambda a: a[..., 0] ** 2 - a[..., 1] ** 2, 2, 2.0, 1.0)
+        bad = Integrand("mixed", lambda a: a[..., 0] ** 2 - a[..., 1] ** 2, 2)
         assert not check_separately_convex(bad)
 
 
@@ -80,7 +80,7 @@ class TestJensen:
         assert defect == pytest.approx(0.0, abs=1e-12)
 
     def test_convex_quadratic(self):
-        quad = Integrand("sq", lambda a: a[..., 0] ** 2 + a[..., 1] ** 2, 2, 2.0, 2.0)
+        quad = Integrand("sq", lambda a: a[..., 0] ** 2 + a[..., 1] ** 2, 2)
         v = random_haar_vector(4, seed=60, index=0)
         assert jensen_range_check([v], [quad], 1)[0] >= -1e-9
 
@@ -93,7 +93,7 @@ class TestJensen:
                 assert defect >= -1e-9
 
     def test_rejects_non_convex_integrand(self):
-        bad = Integrand("neg_sq", lambda a: -(a[..., 0] ** 2), 2, 2.0, 1.0)
+        bad = Integrand("neg_sq", lambda a: -(a[..., 0] ** 2), 2)
         v = random_haar_vector(4, seed=62, index=0)
         with pytest.raises(ValueError, match="convex"):
             jensen_range_check([v], [bad], 1)
@@ -105,8 +105,8 @@ class TestJensen:
             probes.append(a.shape)
             return a[..., 0] * a[..., 1]
 
-        f = Integrand("ab_counted", ab, 2, 2.0, 1.0)
-        bad = Integrand("neg_sq", lambda a: -(a[..., 0] ** 2), 2, 2.0, 1.0)
+        f = Integrand("ab_counted", ab, 2)
+        bad = Integrand("neg_sq", lambda a: -(a[..., 0] ** 2), 2)
         for i in range(3):
             v = random_haar_vector(4, seed=64, index=i)
             jensen_range_check([v], [f], 1)
@@ -145,10 +145,8 @@ class TestJensen:
             "abc_mix",
             lambda a: a[..., 0] * a[..., 1] + a[..., 1] * a[..., 2] + a[..., 0] ** 2,
             3,
-            2.0,
-            2.0,
         )
-        assert check_separately_convex(f3, box=2.0, step=0.25)
+        assert check_separately_convex(f3)
         v = VectorField(
             [haar_polynomial(3, 3, seed=65, index=i, max_level=2) for i in range(3)]
         )
@@ -205,7 +203,7 @@ class TestSemicontinuity:
             assert row.I_r >= row.I_limit - 1e-8
 
     def test_convex_integrand_classical(self):
-        quad = Integrand("sq", lambda a: a[..., 0] ** 2 + a[..., 1] ** 2, 2, 2.0, 2.0)
+        quad = Integrand("sq", lambda a: a[..., 0] ** 2 + a[..., 1] ** 2, 2)
         (rows,) = semicontinuity_experiment(
             [quad], self.phi, [1, 2, 3], lambda r: oscillation_sequence(2, 8, r)
         )
@@ -225,10 +223,11 @@ class TestSemicontinuity:
     def test_positively_correlated_contrast_converges_upward(self):
         # same-sign components: the product integrand converges to 1/2, not
         # to the weak-limit value 0
-        (rows,) = semicontinuity_experiment(
-            [self.regs["ab"]], self.phi, [3],
-            lambda r: contrast_sequence(2, 8, r, amplitudes=(1.0, 1.0)),
-        )
+        def same_sign(r):
+            first = contrast_sequence(2, 8, r).components[0]
+            return VectorField([first, first])
+
+        (rows,) = semicontinuity_experiment([self.regs["ab"]], self.phi, [3], same_sign)
         assert rows[0].I_r == pytest.approx(0.5, abs=5e-3)
         assert not rows[0].compliant
 

@@ -12,6 +12,10 @@ from haarriesz.grid import DyadicCube
 from haarriesz.haar import bmo_d_norm, directional_project, haar_analyze
 from haarriesz.profiles import haar_pieces, profile_integral, profile_product_integral
 from haarriesz.sharpness import (
+    A_PROFILE,
+    A_TILDE_PROFILE,
+    B_PROFILE,
+    B_TILDE_PROFILE,
     DIRECTION_10,
     BlockSpec,
     bessel_lower_bound,
@@ -20,11 +24,9 @@ from haarriesz.sharpness import (
     block_vs_block,
     block_vs_haar,
     build_collection,
-    collection_coefficient,
     dense_lp_norm,
     f_eps_field,
     gram_norm2,
-    mother_profiles,
     sharpness_experiment_pge2,
     single_block_experiment_ple2,
     single_block_square,
@@ -36,31 +38,27 @@ PI = math.pi
 
 class TestMotherProfiles:
     def test_a_against_haar(self):
-        m = mother_profiles()
-        val = profile_product_integral(list(m.A), haar_pieces(0.0, 1.0))
+        val = profile_product_integral(A_PROFILE, haar_pieces(0.0, 1.0))
         assert val == pytest.approx(2.0 / PI, abs=1e-12)
 
     def test_means(self):
-        m = mother_profiles()
-        assert profile_integral(list(m.A)) == pytest.approx(0.0, abs=1e-14)
-        assert profile_integral(list(m.B)) == pytest.approx(0.0, abs=1e-14)
-        assert profile_integral(list(m.A_tilde)) == pytest.approx(0.0, abs=1e-13)
+        assert profile_integral(A_PROFILE) == pytest.approx(0.0, abs=1e-14)
+        assert profile_integral(B_PROFILE) == pytest.approx(0.0, abs=1e-14)
+        assert profile_integral(A_TILDE_PROFILE) == pytest.approx(0.0, abs=1e-13)
 
     def test_energies(self):
-        m = mother_profiles()
-        assert profile_product_integral(list(m.A), list(m.A)) == pytest.approx(0.5, abs=1e-12)
-        assert profile_product_integral(list(m.B), list(m.B)) == pytest.approx(1.0, abs=1e-12)
+        assert profile_product_integral(A_PROFILE, A_PROFILE) == pytest.approx(0.5, abs=1e-12)
+        assert profile_product_integral(B_PROFILE, B_PROFILE) == pytest.approx(1.0, abs=1e-12)
         # A~ = A': energy 2 pi^2; B~ = int B: energy 3/pi^2
-        assert profile_product_integral(list(m.A_tilde), list(m.A_tilde)) == pytest.approx(
+        assert profile_product_integral(A_TILDE_PROFILE, A_TILDE_PROFILE) == pytest.approx(
             2.0 * PI**2, rel=1e-12
         )
-        assert profile_product_integral(list(m.B_tilde), list(m.B_tilde)) == pytest.approx(
+        assert profile_product_integral(B_TILDE_PROFILE, B_TILDE_PROFILE) == pytest.approx(
             3.0 / PI**2, rel=1e-12
         )
 
     def test_b_tilde_supported_and_zero_at_edges(self):
-        m = mother_profiles()
-        p = m.B_tilde[0]
+        p = B_TILDE_PROFILE[0]
         assert p.value(np.array([-1.0 + 1e-12]))[0] == pytest.approx(0.0, abs=1e-10)
         assert p.value(np.array([1.0 - 1e-12]))[0] == pytest.approx(0.0, abs=1e-10)
 
@@ -111,19 +109,25 @@ class TestBlocks:
             BlockSpec(DyadicCube(2, 0, (0, 0)), 0.3)
 
 
+def layer_measure(coll, k):
+    """Total area of the squares of layer k."""
+    return coll.layer_count(k) * 4.0 ** (-coll.level(k))
+
+
 class TestCollection:
     def test_layer_counts_eps_half(self):
         coll = build_collection(0.5)
         assert coll.layer_count(1) == 8
         assert coll.layer_count(2) == 128
-        assert coll.layer_measure(1) == pytest.approx(0.5)
-        assert coll.layer_measure(2) == pytest.approx(0.5)
-        assert coll.total_measure() == pytest.approx(1.0)
+        assert layer_measure(coll, 1) == pytest.approx(0.5)
+        assert layer_measure(coll, 2) == pytest.approx(0.5)
 
     def test_total_measure_formula(self):
+        # each of the 1/eps layers covers half the unit square
         for eps in (0.5, 0.25, 0.125):
             coll = build_collection(eps, sampling=True)
-            assert coll.total_measure() == pytest.approx(1.0 / (2.0 * eps))
+            total = sum(layer_measure(coll, k) for k in range(1, coll.layer_total + 1))
+            assert total == pytest.approx(1.0 / (2.0 * eps))
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
@@ -148,21 +152,21 @@ class TestCollection:
     def test_interval_separation(self):
         # within a layer, distinct J-intervals are >= one width apart
         coll = build_collection(0.5)
-        squares = list(coll.iter_layer(1))
+        squares = list(oracle.iter_layer(coll, 1))
         i2s = sorted({Q.k[1] for Q in squares})
         assert all(b - a >= 2 for a, b in zip(i2s, i2s[1:]))
 
     def test_supports_stay_inside_unit_square(self):
         coll = build_collection(0.5)
-        for Q in coll.iter_all():
+        for Q in oracle.iter_all(coll):
             lo = Q.k[1] * Q.side - coll.eps_param * Q.side
             hi = Q.k[1] * Q.side + coll.eps_param * Q.side
             assert 0.0 < lo and hi < 1.0
 
     def test_sampling_is_deterministic(self):
         coll = build_collection(0.25, sampling=True)
-        a = coll.sample_layer(2, 16, seed=3)
-        b = coll.sample_layer(2, 16, seed=3)
+        a = oracle.sample_layer(coll, 2, 16, seed=3)
+        b = oracle.sample_layer(coll, 2, 16, seed=3)
         assert a == b
 
 
@@ -171,8 +175,8 @@ class TestCoefficientEngine:
         coll = build_collection(0.5)
         f = f_eps_field(0.5, 7)
         c = haar_analyze(f)
-        for Q in coll.iter_all():
-            analytic = collection_coefficient(coll, Q)
+        for Q in oracle.iter_all(coll):
+            analytic = oracle.engine_coefficient(coll, Q)
             dense = c.coefficient(Q, DIRECTION_10) * Q.volume()
             assert analytic == pytest.approx(dense, abs=1e-12)
 
@@ -183,28 +187,28 @@ class TestCoefficientEngine:
         for eps, mode, m in ((0.5, "exact", 0), (0.25, "sampled", 60)):
             coll = build_collection(eps, sampling=(mode == "sampled"))
             if mode == "exact":
-                squares = list(coll.iter_all())
+                squares = list(oracle.iter_all(coll))
             else:
                 squares = [Q for k in range(2, coll.layer_total + 1)
-                           for Q in coll.sample_layer(k, m, seed=4)]
+                           for Q in oracle.sample_layer(coll, k, m, seed=4)]
             worst = 0.0
             for Q in squares:
                 diag = block_vs_haar(coll.block(Q), Q)
-                total = collection_coefficient(coll, Q)
+                total = oracle.engine_coefficient(coll, Q)
                 worst = max(worst, abs(total - diag) / (eps**2 * Q.volume()))
                 assert abs(total) > 0.0
             assert worst <= 2.0
 
     def test_gram_matches_dense_quadrature(self):
         coll = build_collection(0.5)
-        blocks = [coll.block(Q) for Q in coll.iter_all()]
+        blocks = [coll.block(Q) for Q in oracle.iter_all(coll)]
         dense = dense_lp_norm(blocks, 7, 2.0) ** 2
         exact = gram_norm2(0.5, "plain", "exact")
         assert exact == pytest.approx(dense, rel=1e-6)
 
     def test_gram_tilde_matches_dense_quadrature(self):
         coll = build_collection(0.5)
-        blocks = [coll.block(Q, "tilde") for Q in coll.iter_all()]
+        blocks = [coll.block(Q, "tilde") for Q in oracle.iter_all(coll)]
         dense = dense_lp_norm(blocks, 7, 2.0) ** 2
         exact = gram_norm2(0.5, "tilde", "exact")
         assert exact == pytest.approx(dense, rel=1e-6)
@@ -212,12 +216,12 @@ class TestCoefficientEngine:
     def test_diagonal_truncation_error_small(self):
         for eps in (0.5,):
             full = gram_norm2(eps, "plain", "exact")
-            diag = gram_norm2(eps, "plain", "exact", diagonal_only=True)
+            diag = oracle.gram_diagonal(build_collection(eps))
             assert abs(full - diag) <= 4.0 * eps**2 * full
 
     def test_single_block_gram(self):
         b = BlockSpec(DyadicCube(2, 0, (0, 0)), 0.5)
-        assert gram_norm2(0.5, "plain", "exact", diagonal_only=True) >= block_vs_block(b, b)
+        assert oracle.gram_diagonal(build_collection(0.5)) >= block_vs_block(b, b)
 
 
 class TestArrayEngine:
@@ -242,12 +246,12 @@ class TestArrayEngine:
 
     def test_coefficients_equal_scalar_loops(self):
         coll = build_collection(0.5)
-        for Q in coll.iter_all():
-            assert collection_coefficient(coll, Q) == oracle.collection_coefficient(coll, Q)
+        for Q in oracle.iter_all(coll):
+            assert oracle.engine_coefficient(coll, Q) == oracle.collection_coefficient(coll, Q)
         coll = build_collection(0.125, sampling=True)
         for k in (2, 5, 8):
-            for Q in coll.sample_layer(k, 20, seed=3):
-                assert collection_coefficient(coll, Q) == oracle.collection_coefficient(coll, Q)
+            for Q in oracle.sample_layer(coll, k, 20, seed=3):
+                assert oracle.engine_coefficient(coll, Q) == oracle.collection_coefficient(coll, Q)
 
     @pytest.mark.parametrize("eps,mode", CASES[:2])
     def test_chunk_boundaries_keep_the_sums(self, eps, mode, monkeypatch):
@@ -274,10 +278,10 @@ class TestBessel:
         f = f_eps_field(0.5, 7)
         c = haar_analyze(f)
         dense = 0.0
-        for Q in coll.iter_layer(1):
+        for Q in oracle.iter_layer(coll, 1):
             coeff = c.coefficient(Q, DIRECTION_10) * Q.volume()
             dense += coeff**2 / Q.volume()
-        exact = bessel_lower_bound(0.5, "exact", layers=[1])
+        exact = oracle.bessel_lower_bound(0.5, "exact", layers=[1])
         assert exact == pytest.approx(dense, rel=1e-8)
 
     def test_bessel_below_projection_norm(self):
