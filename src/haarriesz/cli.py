@@ -26,7 +26,13 @@ import numpy as np
 
 from . import __version__
 from .grid import Direction, DyadicCube, GridFunction, all_directions, axis_direction, embed
-from .fields import cone_band_field, haar_polynomial, random_field, single_haar_block
+from .fields import (
+    cone_band_field,
+    haar_polynomial,
+    haar_polynomials,
+    random_field,
+    single_haar_block,
+)
 from .fourier import ResolvingKernel, delta_conv, riesz, riesz_inverse, smoothing_conv
 from .haar import (
     bmo_d_norm,
@@ -337,11 +343,18 @@ def cmd_ring_decay(args, run: Run) -> None:
                    "ring-decay ratio")
 
 
+def rearrange_budget(n: int, J: int) -> int:
+    """cmd_rearrange's charge: 160 grid copies, plus the float64 profile
+    matrices A_j of one operator, 2^j x 2^J each and at most 2^(J-1) rows
+    over its window.  They grow like 4^J, past the 2^J-cell grid at n = 1."""
+    return grid_budget(n, J, copies=160) + 8 * 2**J * 2 ** (J - 1)
+
+
 def cmd_rearrange(args, run: Run) -> None:
     n, J, lams = args.n, args.J, getattr(args, "lambda")
     if not all(0 <= lam <= J - 1 for lam in lams):
         raise ValidationError(f"--lambda values must lie in 0..J-1 = 0..{J - 1}")
-    enforce_cap(grid_budget(n, J, copies=160), args.cap_bytes)
+    enforce_cap(rearrange_budget(n, J), args.cap_bytes)
     results = rearrangement_norms(n, J, lams, iters=args.trials * 2, seed=args.seed)
     norms = {lam: (r.value, solver_columns(r)) for lam, r in results.items()}
     lambda_scaling(args, run, norms, args.trials, "1" * n, "C0*2^(n*lam)", n,
@@ -365,6 +378,14 @@ def cmd_interp_ratio(args, run: Run) -> None:
                   f"sup={sup_a:.4f}")
         run.check(f"interp-ratio p={p} stable under J->J+1", rel <= 0.2,
                   f"rel change={rel:.4f}")
+
+
+def ple2_budget(J: int) -> int:
+    """The ple2 charge at grid level J = n0_max + 6.  The single block
+    builds no grid: its one half spectrum is about a grid copy, and its row
+    strips and symbol blocks stay below 1 MB at J <= 9 and about 0.05
+    copies above (tests/test_multiscale.py::TestWorkingSet)."""
+    return grid_budget(2, J, copies=2) + (1 << 20)
 
 
 def cmd_sharpness(args, run: Run) -> None:
@@ -401,10 +422,8 @@ def cmd_sharpness(args, run: Run) -> None:
                   lead.lower_P >= 0.1 * math.sqrt(lead.epsilon),
                   f"L={lead.lower_P:.4f}")
     if args.regime in ("ple2", "both"):
-        # the single block's grids at J = n0 + 6 peak at about 6 copies
-        # (tests/test_multiscale.py::TestWorkingSet)
         n0_max = max(int(round(-math.log2(e))) for e in eps_list)
-        enforce_cap(grid_budget(2, n0_max + 6, copies=16), args.cap_bytes)
+        enforce_cap(ple2_budget(n0_max + 6), args.cap_bytes)
         add("ple2", single_block_experiment_ple2(eps_list, args.p, eta, seed=args.seed))
         for e in eps_list:
             c = unit_square_coefficient(e)
@@ -427,9 +446,11 @@ def cmd_jensen(args, run: Run) -> None:
     worst = {M: [math.inf] * len(regs) for M in range(0, 4)}
     for M in worst:
         for start in range(0, trials, JENSEN_BATCH):
-            vs = [VectorField([haar_polynomial(n, J, seed, index=1000 * M + 2 * i + c,
-                                               max_level=J - 1) for c in range(n)])
-                  for i in range(start, min(start + JENSEN_BATCH, trials))]
+            batch = range(start, min(start + JENSEN_BATCH, trials))
+            stack = haar_polynomials(n, J, seed, [1000 * M + 2 * i + c for i in batch
+                                                  for c in range(n)], max_level=J - 1)
+            vs = [VectorField([GridFunction(n, J, comp) for comp in field])
+                  for field in stack.reshape((len(batch), n) + stack.shape[1:])]
             defects = jensen_range_check(vs, regs, M)
             worst[M] = [min(w, d) for w, d in zip(worst[M], defects)]
     for k, f in enumerate(regs):

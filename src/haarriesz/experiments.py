@@ -24,6 +24,7 @@ from .multiscale import (
     ring_norm,
     slice_sum_residuals,
     t_ell_operator,
+    unit_start_spectrum,
 )
 from .sharpness import BlockSpec, block_field, f_eps_field, single_block_square
 
@@ -66,11 +67,13 @@ def tl_decay_norms(
     seed: int = 0,
 ) -> dict[int, OpNormResult]:
     """Power-iteration L2 norms of the scale slices, with their solver
-    diagnostics."""
+    diagnostics.  Every slice starts from the same unit field, drawn and
+    transformed once."""
+    spectrum = unit_start_spectrum(n, J, seed)
     out: dict[int, OpNormResult] = {}
     for ell in ells:
         op = t_ell_operator(n, J, direction, ell, levels)
-        out[ell] = op_norm2_estimate(op, n, J, iters=iters, seed=seed)
+        out[ell] = op_norm2_estimate(op, n, J, iters=iters, seed=seed, spectrum=spectrum)
     return out
 
 
@@ -89,12 +92,9 @@ def rearrangement_norms(
     seed: int = 0,
 ) -> dict[int, OpNormResult]:
     """Power-iteration L2 norms of the rearrangement operator, with their
-    solver diagnostics."""
-    out: dict[int, OpNormResult] = {}
-    for lam in lams:
-        op = rearrangement_operator(n, J, lam)
-        out[lam] = op_norm2_estimate(op, n, J, iters=iters, seed=seed)
-    return out
+    solver diagnostics; one operator is alive at a time."""
+    return {lam: op_norm2_estimate(rearrangement_operator(n, J, lam), n, J, iters=iters, seed=seed)
+            for lam in lams}
 
 
 # ---------------------------------------------------------------------------

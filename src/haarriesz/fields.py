@@ -12,13 +12,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import Direction, DyadicCube, GridFunction
-from .haar import HaarCoefficients, haar_synthesize, level_field
+from .haar import _synthesize, level_field
 
 __all__ = [
     "stream",
     "random_field",
     "standard_random_field",
     "haar_polynomial",
+    "haar_polynomials",
     "cone_band_field",
     "single_haar_block",
     "trig_band_field",
@@ -99,6 +100,31 @@ def standard_random_field(n: int, J: int, seed: int = 0) -> GridFunction:
     return GridFunction(n, J, vals)
 
 
+def haar_polynomials(
+    n: int,
+    J: int,
+    seed: int,
+    indices: Sequence[int],
+    max_level: Optional[int] = None,
+) -> np.ndarray:
+    """``haar_polynomial`` for each index, as one stack of cell values
+    (len(indices), 2^J, .., 2^J): each field draws its own coefficients,
+    and one stacked synthesis builds them all."""
+    top = (J - 1) if max_level is None else max_level
+    if top >= J:
+        raise ValueError("max_level must be < J")
+    levels = {j: {eps_idx: np.empty((len(indices),) + (2**j,) * n) for eps_idx in range(1, 2**n)}
+              for j in range(top + 1)}
+    for b, index in enumerate(indices):
+        rng = stream(seed, 2, n, top, index)
+        for j, dirs in levels.items():
+            for coeffs in dirs.values():
+                coeff = rng.standard_normal((2**j,) * n)
+                mask = rng.random((2**j,) * n) < 0.3
+                coeffs[b] = np.where(mask, coeff, 0.0)
+    return _synthesize(np.zeros((len(indices),) + (1,) * n), levels, n, J)
+
+
 def haar_polynomial(
     n: int,
     J: int,
@@ -112,19 +138,7 @@ def haar_polynomial(
 
     Draws are keyed by (seed, index, max_level) only, so the same function
     is produced at every resolution J > max_level."""
-    top = (J - 1) if max_level is None else max_level
-    if top >= J:
-        raise ValueError("max_level must be < J")
-    rng = stream(seed, 2, n, top, index)
-    c = HaarCoefficients(n=n, J=J, mean=0.0)
-    for j in range(top + 1):
-        dirs = {}
-        for eps_idx in range(1, 2**n):
-            coeff = rng.standard_normal((2**j,) * n)
-            mask = rng.random((2**j,) * n) < 0.3
-            dirs[eps_idx] = np.where(mask, coeff, 0.0)
-        c.levels[j] = dirs
-    return haar_synthesize(c)
+    return GridFunction(n, J, haar_polynomials(n, J, seed, [index], max_level)[0])
 
 
 def cone_band_field(

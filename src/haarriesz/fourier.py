@@ -2,11 +2,13 @@
 inverse, derivative/antiderivative multipliers, and the scale-resolving
 convolutions built from the compactly supported bump kernel.
 
-Every multiplier takes one path: ``rfftn`` of the real cell values, a
+Every multiplier takes one path: the ``rfftn`` of the real cell values, a
 product with a Hermitian symbol on the half spectrum (last axis: the N/2+1
-nonnegative frequencies), one ``irfftn``.  Frequencies are integers.  The
-torus transform stands in for the whole-space one: the zero mode is
-annihilated by every Riesz-type multiplier.  An odd multiplier of a real
+nonnegative frequencies), one ``irfftn``.  The complex passes of both
+transforms and the product run in place, so a multiplier holds one complex
+array of the field's size.  Frequencies are integers.  The torus transform
+stands in for the whole-space one: the zero mode is annihilated by every
+Riesz-type multiplier.  An odd multiplier of a real
 field is zero on its axis's Nyquist plane |xi_i| = N/2, where xi_i and
 -xi_i are one frequency; the standard random-field generators in ``fields``
 keep test spectra strictly below it.
@@ -24,6 +26,7 @@ from .grid import GridFunction
 
 __all__ = [
     "riesz",
+    "riesz_half_spectrum",
     "riesz_inverse",
     "derivative",
     "antiderivative",
@@ -57,39 +60,87 @@ def _freqs(n: int, J: int) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+def _forward(values: np.ndarray, n: int) -> np.ndarray:
+    """``np.fft.rfftn`` of real cell values over their n axes, bit for bit:
+    one ``rfft`` on the last axis, then the complex passes in place."""
+    fu = np.fft.rfft(values, axis=-1)
+    for ax in range(n - 2, -1, -1):
+        np.fft.fft(fu, axis=ax, out=fu)
+    return fu
+
+
+def _inverse(fu: np.ndarray, N: int) -> np.ndarray:
+    """``np.fft.irfftn`` of a half spectrum to N cells per axis, bit for
+    bit: the complex passes overwrite ``fu``, then one ``irfft``."""
+    for ax in range(fu.ndim - 1):
+        np.fft.ifft(fu, axis=ax, out=fu)
+    return np.fft.irfft(fu, n=N, axis=-1)
+
+
 def _apply_symbol(u: GridFunction, symbol: np.ndarray) -> GridFunction:
     """Fourier multiplier given by a Hermitian symbol on the rfftn layout."""
-    axes = tuple(range(u.n))
-    fu = np.fft.rfftn(u.values, axes=axes)
-    return GridFunction(u.n, u.J, np.fft.irfftn(fu * symbol, s=u.values.shape, axes=axes))
+    fu = _forward(u.values, u.n)
+    fu *= symbol
+    return GridFunction(u.n, u.J, _inverse(fu, 2**u.J))
 
 
-def _check_axis(u: GridFunction, i: int) -> None:
-    if not 1 <= i <= u.n:
-        raise ValueError(f"axis {i} out of range for n={u.n}")
+def _check_axis(n: int, i: int) -> None:
+    if not 1 <= i <= n:
+        raise ValueError(f"axis {i} out of range for n={n}")
+
+
+# half-spectrum cells per block of an odd symbol: the symbol and the |xi|
+# it reads are evaluated a block of first-axis rows at a time
+_SYMBOL_BLOCK = 1 << 15
+
+
+def _odd_step(fu: np.ndarray, J: int, i: int,
+              symbol: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Multiply the half spectrum ``fu`` in place by the multiplier odd in
+    xi_i: symbol(xi_i, |xi|) where 0 < |xi_i| < N/2, zero on the hyperplane
+    xi_i = 0 and on the Nyquist plane |xi_i| = N/2."""
+    n = fu.ndim
+    _check_axis(n, i)
+    xi = _freqs(n, J)
+    x = xi[i - 1]
+    live = (x != 0) & (np.abs(x) < 2 ** (J - 1))
+    rows = max(1, _SYMBOL_BLOCK * fu.shape[0] // fu.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, fu.shape[0], rows):
+            # the block's rows of every table that spans the first axis
+            *ks, mask = (a[lo:lo + rows] if a.shape[0] > 1 else a for a in xi + (live,))
+            seg = fu[lo:lo + rows]
+            np.multiply(seg, symbol(ks[i - 1], np.sqrt(sum(k * k for k in ks))), out=seg,
+                        where=mask)
+    fu *= live
+    return fu
 
 
 def _odd_multiplier(
     u: GridFunction, i: int, symbol: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> GridFunction:
-    """Multiplier odd in xi_i: symbol(xi_i, |xi|) where 0 < |xi_i| < N/2,
-    zero on the hyperplane xi_i = 0 and on the Nyquist plane |xi_i| = N/2."""
-    _check_axis(u, i)
-    xi = _freqs(u.n, u.J)
-    x = xi[i - 1]
-    live = (x != 0) & (np.abs(x) < 2 ** (u.J - 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sym = np.where(live, symbol(x, np.sqrt(sum(k * k for k in xi))), 0.0)
-    return _apply_symbol(u, sym)
+    """The multiplier of ``_odd_step`` applied to a field."""
+    fu = _odd_step(_forward(u.values, u.n), u.J, i, symbol)
+    return GridFunction(u.n, u.J, _inverse(fu, 2**u.J))
 
 
 # ---------------------------------------------------------------------------
 # Riesz transforms and companions
 
 
+def _riesz_symbol(x: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    return -1j * x / mag
+
+
 def riesz(u: GridFunction, i: int) -> GridFunction:
     """R_i: multiply the spectrum by -i xi_i / |xi|, zero mode killed."""
-    return _odd_multiplier(u, i, lambda x, mag: -1j * x / mag)
+    return _odd_multiplier(u, i, _riesz_symbol)
+
+
+def riesz_half_spectrum(fu: np.ndarray, J: int, i: int) -> np.ndarray:
+    """R_i in place on the rfftn half spectrum ``fu`` of a level-J field
+    (n = fu.ndim): the step ``riesz`` takes between its transforms."""
+    return _odd_step(fu, J, i, _riesz_symbol)
 
 
 def derivative(u: GridFunction, i: int) -> GridFunction:
@@ -100,14 +151,14 @@ def derivative(u: GridFunction, i: int) -> GridFunction:
 def _check_admissible(u: GridFunction, i0: int, tol: float = 1e-12) -> None:
     """Raise unless the N^-n-normalised spectrum of u is below tol on the
     hyperplane xi_{i0} = 0, naming the frequency that carries the most."""
-    _check_axis(u, i0)
-    xi = _freqs(u.n, u.J)
-    coeffs = np.abs(np.fft.rfftn(u.values)) * 2.0 ** (-u.n * u.J)
-    offender = np.where(xi[i0 - 1] == 0, coeffs, 0.0)
-    worst = float(offender.max())
+    _check_axis(u.n, i0)
+    # index 0 of every rfftn axis is the zero frequency
+    plane = np.abs(_forward(u.values, u.n).take(0, axis=i0 - 1)) * 2.0 ** (-u.n * u.J)
+    worst = float(plane.max())
     if worst > tol:
-        where = np.unravel_index(int(offender.argmax()), offender.shape)
-        freq = tuple(int(k.ravel()[idx]) for k, idx in zip(xi, where))
+        where = list(np.unravel_index(int(plane.argmax()), plane.shape))
+        where.insert(i0 - 1, 0)
+        freq = tuple(int(k.ravel()[idx]) for k, idx in zip(_freqs(u.n, u.J), where))
         raise ValueError(
             f"spectral mass {worst:.3e} on the hyperplane xi_{i0}=0 "
             f"(offending frequency {freq}); input not in the range of R_{i0}"

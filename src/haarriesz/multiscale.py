@@ -41,6 +41,7 @@ __all__ = [
     "slice_sum_residuals",
     "OpNormResult",
     "op_norm2_estimate",
+    "unit_start_spectrum",
     "ring_cover",
     "ring_projection_operator",
     "ring_norm",
@@ -59,11 +60,15 @@ class GramForm:
     """The range of an operator T as power iteration walks it: ``start``
     maps a field v to its image y = T v, ``gram`` applies T T^* to such a
     y, and ``inner`` is the L2 inner product of the fields that two of them
-    stand for.  Range vectors support y - c * y' and y * c."""
+    stand for.  Range vectors support y - c * y' and y * c.  A form that
+    reads v through its rfftn half spectrum also has ``from_spectrum``,
+    which maps that spectrum to T v, so estimates can share one transform
+    of one start."""
 
     start: Callable[[GridFunction], Any]
     gram: Callable[[Any], Any]
     inner: Callable[[Any, Any], float]
+    from_spectrum: Optional[Callable[[np.ndarray], Any]] = None
 
 
 @dataclass
@@ -294,8 +299,7 @@ def _slice_gram(J: int, direction: Direction, ell: int, levels: Sequence[int]) -
 
     W = {(k, j): cross(k, j) for k in range(len(lv)) for j in range(len(lv))}
 
-    def start(v: GridFunction) -> np.ndarray:
-        spec = np.fft.rfftn(v.values, axes=tuple(range(n)))
+    def from_spectrum(spec: np.ndarray) -> np.ndarray:
         y = np.empty(bounds[-1], dtype=complex)
         for (M, c, a), lo, hi in zip(lv, bounds, bounds[1:]):
             y[lo:hi] = (_fold(spec, a, M) * (2.0 ** (-n * J) * math.sqrt(c))).ravel()
@@ -317,7 +321,8 @@ def _slice_gram(J: int, direction: Direction, ell: int, levels: Sequence[int]) -
             out[bounds[k]:bounds[k + 1]] = acc.ravel()
         return out
 
-    return GramForm(start, gram, lambda x, y: dot(x.view(np.float64), y.view(np.float64)))
+    return GramForm(lambda v: from_spectrum(np.fft.rfftn(v.values, axes=tuple(range(n)))), gram,
+                    lambda x, y: dot(x.view(np.float64), y.view(np.float64)), from_spectrum)
 
 
 def slice_sum_residuals(
@@ -379,6 +384,14 @@ def _unit_start(n: int, J: int, seed: int) -> GridFunction:
     return v * (1.0 / v.lp_norm(2))
 
 
+def unit_start_spectrum(n: int, J: int, seed: int) -> np.ndarray:
+    """The rfftn half spectrum of the unit start (read-only), for estimates
+    that share one start (``op_norm2_estimate``'s ``spectrum``)."""
+    spec = np.fft.rfftn(_unit_start(n, J, seed).values, axes=tuple(range(n)))
+    spec.setflags(write=False)
+    return spec
+
+
 def op_norm2_estimate(
     op: LinearFieldOp,
     n: int,
@@ -386,6 +399,7 @@ def op_norm2_estimate(
     iters: int = 20,
     seed: int = 0,
     tol: float = 1e-4,
+    spectrum: Optional[np.ndarray] = None,
 ) -> OpNormResult:
     """Power iteration on N = op^T op, run on the range side: it carries
     y_k = op v_k for the unit field iterates v_k, and y_(k+1) = g / w_k
@@ -402,13 +416,23 @@ def op_norm2_estimate(
     theta.  ``converged`` is the certificate residual <= tol * theta: theta
     lies within tol * theta of *an* eigenvalue of N.  It does not prove
     that eigenvalue is the largest, so ``value`` stays a lower bound on the
-    norm either way."""
+    norm either way.
+
+    The start is the unit Gaussian field of ``seed``.  ``spectrum``, when
+    given, must be its ``unit_start_spectrum(n, J, seed)``; the estimate
+    then starts from it through ``from_spectrum``, and the result is the
+    same to the bit."""
     if iters < 10:
         raise ValueError("need at least 10 iterations")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol}")
     form = op.gram_form()
-    y = form.start(_unit_start(n, J, seed))
+    if spectrum is None:
+        y = form.start(_unit_start(n, J, seed))
+    elif form.from_spectrum is None:
+        raise ValueError(f"{op.name} does not start from a spectrum")
+    else:
+        y = form.from_spectrum(spectrum)
     history = [form.inner(y, y)]
     for _ in range(iters - 1):
         g = form.gram(y)
@@ -590,11 +614,11 @@ def _profile_matrix(J: int, lam: int, j: int) -> np.ndarray:
     k & (2^lam - 1)), so every level-j default profile is a tensor product
     of rows of A_j."""
     side = 2.0 ** (lam - j)
-    rows = []
+    A = np.empty((2**j, 2**J))
     for k in range(2**j):
         start = (k >> lam) * side + (k & ((1 << lam) - 1)) * side / (2**lam) * 0.5
-        rows.append(sine_cell_averages(2**J, 2.0 * np.pi / side, start, start, start + side))
-    return np.array(rows)
+        A[k] = sine_cell_averages(2**J, 2.0 * np.pi / side, start, start, start + side)
+    return A
 
 
 def rearrangement_operator(

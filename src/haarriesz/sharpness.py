@@ -6,6 +6,9 @@ Everything here is specialized to n = 2 with the Riesz axis i0 = 1 and the
 Haar direction (1, 0).  Inner products are separable closed-form sine
 integrals, evaluated for whole arrays of square pairs at once; dense grids
 enter only as cross-check oracles at the coarsest oscillation parameter.
+The single block's grid norms come from its two 1D factors: its half
+spectrum is a tensor product and its Haar projection has rank J, so no
+full grid of it is built.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .fields import stream
-from .fourier import riesz
-from .grid import Direction, DyadicCube, GridFunction
-from .haar import directional_project
+from .fourier import riesz_half_spectrum
+from .grid import Direction, DyadicCube, GridFunction, dot
+from .haar import _analyze, conditional_expectation, level_field
 from .profiles import (
     SinePiece,
     haar_pieces,
@@ -470,6 +473,46 @@ def single_block_square() -> DyadicCube:
     return DyadicCube(2, 2, (1, 2))
 
 
+# grid rows per strip of the single block's L^p sums
+_STRIP_ROWS = 64
+
+
+def _strip_lp_norm(strips, J: int, p: float) -> float:
+    """L^p norm of the level-J planar field given as strips of rows: the sum
+    of |.|^p strip by strip, in the form of grid.lp_norm (dot at p = 2)."""
+    if p == 2.0:
+        return math.sqrt(sum(dot(s, s) for s in strips) * 2.0 ** (-2 * J))
+    total = sum(float((np.abs(s) ** p).sum()) for s in strips)
+    return float(total * 2.0 ** (-2 * J)) ** (1.0 / p)
+
+
+def _tensor_riesz1_lp_norm(v1: np.ndarray, v2: np.ndarray, J: int, p: float) -> float:
+    """||R_1 (v1 (x) v2)||_p on the level-J grid.  The half spectrum of the
+    tensor field is fft(v1) (x) rfft(v2); R_1 runs on it in place, then the
+    x1 pass of the inverse, and the x2 pass strip by strip."""
+    N = 2**J
+    spec = riesz_half_spectrum(np.multiply.outer(np.fft.fft(v1), np.fft.rfft(v2)), J, 1)
+    np.fft.ifft(spec, axis=0, out=spec)
+    return _strip_lp_norm((np.fft.irfft(spec[lo:lo + _STRIP_ROWS], n=N, axis=-1)
+                           for lo in range(0, N, _STRIP_ROWS)), J, p)
+
+
+def _tensor_project10_lp_norm(v1: np.ndarray, v2: np.ndarray, J: int, p: float) -> float:
+    """||P^(1,0) (v1 (x) v2)||_p on the level-J grid.  The (1,0) coefficient
+    of the level-j square I x K is the Haar coefficient of v1 on I times the
+    mean of v2 on K, so P^(1,0) (v1 (x) v2) = sum_j (D_j v1) (x) (E_j v2), with
+    D_j the level-j Haar part: rank J.  Each strip of rows is one einsum
+    over j (einsum calls no BLAS)."""
+    N = 2**J
+    _, levels = _analyze(v1, 1, J)
+    x1 = Direction((1,))
+    D = np.stack([level_field(levels[j][1], x1, J).values for j in range(J)], axis=1)
+    E = np.stack([conditional_expectation(GridFunction(1, J, v2), j).values
+                  for j in range(J)], axis=1)
+    return _strip_lp_norm((np.einsum("aj,bj->ab", D[lo:lo + _STRIP_ROWS], E)
+                           for lo in range(0, N, _STRIP_ROWS)), J, p)
+
+
 def single_block_experiment_ple2(
     eps_list: Sequence[float],
     p: float,
@@ -477,7 +520,8 @@ def single_block_experiment_ple2(
     seed: int = 0,
 ) -> list[SharpnessRow]:
     """p <= 2 regime on the single block: grid norms of R_1 g and P g at
-    grid level n0 + 6, and ||g||_p by separable quadrature on that level."""
+    grid level n0 + 6, from the block's two 1D factors of cell averages,
+    and ||g||_p by separable quadrature on that level."""
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must be in (1, 2], got {p}")
     q = p / (p - 1.0)
@@ -486,11 +530,10 @@ def single_block_experiment_ple2(
         _, n0 = _as_eps(eps)
         J = n0 + 6
         block = BlockSpec(single_block_square(), eps)
-        g = block_field(block, J)
+        v1, v2 = (pieces_cell_averages(x, 2**J) for x in block.pieces())
         norm_g = block_lp_norm(block, J, p)
-        norm_Rg = riesz(g, 1).lp_norm(p)
-        Pg = directional_project(g, DIRECTION_10)
-        norm_Pg = Pg.lp_norm(p)
+        norm_Rg = _tensor_riesz1_lp_norm(v1, v2, J, p)
+        norm_Pg = _tensor_project10_lp_norm(v1, v2, J, p)
         ratio = norm_Pg / (norm_g ** (1.0 / p - eta) * norm_Rg ** (1.0 / q + eta))
         rows.append(
             SharpnessRow(eps, p, eta, norm_g, norm_Rg, norm_Pg, ratio, "dense", f"J={J}", seed)

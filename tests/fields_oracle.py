@@ -1,12 +1,14 @@
-"""Scalar-loop forms of two field families, the oracles for
-``fields.trig_band_field`` (one full-grid cosine per frequency) and
-``fields.standard_random_field`` (one Python step per annulus mode)."""
+"""Scalar-loop forms of three field families, the oracles for
+``fields.trig_band_field`` (one full-grid cosine per frequency),
+``fields.standard_random_field`` (one Python step per annulus mode) and
+``fields.haar_polynomials`` (one HaarCoefficients synthesis per field)."""
 
 import itertools
 
 import numpy as np
 
 from haarriesz.fields import stream
+from haarriesz.haar import HaarCoefficients, haar_synthesize
 
 
 def trig_band_cos_loop(n, J, seed, index=0, i0=1):
@@ -56,3 +58,18 @@ def standard_field_mode_loop(n, J, seed=0):
     vals = np.fft.ifftn(spec).real
     norm = float(np.sqrt(np.mean(vals**2)))
     return vals / norm if norm > 0 else vals
+
+
+def haar_polynomial_per_field(n, J, seed, index, max_level):
+    """One Haar polynomial synthesized on its own, with the draws of
+    ``haar_polynomials``."""
+    rng = stream(seed, 2, n, max_level, index)
+    c = HaarCoefficients(n=n, J=J, mean=0.0)
+    for j in range(max_level + 1):
+        dirs = {}
+        for eps_idx in range(1, 2**n):
+            coeff = rng.standard_normal((2**j,) * n)
+            mask = rng.random((2**j,) * n) < 0.3
+            dirs[eps_idx] = np.where(mask, coeff, 0.0)
+        c.levels[j] = dirs
+    return haar_synthesize(c).values

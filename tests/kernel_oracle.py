@@ -5,11 +5,35 @@ with its antiderivative, whose twice-iterated antiderivative
 
 The table is the difference of the n-fold tensor powers of the even 1D
 Galerkin lag tables T_s and T_{s+1} (numpy FFT layout on every axis).
+
+Also the full-symbol multiplier path that ``fourier`` replaced with its
+in-place one: one ``rfftn``, the whole symbol built with its zeros, a
+product into a new array, one ``irfftn``.  It is the bit-for-bit oracle of
+every multiplier.
 """
 
 import numpy as np
 
-from haarriesz.fourier import _b_scaled_lag_table
+from haarriesz.fourier import _b_scaled_lag_table, _freqs
+from haarriesz.grid import GridFunction
+
+
+def full_symbol_multiplier(u, symbol):
+    """The multiplier with the Hermitian symbol ``symbol`` (rfftn layout)."""
+    axes = tuple(range(u.n))
+    fu = np.fft.rfftn(u.values, axes=axes)
+    return GridFunction(u.n, u.J, np.fft.irfftn(fu * symbol, s=u.values.shape, axes=axes))
+
+
+def full_odd_multiplier(u, i, symbol):
+    """The multiplier symbol(xi_i, |xi|) where 0 < |xi_i| < N/2, zero on
+    xi_i = 0 and on the Nyquist plane, with its symbol built at full size."""
+    xi = _freqs(u.n, u.J)
+    x = xi[i - 1]
+    live = (x != 0) & (np.abs(x) < 2 ** (u.J - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sym = np.where(live, symbol(x, np.sqrt(sum(k * k for k in xi))), 0.0)
+    return full_symbol_multiplier(u, sym)
 
 
 def kernel_b(t):

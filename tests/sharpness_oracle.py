@@ -16,7 +16,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from haarriesz import sharpness
+from haarriesz.fourier import riesz
 from haarriesz.grid import DyadicCube
+from haarriesz.haar import directional_project
 from haarriesz.profiles import SinePiece, haar_pieces, indicator_pieces
 from haarriesz.sharpness import BlockSpec, SquareCollection, build_collection
 
@@ -211,3 +213,13 @@ def gram_norm2(
                     acc += 2.0 * block_vs_block(b, partner)
             cross += acc / sample_size * coll.layer_count(k)
     return diag + cross
+
+
+def grid_ple2_norms(eps_param: float, p: float) -> tuple[float, float]:
+    """(||R_1 g||_p, ||P^(1,0) g||_p) of the single block g on the dense
+    level-(n0 + 6) grid: the field, its Riesz transform and its Haar
+    projection as full grids, the oracle of the tensor-factor norms in
+    ``single_block_experiment_ple2``."""
+    J = round(-math.log2(eps_param)) + 6
+    g = sharpness.block_field(BlockSpec(sharpness.single_block_square(), eps_param), J)
+    return riesz(g, 1).lp_norm(p), directional_project(g, sharpness.DIRECTION_10).lp_norm(p)

@@ -5,9 +5,16 @@ import re
 import numpy as np
 import pytest
 from grid_oracle import coordinate_fields
-from kernel_oracle import kernel_b, kernel_b_antiderivative, lag_tensor, tensor_invariants
+from kernel_oracle import (
+    full_odd_multiplier,
+    full_symbol_multiplier,
+    kernel_b,
+    kernel_b_antiderivative,
+    lag_tensor,
+    tensor_invariants,
+)
 
-from haarriesz import experiments
+from haarriesz import experiments, fourier
 from haarriesz.fields import cone_band_field, random_field
 from haarriesz.fourier import (
     ResolvingKernel,
@@ -164,6 +171,56 @@ class TestHalfSpectrumOracle:
         for u in (cone_band_field(n, J, seed=49, i0=i), _nyquist_field(n, J, seed=49, i=i)):
             ref = _full_fft_reference(u, i, symbol)
             assert np.linalg.norm(op(u, i).values - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+class TestInPlacePath:
+    """The multipliers run their transforms and products in place on one
+    half spectrum; the full-size path (kernel_oracle) is their oracle, bit
+    for bit."""
+
+    @pytest.mark.parametrize("n,J", [(1, 9), (2, 6), (3, 5)])
+    def test_transforms_equal_rfftn_and_irfftn(self, n, J):
+        values = random_field(n, J, seed=71, nyquist_free=False).values
+        axes = tuple(range(n))
+        fu = fourier._forward(values, n)
+        assert fu.tobytes() == np.fft.rfftn(values, axes=axes).tobytes()
+        want = np.fft.irfftn(fu, s=values.shape, axes=axes)
+        assert fourier._inverse(fu.copy(), 2**J).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,J,i", ORACLE_CASES)
+    @pytest.mark.parametrize(
+        "op,symbol",
+        [
+            (riesz, lambda x, mag: -1j * x / mag),
+            (derivative, lambda x, mag: 1j * (2.0 * np.pi) * x),
+            (riesz_inverse, lambda x, mag: mag / (-1j * x)),
+            (antiderivative, lambda x, mag: 1.0 / (1j * (2.0 * np.pi) * x)),
+        ],
+        ids=["riesz", "derivative", "riesz_inverse", "antiderivative"],
+    )
+    def test_odd_multipliers_equal_the_full_symbol_path(self, n, J, i, op, symbol):
+        for u in (cone_band_field(n, J, seed=72, i0=i), _nyquist_field(n, J, seed=72, i=i)):
+            want = full_odd_multiplier(u, i, symbol)
+            assert op(u, i).values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("n,J", [(1, 9), (2, 6), (3, 5)])
+    def test_even_multipliers_equal_the_full_symbol_path(self, n, J):
+        u = random_field(n, J, seed=73, nyquist_free=False)
+        for s in range(J - 1):
+            got = delta_conv(u, s).values.tobytes()
+            assert got == full_symbol_multiplier(u, fourier._delta_symbol(n, s, J)).values.tobytes()
+            got = smoothing_conv(u, s).values.tobytes()
+            assert got == full_symbol_multiplier(u, fourier._beta_symbol(n, s, J)).values.tobytes()
+
+    @pytest.mark.parametrize("n,J", [(1, 17), (2, 9), (3, 6)])
+    def test_riesz_half_spectrum_is_the_riesz_step(self, n, J):
+        # each of these half spectra spans 3 to 5 blocks of the symbol
+        assert np.prod(fourier._forward(np.zeros((2**J,) * n), n).shape) > 2 * fourier._SYMBOL_BLOCK
+        u = random_field(n, J, seed=74, nyquist_free=False)
+        for i in range(1, n + 1):
+            fu = fourier.riesz_half_spectrum(fourier._forward(u.values, n), J, i)
+            want = full_odd_multiplier(u, i, lambda x, mag: -1j * x / mag)
+            assert fourier._inverse(fu, 2**J).tobytes() == want.values.tobytes()
 
 
 class TestDerivativeAntiderivative:

@@ -1,5 +1,6 @@
 """Scale slices, operator-norm estimation, ring projections, rearrangements."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,14 +9,27 @@ from rearrangement_oracle import PredecessorSplit, rearrangement_op, sine_profil
 from ring_oracle import ring_adjoint, ring_apply, ring_covers, validate_ring_family
 from slice_oracle import field_decomposition_residuals, field_op_norm2_estimate
 
-from haarriesz.cli import JENSEN_BATCH, TL_DECAY_COPIES, grid_budget, main
+from haarriesz import multiscale
+from haarriesz.cli import (
+    JENSEN_BATCH,
+    TL_DECAY_COPIES,
+    grid_budget,
+    main,
+    ple2_budget,
+    rearrange_budget,
+)
 from haarriesz.experiments import (
     decomposition_residuals,
     rearrangement_norms,
     ring_decay_norms,
     tl_decay_norms,
 )
-from haarriesz.fields import haar_polynomial, random_field, single_haar_block, standard_random_field
+from haarriesz.fields import (
+    haar_polynomials,
+    random_field,
+    single_haar_block,
+    standard_random_field,
+)
 from haarriesz.fourier import resolvable, smoothing_conv
 from haarriesz.grid import Direction, DyadicCube, GridFunction, axis_direction
 from haarriesz.haar import directional_project, haar_analyze, level_coefficients
@@ -30,6 +44,7 @@ from haarriesz.multiscale import (
     ring_projection_operator,
     t_ell,
     t_ell_operator,
+    unit_start_spectrum,
 )
 from haarriesz.semiconvexity import VectorField, jensen_range_check, registry_integrands
 from haarriesz.sharpness import (
@@ -323,14 +338,16 @@ class TestWorkingSet:
     @pytest.mark.parametrize("batch", [1, JENSEN_BATCH])
     def test_jensen_fits_its_cap_budget(self, n, J, batch):
         # one cmd_jensen batch, after enforce_cap(grid_budget(n, J,
-        # copies=16 * batch)); the first call runs the integrands'
-        # separate-convexity probes, whose lattice does not scale with J
+        # copies=16 * batch)); the first calls run the integrands'
+        # separate-convexity probes, whose lattice does not scale with J,
+        # and keep numpy's lazy import of its generators out of the trace
         regs = registry_integrands()
         jensen_range_check([VectorField([GridFunction.zeros(n, 3) for _ in range(n)])], regs, 0)
+        haar_polynomials(n, 3, 1, [0])
         tracemalloc.start()
         try:
-            vs = [VectorField([haar_polynomial(n, J, 1, index=n * i + c) for c in range(n)])
-                  for i in range(batch)]
+            stack = haar_polynomials(n, J, 1, range(n * batch)).reshape((batch, n) + (2**J,) * n)
+            vs = [VectorField([GridFunction(n, J, comp) for comp in field]) for field in stack]
             jensen_range_check(vs, regs, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -338,19 +355,20 @@ class TestWorkingSet:
         assert peak <= grid_budget(n, J, copies=16 * batch)
 
     def test_sharpness_ple2_fits_its_cap_budget(self):
-        # what cmd_sharpness --regime ple2 runs at the default eps list after
-        # enforce_cap(grid_budget(2, n0_max + 6, copies=16)), n0_max = 3
-        eps_list = [0.5, 0.25, 0.125]
+        # what cmd_sharpness --regime ple2 runs after
+        # enforce_cap(ple2_budget(n0_max + 6)), from the default eps list
+        # down to eps = 1/64
         single_block_experiment_ple2([0.5], 1.5, 0.1)
-        tracemalloc.start()
-        try:
-            single_block_experiment_ple2(eps_list, 1.5, 0.1, seed=1)
-            for eps in eps_list:
-                unit_square_coefficient(eps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= grid_budget(2, 9, copies=16)
+        for eps_list in ([0.5], [0.5, 0.25, 0.125], [1 / 16, 1 / 32], [1 / 64]):
+            tracemalloc.start()
+            try:
+                single_block_experiment_ple2(eps_list, 1.5, 0.1, seed=1)
+                for eps in eps_list:
+                    unit_square_coefficient(eps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= ple2_budget(max(round(-math.log2(e)) for e in eps_list) + 6), eps_list
 
     def test_sharpness_pge2_fits_its_cap_budget(self):
         # what cmd_sharpness --regime pge2 --sample 20000 runs after
@@ -375,15 +393,17 @@ class TestWorkingSet:
                         ["interp-ratio", "--n", str(n), "--J", "4", "--trials", "1"])
         assert peak <= grid_budget(n, J + 1)
 
-    # cmd_rearrange charges grid_budget(n, J, copies=160); --trials sets the
-    # iteration count and --lambda the number of operators
+    # cmd_rearrange charges rearrange_budget(n, J); --trials sets the
+    # iteration count and --lambda the number of operators.  At n = 1 the
+    # profile matrices, not the grids, set the peak
     @pytest.mark.parametrize("n,J,lams,trials", [
-        (2, 7, "1,2,3", 5), (2, 7, "1,2,3", 20), (2, 6, "0..5", 8), (3, 5, "1,2", 8)])
+        (2, 7, "1,2,3", 5), (2, 7, "1,2,3", 20), (2, 6, "0..5", 8), (3, 5, "1,2", 8),
+        (1, 8, "1,2,3", 8), (1, 10, "1,2,3", 8), (1, 12, "1,2,3", 8)])
     def test_rearrange_scaling_fits_its_cap_budget(self, n, J, lams, trials, tmp_path):
         peak = cli_peak(tmp_path, ["rearrange-scaling", "--n", str(n), "--J", str(J), "--lambda",
                                    lams, "--trials", str(trials), "--seed", "1"],
                         ["rearrange-scaling", "--n", str(n), "--J", "3", "--lambda", "1"])
-        assert peak <= grid_budget(n, J, copies=160)
+        assert peak <= rearrange_budget(n, J)
 
     @pytest.mark.parametrize("n,J", [(2, 6), (2, 8), (3, 5), (3, 6)])
     def test_semicontinuity_fits_its_cap_budget(self, n, J, tmp_path):
@@ -532,6 +552,28 @@ class TestRangeSideIteration:
 
 
 class TestTlDecay:
+    @pytest.mark.parametrize("n,J", [(1, 7), (2, 6), (3, 5)])
+    def test_slices_share_one_drawn_and_transformed_start(self, n, J, monkeypatch):
+        # each slice estimate on its own, then the run: the run draws the
+        # unit start and takes its rfftn once, to the same bits
+        ells = range(-2, 3)
+        want = {ell: op_norm2_estimate(t_ell_operator(n, J, axis_direction(n, 1), ell), n, J,
+                                       iters=12, seed=5) for ell in ells}
+        draws = []
+        unit_start = multiscale._unit_start
+        monkeypatch.setattr(multiscale, "_unit_start", lambda *a: draws.append(a) or unit_start(*a))
+        calls = count_ffts(monkeypatch)
+        got = tl_decay_norms(n, J, axis_direction(n, 1), ells, iters=12, seed=5)
+        assert len(draws) == 1 and calls == {"rfftn": 1, "irfftn": 0}
+        for ell in ells:
+            assert (got[ell].value, got[ell].rayleigh, got[ell].residual, got[ell].converged) == (
+                want[ell].value, want[ell].rayleigh, want[ell].residual, want[ell].converged)
+
+    def test_a_spectrum_start_needs_a_spectral_form(self):
+        op = LinearFieldOp(apply=lambda u: u, adjoint=lambda u: u, name="id")
+        with pytest.raises(ValueError, match="does not start from a spectrum"):
+            op_norm2_estimate(op, 2, 4, iters=10, spectrum=unit_start_spectrum(2, 4, 0))
+
     def test_norm_decay_at_p2(self):
         norms = tl_decay_norms(2, 7, D10, range(-4, 5), iters=24, seed=0)
         m = {ell: r.value for ell, r in norms.items()}

@@ -367,6 +367,16 @@ class TestExperiments:
             dense = dense_lp_norm([block], n0 + 5, p)
             assert block_lp_norm(block, n0 + 5, p) == pytest.approx(dense, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2.0])
+    def test_ple2_tensor_norms_match_the_grid(self, p):
+        # ||R_1 g||_p and ||P g||_p from the block's 1D factors against the
+        # dense grid path; only the rounding of the two paths differs
+        for eps in (0.5, 0.25, 0.125):
+            (row,) = single_block_experiment_ple2([eps], p=p, eta=0.1)
+            norm_R, norm_P = oracle.grid_ple2_norms(eps, p)
+            assert row.norm_Rf == pytest.approx(norm_R, rel=1e-14, abs=0)
+            assert row.lower_P == pytest.approx(norm_P, rel=1e-14, abs=0)
+
     def test_ple2_validates_p(self):
         with pytest.raises(ValueError):
             single_block_experiment_ple2([0.5], p=3.0, eta=0.1)
