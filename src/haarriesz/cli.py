@@ -244,11 +244,11 @@ def grid_budget(n: int, J: int, copies: int = 96) -> int:
     """Working-set estimate: ``copies`` float64 grids of 2^(nJ) cells plus
     GRID_BUDGET_BASE.  Each subcommand charges the copies its run peaks at;
     tests/test_multiscale.py::TestWorkingSet measures them.  tl-decay
-    charges TL_DECAY_COPIES[n]: at n = 2, 3 its grids, rfftn half spectra,
-    fold scratch, Haar pyramid and Gram multipliers peak at about 4-9
-    copies; at n = 1 the 1D factors and the Gram multipliers, which grow
-    like J 2^J against the 2^J-cell grid, peak at about 97 copies at
-    J = 12."""
+    charges TL_DECAY_COPIES[n]: at n = 2, 3 its start grid, half spectrum,
+    fold scratch and Gram multipliers peak at about 2-5 copies, and its
+    residuals, folded from the reference field's mode list, at under one;
+    at n = 1 the 1D factors and the Gram multipliers, which grow like
+    J 2^J against the 2^J-cell grid, peak at about 97 copies at J = 12."""
     return 8 * 2 ** (n * J) * copies + GRID_BUDGET_BASE
 
 

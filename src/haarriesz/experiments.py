@@ -6,15 +6,17 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .fields import (
     haar_polynomial,
     single_haar_block,
-    standard_random_field,
+    standard_random_spectrum,
     trig_band_field,
 )
-from .fourier import riesz
+from .fourier import _inverse, riesz
 from .grid import Direction, GridFunction, axis_direction
-from .haar import directional_project
+from .haar import HaarCoefficients, directional_project, haar_analyze
 from .multiscale import (
     OpNormResult,
     default_even_family,
@@ -38,6 +40,31 @@ __all__ = [
 ]
 
 
+def _cell_averages(J: int, modes: np.ndarray, spectrum: np.ndarray, L: int) -> GridFunction:
+    """E_L u on the level-L grid, L <= J, for the level-J field u whose DFT
+    is ``spectrum`` on the integer ``modes`` and 0 elsewhere.
+
+    The mean of u over the level-L cell X is N^-n sum_xi u^(xi)
+    e^(2 pi i xi.X / 2^L) prod_i D(xi_i), with N = 2^J and
+    D(k) = mean_{t < r} e^(2 pi i k t / N), r = 2^(J-L); the phase depends
+    on xi mod 2^L only.  So E_L u = (2^L / N)^n ifftn(S) with
+    S(eta) = sum_{xi = eta mod 2^L} u^(xi) prod_i D(xi_i).  D is the
+    product over q < J-L of (1 + e^(2 pi i k 2^q / N)) / 2.  S is built on
+    its rfftn half and transformed in place; modes alias when 2^L is
+    small."""
+    n, N, M = modes.shape[1], 2**J, 2**L
+    D = np.ones(modes.shape, dtype=complex)
+    for q in range(J - L):
+        D *= (1.0 + np.exp(2j * np.pi * (modes * 2**q / N))) / 2.0
+    eta = modes % M
+    half = eta[:, -1] <= M // 2
+    S = np.zeros((M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
+    np.add.at(S, tuple(eta[half].T), (spectrum * D.prod(axis=1))[half])
+    values = _inverse(S, M)
+    values *= (M / N) ** n
+    return GridFunction(n, L, values)
+
+
 def decomposition_residuals(
     n: int,
     J: int,
@@ -47,14 +74,23 @@ def decomposition_residuals(
     seed: int = 0,
 ) -> tuple[list[float], float]:
     """Residuals ||P u - sum_{|ell| <= L} T_ell u||_2 for L = 0..L_max on the
-    standard random field, in closed form (multiscale.slice_sum_residuals),
-    plus ||P u||_2 for normalization, from the Haar side.  From L = J-1 on
-    the residual is the truncation floor."""
+    standard random field, in closed form from its mode list
+    (multiscale.slice_sum_residuals), plus ||P u||_2 for normalization,
+    from the Haar side.  From L = J-1 on the residual is the truncation
+    floor.
+
+    The Haar coefficients on the window's levels, all below
+    L = top + 1, read u through its level-L cell averages alone, so they
+    are taken on the level-L grid of E_L u (_cell_averages), and ||P u||
+    is their Parseval sum; at the default window that grid has 2^-n of
+    the cells."""
     lv = default_levels(J) if levels is None else list(levels)
-    u = standard_random_field(n, J, seed)
-    residuals = slice_sum_residuals(u, direction, range(L_max + 1), lv)
-    base = directional_project(u, direction, lv).lp_norm(2)
-    return residuals, base
+    modes, spectrum = standard_random_spectrum(n, J, seed)
+    residuals = slice_sum_residuals(J, modes, spectrum, direction, range(L_max + 1), lv)
+    c = haar_analyze(_cell_averages(J, modes, spectrum, max(lv, default=-1) + 1))
+    kept = HaarCoefficients(n, c.J, 0.0, {j: {direction.index: c.levels[j][direction.index]}
+                                          for j in lv})
+    return residuals, math.sqrt(kept.energy())
 
 
 def tl_decay_norms(

@@ -18,6 +18,7 @@ __all__ = [
     "stream",
     "random_field",
     "standard_random_field",
+    "standard_random_spectrum",
     "haar_polynomial",
     "haar_polynomials",
     "cone_band_field",
@@ -67,6 +68,24 @@ def random_field(
     return GridFunction(n, J, vals)
 
 
+def _annulus_modes(n: int, J: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The modes of the reference field, (2m, n) integers: the m modes of the
+    annulus 2 <= |xi| <= 5 whose first nonzero coordinate is negative, in
+    itertools.product order, then their negatives; and their complex
+    amplitudes c, then conj(c), unnormalised.  The draw is keyed by the
+    seed only; J is checked to resolve the band."""
+    if J < 4:
+        raise ValueError(f"band 2 <= |xi| <= 5 not resolvable at J={J}")
+    xi = np.indices((11,) * n).reshape(n, -1).T - 5
+    mag2 = (xi * xi).sum(axis=1)
+    first = xi[np.arange(len(xi)), np.argmax(xi != 0, axis=1)]
+    xi = xi[(4 <= mag2) & (mag2 <= 25) & (first < 0)]
+    rng = stream(seed, 6, 32, 80, 0)  # (band edges x 16, index)
+    draws = rng.standard_normal((len(xi), 2))
+    c = draws[:, 0] + 1j * draws[:, 1]
+    return np.concatenate([xi, -xi]), np.concatenate([c, np.conj(c)])
+
+
 def standard_random_field(n: int, J: int, seed: int = 0) -> GridFunction:
     """The reference field of the decomposition and decay experiments:
     Gaussian Fourier amplitudes on the annulus 2 <= |xi| <= 5, mean-zero,
@@ -76,28 +95,26 @@ def standard_random_field(n: int, J: int, seed: int = 0) -> GridFunction:
 
     The draw is keyed by the seed only, so the same function is produced at
     every J >= 4, where the band sits below Nyquist."""
-    if J < 4:
-        raise ValueError(f"band 2 <= |xi| <= 5 not resolvable at J={J}")
+    xi, a = _annulus_modes(n, J, seed)
     N = 2**J
-    # deterministic mode list: integer frequencies in the closed annulus, in
-    # itertools.product order, one representative per conjugate pair (the
-    # one whose first nonzero coordinate is negative, so that -xi > xi)
-    xi = np.indices((11,) * n).reshape(n, -1).T - 5
-    mag2 = (xi * xi).sum(axis=1)
-    first = xi[np.arange(len(xi)), np.argmax(xi != 0, axis=1)]
-    xi = xi[(4 <= mag2) & (mag2 <= 25) & (first < 0)]
-    rng = stream(seed, 6, 32, 80, 0)  # (band edges x 16, index)
-    draws = rng.standard_normal((len(xi), 2))
-    c = draws[:, 0] + 1j * draws[:, 1]
-    # the 2 len(xi) cells are distinct: |xi_ax| <= 5 < N/2
+    # the modes sit in distinct cells: |xi_ax| <= 5 < N/2
     spec = np.zeros((N,) * n, dtype=np.complex128)
-    spec[tuple((xi % N).T)] = c
-    spec[tuple((-xi % N).T)] = np.conj(c)
+    spec[tuple((xi % N).T)] = a
     vals = np.fft.ifftn(spec).real
     norm = float(np.sqrt(np.mean(vals**2)))
     if norm > 0:
         vals = vals / norm
     return GridFunction(n, J, vals)
+
+
+def standard_random_spectrum(n: int, J: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``standard_random_field`` as its spectrum, with no grid built: the
+    modes xi, (m, n) integers (each conjugate pair listed both ways), and
+    the field's DFT (numpy's fftn on the level-J grid) at them; the DFT is
+    0 at every other frequency.  The field is ifftn of the amplitudes a
+    scaled to unit L2 norm, so by Parseval its DFT is a N^n / ||a||_2."""
+    xi, a = _annulus_modes(n, J, seed)
+    return xi, a * (2.0 ** (n * J) / np.linalg.norm(a))
 
 
 def haar_polynomials(

@@ -148,12 +148,14 @@ def derivative(u: GridFunction, i: int) -> GridFunction:
     return _odd_multiplier(u, i, lambda x, mag: 1j * TWO_PI * x)
 
 
-def _check_admissible(u: GridFunction, i0: int, tol: float = 1e-12) -> None:
-    """Raise unless the N^-n-normalised spectrum of u is below tol on the
-    hyperplane xi_{i0} = 0, naming the frequency that carries the most."""
+def _admissible_spectrum(u: GridFunction, i0: int, tol: float = 1e-12) -> np.ndarray:
+    """The half spectrum of u, once its N^-n-normalised values are checked
+    to be below tol on the hyperplane xi_{i0} = 0; otherwise raise, naming
+    the frequency that carries the most."""
     _check_axis(u.n, i0)
+    fu = _forward(u.values, u.n)
     # index 0 of every rfftn axis is the zero frequency
-    plane = np.abs(_forward(u.values, u.n).take(0, axis=i0 - 1)) * 2.0 ** (-u.n * u.J)
+    plane = np.abs(fu.take(0, axis=i0 - 1)) * 2.0 ** (-u.n * u.J)
     worst = float(plane.max())
     if worst > tol:
         where = list(np.unravel_index(int(plane.argmax()), plane.shape))
@@ -163,12 +165,21 @@ def _check_admissible(u: GridFunction, i0: int, tol: float = 1e-12) -> None:
             f"spectral mass {worst:.3e} on the hyperplane xi_{i0}=0 "
             f"(offending frequency {freq}); input not in the range of R_{i0}"
         )
+    return fu
+
+
+def _off_plane_multiplier(
+    u: GridFunction, i0: int, symbol: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> GridFunction:
+    """The multiplier of ``_odd_step`` for an input admissible along i0,
+    from the one half spectrum the check takes."""
+    fu = _odd_step(_admissible_spectrum(u, i0), u.J, i0, symbol)
+    return GridFunction(u.n, u.J, _inverse(fu, 2**u.J))
 
 
 def antiderivative(u: GridFunction, i0: int) -> GridFunction:
     """Spectral antiderivative along axis i0, defined only off xi_{i0} = 0."""
-    _check_admissible(u, i0)
-    return _odd_multiplier(u, i0, lambda x, mag: 1.0 / (1j * TWO_PI * x))
+    return _off_plane_multiplier(u, i0, lambda x, mag: 1.0 / (1j * TWO_PI * x))
 
 
 def riesz_inverse(u: GridFunction, i0: int, mode: str = "direct") -> GridFunction:
@@ -184,10 +195,10 @@ def riesz_inverse(u: GridFunction, i0: int, mode: str = "direct") -> GridFunctio
     """
     if mode not in ("direct", "composite"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_admissible(u, i0)
     if mode == "direct":
-        return _odd_multiplier(u, i0, lambda x, mag: mag / (-1j * x))
+        return _off_plane_multiplier(u, i0, lambda x, mag: mag / (-1j * x))
 
+    _admissible_spectrum(u, i0)
     acc = riesz(u, i0)
     for i in range(1, u.n + 1):
         if i == i0:

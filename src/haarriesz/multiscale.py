@@ -9,12 +9,14 @@ on the range side, y = T v with the Gram map T T^* (reproducible lower
 bounds).  Fourier coordinates appear only where that traffic runs: for
 T_ell the range vectors are the level-coset spectra of the Haar
 coefficients, on which T T^* is a set of separable coset multipliers
-(_slice_gram), so after one rfftn at the start no step touches a grid or
-an FFT.  On each level the partial sums of the T_ell telescope to one
+(_slice_gram), so after one real FFT of the start no step touches a grid
+or an FFT.  On each level the partial sums of the T_ell telescope to one
 difference of smoothings, so the residuals of the scale decomposition are
-Parseval sums over the same level-coset spectra (slice_sum_residuals): one
-rfftn, and per level one fold per scale.  The ring projection's norm is
-exact, from its cover counts.
+Parseval sums over the same level-coset spectra (slice_sum_residuals).
+They are taken for a field given by its spectrum on a list of modes: per
+level and scale one scatter-add of the modes onto their cosets, with no
+grid and no transform.  The ring projection's norm is exact, from its
+cover counts.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .fields import stream
-from .fourier import beta_factor, delta_conv, resolvable
+from .fourier import _forward, beta_factor, delta_conv, resolvable
 from .grid import Direction, DyadicCube, GridFunction, dot
 from .haar import haar_analyze, level_coefficients, level_field
 from .profiles import sine_cell_averages
@@ -321,17 +323,50 @@ def _slice_gram(J: int, direction: Direction, ell: int, levels: Sequence[int]) -
             out[bounds[k]:bounds[k + 1]] = acc.ravel()
         return out
 
-    return GramForm(lambda v: from_spectrum(np.fft.rfftn(v.values, axes=tuple(range(n)))), gram,
+    return GramForm(lambda v: from_spectrum(_forward(v.values, n)), gram,
                     lambda x, y: dot(x.view(np.float64), y.view(np.float64)), from_spectrum)
 
 
+def _mode_folds(
+    J: int, j: int, direction: Direction, modes: np.ndarray, spectrum: np.ndarray
+) -> Callable[[Optional[int]], np.ndarray]:
+    """The level-j folds of slice_sum_residuals as a cached function of the
+    scale: s maps to 2^(-n(2J-j)) fold(conj(g_j) h_s u^) (s = None: h = 1)
+    for a DFT u^ that is ``spectrum`` on ``modes`` and 0 elsewhere.  Each
+    fold scatter-adds the modes onto the cosets of Z_M^n, M = 2^j, that
+    they hit, in np.unique order; every other coset folds to 0 and is not
+    held."""
+    n, M = direction.n, 2**j
+    at = modes % 2**J  # each coordinate's place in the FFT layout
+    _, coset = np.unique(np.ravel_multi_index((modes % M).T, (M,) * n), return_inverse=True)
+    w = spectrum * 2.0 ** (-n * (2 * J - j))
+    for i, b in enumerate(direction.bits):
+        w = w * np.conj(_haar_factor(J, j, b))[at[:, i]]
+    folds: dict[Optional[int], np.ndarray] = {}
+
+    def fold(s: Optional[int]) -> np.ndarray:
+        if s not in folds:
+            ws = w if s is None else w * beta_factor(s, J)[at].prod(axis=1)
+            folds[s] = np.bincount(coset, ws.real) + 1j * np.bincount(coset, ws.imag)
+        return folds[s]
+
+    return fold
+
+
 def slice_sum_residuals(
-    u: GridFunction, direction: Direction, orders: Sequence[int], levels: Sequence[int]
+    J: int,
+    modes: np.ndarray,
+    spectrum: np.ndarray,
+    direction: Direction,
+    orders: Sequence[int],
+    levels: Sequence[int],
 ) -> list[float]:
     """||P u - sum_{|ell| <= L} T_ell u||_2 for each L in ``orders``, with P
     the direction-eps projection on the level window and T_ell as
-    t_ell_operator keeps it, by Parseval on the level-coset spectra: one
-    rfftn and no grid-sized field per slice.
+    t_ell_operator keeps it, for the level-J field u whose DFT is
+    ``spectrum`` on the integer ``modes`` (m, n) and 0 elsewhere
+    (fields.standard_random_spectrum), by Parseval on the level-coset
+    spectra: no grid and no transform.
 
     On level j t_ell_operator keeps the scales s = j + ell with
     0 <= s <= J-2, and Delta_s = beta_s - beta_{s+1} telescopes: the level-j
@@ -340,25 +375,15 @@ def slice_sum_residuals(
     residual is P_j (I - beta_{b+1} + beta_a) u, whose coset spectrum (as
     in _slice_gram) is 2^(-n(2J-j)) fold(conj(g_j) (1 - h_{b+1} + h_a) u^)
     on Z_M^n, M = 2^j, and distinct levels are orthogonal.  The fold is
-    linear, so each level folds u^ once per distinct scale.  From L = J-1
-    on, every level reaches both ends of the ladder, a = 0 and b+1 = J-1:
-    that residual is the truncation floor ||P (I - beta_{J-1} + beta_0) u||."""
-    n, J = u.n, u.J
-    if direction.n != n:
+    linear, so each level folds u^ once per distinct scale (_mode_folds).
+    From L = J-1 on, every level reaches both ends of the ladder, a = 0 and
+    b+1 = J-1: that residual is the truncation floor
+    ||P (I - beta_{J-1} + beta_0) u||."""
+    if modes.shape[1] != direction.n:
         raise ValueError("dimension mismatch")
-    lv = _window(J, levels)
-    spec = np.fft.rfftn(u.values, axes=tuple(range(n)))
     squares = [0.0] * len(orders)
-    for j in lv:
-        g = np.conj([_haar_factor(J, j, b) for b in direction.bits])
-        folds: dict[Optional[int], np.ndarray] = {}
-
-        def fold(s: Optional[int]) -> np.ndarray:
-            if s not in folds:
-                f = g if s is None else g * beta_factor(s, J)
-                folds[s] = _fold(spec, f[np.newaxis], 2**j) * 2.0 ** (-n * (2 * J - j))
-            return folds[s]
-
+    for j in _window(J, levels):
+        fold = _mode_folds(J, j, direction, modes, spectrum)
         for k, L in enumerate(orders):
             y = fold(None) - fold(min(J - 1, j + L + 1)) + fold(max(0, j - L))
             squares[k] += dot(y.view(np.float64), y.view(np.float64))
@@ -379,15 +404,17 @@ class OpNormResult:
 
 
 def _unit_start(n: int, J: int, seed: int) -> GridFunction:
-    """The start vector of power iteration: a unit Gaussian field."""
+    """The start vector of power iteration: a unit Gaussian field, scaled
+    in place."""
     v = GridFunction(n, J, stream(seed, 4, n, J).standard_normal((2**J,) * n))
-    return v * (1.0 / v.lp_norm(2))
+    v.values *= 1.0 / v.lp_norm(2)
+    return v
 
 
 def unit_start_spectrum(n: int, J: int, seed: int) -> np.ndarray:
     """The rfftn half spectrum of the unit start (read-only), for estimates
     that share one start (``op_norm2_estimate``'s ``spectrum``)."""
-    spec = np.fft.rfftn(_unit_start(n, J, seed).values, axes=tuple(range(n)))
+    spec = _forward(_unit_start(n, J, seed).values, n)
     spec.setflags(write=False)
     return spec
 

@@ -203,6 +203,15 @@ class TestInPlacePath:
             want = full_odd_multiplier(u, i, symbol)
             assert op(u, i).values.tobytes() == want.values.tobytes()
 
+    @pytest.mark.parametrize("n,J,i", ORACLE_CASES)
+    @pytest.mark.parametrize("op", [riesz_inverse, antiderivative])
+    def test_admissible_multipliers_transform_once(self, n, J, i, op, monkeypatch):
+        # the hyperplane check reads the half spectrum the multiplier uses
+        u, calls, rfft = cone_band_field(n, J, seed=72, i0=i), [], np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        op(u, i)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n,J", [(1, 9), (2, 6), (3, 5)])
     def test_even_multipliers_equal_the_full_symbol_path(self, n, J):
         u = random_field(n, J, seed=73, nyquist_free=False)

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 from rearrangement_oracle import PredecessorSplit, rearrangement_op, sine_profile_family
 from ring_oracle import ring_adjoint, ring_apply, ring_covers, validate_ring_family
-from slice_oracle import field_decomposition_residuals, field_op_norm2_estimate
+from slice_oracle import (
+    field_decomposition_residuals,
+    field_op_norm2_estimate,
+    grid_slice_sum_residuals,
+)
 
 from haarriesz import multiscale
 from haarriesz.cli import (
@@ -29,6 +33,7 @@ from haarriesz.fields import (
     random_field,
     single_haar_block,
     standard_random_field,
+    standard_random_spectrum,
 )
 from haarriesz.fourier import resolvable, smoothing_conv
 from haarriesz.grid import Direction, DyadicCube, GridFunction, axis_direction
@@ -42,6 +47,7 @@ from haarriesz.multiscale import (
     ring_cover,
     ring_norm,
     ring_projection_operator,
+    slice_sum_residuals,
     t_ell,
     t_ell_operator,
     unit_start_spectrum,
@@ -56,13 +62,19 @@ from haarriesz.sharpness import (
 D10 = Direction((1, 0))
 
 
-def count_ffts(monkeypatch) -> dict[str, int]:
-    """Calls of np.fft.rfftn and np.fft.irfftn from now on, counted live."""
-    calls = {"rfftn": 0, "irfftn": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+def count_level_transforms(monkeypatch, n, J) -> dict[str, int]:
+    """Calls, from now on, of the numpy.fft real and n-D transforms on a
+    level-J array: a (2^J,)*n grid or its rfftn half spectrum.  Counted
+    live by name; names never called are absent.  The complex passes
+    inside one real transform (fft, ifft) are not counted."""
+    N = 2**J
+    level = {(N,) * n, (N,) * (n - 1) + (N // 2 + 1,)}
+    calls: dict[str, int] = {}
+    for name in ("rfft", "irfft", "rfftn", "irfftn", "fftn", "ifftn"):
+        def counted(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            if np.shape(a) in level:
+                calls[_name] = calls.get(_name, 0) + 1
+            return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
@@ -279,10 +291,52 @@ class TestClosedFormResiduals:
         expect = directional_project(tail, direction, lv).lp_norm(2)
         assert res[J - 1:] == pytest.approx([expect] * 3, rel=1e-12, abs=0)
 
-    def test_runs_one_rfftn_and_no_irfftn(self, monkeypatch):
-        calls = count_ffts(monkeypatch)
-        decomposition_residuals(3, 5, axis_direction(3, 1), L_max=4, seed=1)
-        assert calls == {"rfftn": 1, "irfftn": 0}
+    # default windows, a window whose top level is J-1 (P u needs the
+    # whole grid), and windows whose top level is < 3, where the annulus
+    # modes alias on the coarse cosets and in the cell averages
+    WINDOWS = {"default": default_levels, "edges": lambda J: [0, 2, J - 1],
+               "coarse": lambda J: [0, 1, 2], "single": lambda J: [1]}
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("n,J", [(1, 5), (2, 7), (3, 6), (3, 7)])
+    def test_mode_list_matches_the_grid_folds(self, n, J, window):
+        # the sums y = fold(None) - fold(b+1) + fold(a) cancel down to the
+        # residual, so both forms carry rounding of about 1e-16 ||P u||:
+        # each residual agrees to 1e-14 relative, or to 1e-14 ||P u|| where
+        # the residual is small
+        lv = self.WINDOWS[window](J)
+        orders = range(J + 1)
+        for bits in {(1,) + (0,) * (n - 1), (1,) * n}:
+            direction = Direction(bits)
+            got = slice_sum_residuals(J, *standard_random_spectrum(n, J, 2), direction, orders, lv)
+            want = grid_slice_sum_residuals(standard_random_field(n, J, 2), direction, orders, lv)
+            _, base = decomposition_residuals(n, J, direction, 0, lv, seed=2)
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-14 * base)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("n,J", [(1, 5), (2, 7), (3, 6)])
+    def test_norm_of_pu_on_the_coarse_grid(self, n, J, window):
+        # ||P u|| from the level-(top+1) cell averages, against P u on the
+        # whole grid and against the Parseval sum of the unsmoothed folds
+        lv = self.WINDOWS[window](J)
+        modes, spectrum = standard_random_spectrum(n, J, 4)
+        for bits in {(1,) + (0,) * (n - 1), (1,) * n}:
+            direction = Direction(bits)
+            _, base = decomposition_residuals(n, J, direction, 0, lv, seed=4)
+            grid = directional_project(standard_random_field(n, J, 4), direction, lv).lp_norm(2)
+            folds = [multiscale._mode_folds(J, j, direction, modes, spectrum)(None) for j in lv]
+            parseval = math.sqrt(sum(np.vdot(y, y).real for y in folds))
+            assert base == pytest.approx(grid, rel=1e-13, abs=0)
+            assert base == pytest.approx(parseval, rel=1e-13, abs=0)
+
+    def test_empty_window_has_no_residual(self):
+        assert decomposition_residuals(2, 5, D10, 2, levels=[], seed=1) == ([0.0] * 3, 0.0)
+
+    @pytest.mark.parametrize("n,J", [(1, 8), (2, 6), (3, 5)])
+    def test_transforms_no_level_grid(self, n, J, monkeypatch):
+        calls = count_level_transforms(monkeypatch, n, J)
+        decomposition_residuals(n, J, axis_direction(n, 1), L_max=4, seed=1)
+        assert calls == {}
 
     @pytest.mark.parametrize("levels,bad", [([0, 7], 7), ([-1, 2], -1)])
     def test_rejects_levels_off_the_grid(self, levels, bad):
@@ -321,6 +375,20 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= grid_budget(n, J, copies=TL_DECAY_COPIES[n])
+
+    @pytest.mark.parametrize("n,J", [(2, 8), (3, 6), (3, 7)])
+    def test_decomposition_residuals_fit_one_grid_copy(self, n, J):
+        # the residuals hold the mode list and its coset folds, and P u a
+        # grid of 2^-n of the cells: together under one level-J grid
+        direction = axis_direction(n, 1)
+        decomposition_residuals(n, 4, direction, L_max=1, seed=1)
+        tracemalloc.start()
+        try:
+            decomposition_residuals(n, J, direction, L_max=max(4, J - 1), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid_budget(n, J, copies=1)
 
     @pytest.mark.parametrize("n,J", [(1, 3), (1, 8), (2, 7), (3, 6)])
     def test_ring_decay_fits_its_cap_budget(self, n, J):
@@ -544,27 +612,27 @@ class TestRangeSideIteration:
         assert form.inner(yu, form.gram(yv)) == pytest.approx(want, rel=1e-12)
 
     def test_slice_estimate_runs_no_step_fft(self, monkeypatch):
-        # one rfftn builds the start vector; no step transforms a grid
-        calls = count_ffts(monkeypatch)
+        # one rfft builds the start vector; no step transforms a grid
+        calls = count_level_transforms(monkeypatch, 2, 6)
         op = t_ell_operator(2, 6, D10, 0)
         op_norm2_estimate(op, 2, 6, iters=24, seed=1)
-        assert calls["rfftn"] <= 1 and calls["irfftn"] == 0
+        assert calls == {"rfft": 1}
 
 
 class TestTlDecay:
     @pytest.mark.parametrize("n,J", [(1, 7), (2, 6), (3, 5)])
     def test_slices_share_one_drawn_and_transformed_start(self, n, J, monkeypatch):
         # each slice estimate on its own, then the run: the run draws the
-        # unit start and takes its rfftn once, to the same bits
+        # unit start and takes its real FFT once, to the same bits
         ells = range(-2, 3)
         want = {ell: op_norm2_estimate(t_ell_operator(n, J, axis_direction(n, 1), ell), n, J,
                                        iters=12, seed=5) for ell in ells}
         draws = []
         unit_start = multiscale._unit_start
         monkeypatch.setattr(multiscale, "_unit_start", lambda *a: draws.append(a) or unit_start(*a))
-        calls = count_ffts(monkeypatch)
+        calls = count_level_transforms(monkeypatch, n, J)
         got = tl_decay_norms(n, J, axis_direction(n, 1), ells, iters=12, seed=5)
-        assert len(draws) == 1 and calls == {"rfftn": 1, "irfftn": 0}
+        assert len(draws) == 1 and calls == {"rfft": 1}
         for ell in ells:
             assert (got[ell].value, got[ell].rayleigh, got[ell].residual, got[ell].converged) == (
                 want[ell].value, want[ell].rayleigh, want[ell].residual, want[ell].converged)
