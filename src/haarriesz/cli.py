@@ -42,7 +42,7 @@ from .haar import (
     haar_synthesize,
     square_function,
 )
-from .multiscale import OpNormResult, ring_cover, t_ell_operator
+from .multiscale import OpNormResult, default_levels, ring_cover, t_ell_operator
 from .profiles import haar_pieces, profile_integral, profile_product_integral, sine_cell_averages
 from .semiconvexity import (
     VectorField,
@@ -244,16 +244,25 @@ def grid_budget(n: int, J: int, copies: int = 96) -> int:
     """Working-set estimate: ``copies`` float64 grids of 2^(nJ) cells plus
     GRID_BUDGET_BASE.  Each subcommand charges the copies its run peaks at;
     tests/test_multiscale.py::TestWorkingSet measures them.  tl-decay
-    charges TL_DECAY_COPIES[n]: at n = 2, 3 its start grid, half spectrum,
-    fold scratch and Gram multipliers peak at about 2-5 copies, and its
-    residuals, folded from the reference field's mode list, at under one;
-    at n = 1 the 1D factors and the Gram multipliers, which grow like
-    J 2^J against the 2^J-cell grid, peak at about 97 copies at J = 12."""
+    holds no level-J grid and is charged by tl_decay_budget instead."""
     return 8 * 2 ** (n * J) * copies + GRID_BUDGET_BASE
 
 
-# the grid copies cmd_tl_decay charges, per n (see grid_budget)
-TL_DECAY_COPIES = {1: 128, 2: 16, 3: 16}
+def tl_decay_budget(n: int, J: int) -> int:
+    """cmd_tl_decay's charge.  Its norms hold one slice's range form: the
+    dense complex blocks W_kj, k <= j, 2^(nj) entries each over the
+    default window, and up to 8 complex range vectors of sum_j 2^(nj)
+    entries (iterates, Gram output and scratch, the start's draw).  Its
+    residuals, which run after the norms have let go of theirs, hold up to
+    5 float64 copies of the level-(J-1) grid they take ||Pu|| on.  Both
+    hold 1D tables of about 64 n J 2^J bytes, which set the peak at n = 1.
+    The traced peak of a run is 0.5-0.9 of the charge
+    (tests/test_multiscale.py::TestWorkingSet)."""
+    lv = default_levels(J)
+    blocks = sum(2 ** (n * j) for k in lv for j in lv if k <= j)
+    range_size = sum(2 ** (n * j) for j in lv)
+    norms, residuals = 16 * (blocks + 8 * range_size), 5 * 8 * 2 ** (n * (J - 1))
+    return max(norms, residuals) + 64 * n * J * 2**J + GRID_BUDGET_BASE
 
 
 SCALING_COLUMNS = ["experiment", "n", "J", "p", "ell_or_lambda", "epsilon_bits", "i0",
@@ -275,7 +284,7 @@ def solver_columns(r: OpNormResult) -> tuple:
 
 def cmd_tl_decay(args, run: Run) -> None:
     n, J, p, ells, seed = args.n, args.J, args.p, args.ell, args.seed
-    enforce_cap(grid_budget(n, J, copies=TL_DECAY_COPIES[n]), args.cap_bytes)
+    enforce_cap(tl_decay_budget(n, J), args.cap_bytes)
     direction = axis_direction(n, 1)
     norms = tl_decay_norms(n, J, direction, ells, iters=args.trials * 3, seed=seed)
     run.set_columns(SCALING_COLUMNS)

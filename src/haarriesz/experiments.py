@@ -26,7 +26,6 @@ from .multiscale import (
     ring_norm,
     slice_sum_residuals,
     t_ell_operator,
-    unit_start_spectrum,
 )
 from .sharpness import BlockSpec, block_field, f_eps_field, single_block_square
 
@@ -103,14 +102,11 @@ def tl_decay_norms(
     seed: int = 0,
 ) -> dict[int, OpNormResult]:
     """Power-iteration L2 norms of the scale slices, with their solver
-    diagnostics.  Every slice starts from the same unit field, drawn and
-    transformed once."""
-    spectrum = unit_start_spectrum(n, J, seed)
-    out: dict[int, OpNormResult] = {}
-    for ell in ells:
-        op = t_ell_operator(n, J, direction, ell, levels)
-        out[ell] = op_norm2_estimate(op, n, J, iters=iters, seed=seed, spectrum=spectrum)
-    return out
+    diagnostics.  Every slice starts from the same Gaussian on the range,
+    drawn per level from streams keyed by seed, level and J (so nothing
+    passes between slices), and touches no level-J grid."""
+    return {ell: op_norm2_estimate(t_ell_operator(n, J, direction, ell, levels), n, J,
+                                   iters=iters, seed=seed) for ell in ells}
 
 
 def ring_decay_norms(n: int, J: int, lams: Sequence[int]) -> dict[int, float]:

@@ -33,6 +33,7 @@ __all__ = [
     "ResolvingKernel",
     "resolvable",
     "beta_factor",
+    "beta_complement",
     "delta_conv",
     "smoothing_conv",
 ]
@@ -225,10 +226,11 @@ def kernel_b_antiderivative2(t: np.ndarray) -> np.ndarray:
     return np.where(t > 1.0, t, np.where(t < -1.0, 0.0, inner))
 
 
+@lru_cache(maxsize=None)
 def _b_scaled_lag_table(s: int, J: int) -> np.ndarray:
-    """Exact Galerkin lag response of convolution with 2^s b(2^s .) on the
-    level-J grid of piecewise-constant fields: the triangle-weighted kernel
-    averages at integer lags,
+    """Exact Galerkin lag response (read-only) of convolution with
+    2^s b(2^s .) on the level-J grid of piecewise-constant fields: the
+    triangle-weighted kernel averages at integer lags,
         T[l] = (F2((l+1)h) - 2 F2(l h) + F2((l-1)h)) / h^2,
     periodized and exactly even (the discrete operator is self-adjoint and
     reproduces constants and first moments of the kernel exactly)."""
@@ -248,7 +250,9 @@ def _b_scaled_lag_table(s: int, J: int) -> np.ndarray:
         total = total + second / (h * h)
     # enforce exact evenness (holds analytically; removes rounding dust)
     reflected = np.roll(total[::-1], 1)
-    return (total + reflected) / 2.0
+    table = (total + reflected) / 2.0
+    table.setflags(write=False)
+    return table
 
 
 @dataclass
@@ -300,6 +304,21 @@ def beta_factor(s: int, J: int) -> np.ndarray:
     h = np.fft.fft(_b_scaled_lag_table(s, J)).real * 2.0 ** (-J)
     h.setflags(write=False)
     return h
+
+
+def beta_complement(s: int, J: int, k: np.ndarray) -> np.ndarray:
+    """1 - h_s at the integer frequencies ``k`` (any shape), from the
+    definition of h_s rather than by subtraction.  The lag table T is even
+    with mass 2^J, so 1 - h_s(k) = 2^-J sum_l T[l] (1 - cos(2 pi k l / N))
+    = 2^(1-J) sum_l T[l] sin^2(pi k l / N): a sum of nonnegative terms,
+    which keeps its digits where h_s is close to 1."""
+    N = 2**J
+    table = _b_scaled_lag_table(s, J)
+    lag = np.flatnonzero(table)
+    ks, where = np.unique(np.ravel(k), return_inverse=True)
+    terms = np.sin(np.pi / N * (np.multiply.outer(ks, lag) % N)) ** 2
+    terms *= table[lag]
+    return (terms.sum(axis=1) * 2.0 ** (1 - J))[where].reshape(np.shape(k))
 
 
 def _beta_symbol(n: int, s: int, J: int) -> np.ndarray:

@@ -38,12 +38,21 @@ def _upsample(arr: np.ndarray, J: int, n: int) -> np.ndarray:
     return arr
 
 
-# tensor Gauss-Legendre nodes/weights on (0,1), per supported quad order
-_GAUSS_01 = {
-    1: (np.array([0.5]), np.array([1.0])),
+# Gauss-Legendre nodes and weights on [-1, 1] per order, the values of
+# numpy.polynomial.legendre.leggauss to the bit (held literally, so no job
+# imports numpy.polynomial or runs its eigensolver)
+_LEGENDRE = {
+    3: ((-0.7745966692414834, 0.0, 0.7745966692414834),
+        (0.5555555555555557, 0.8888888888888888, 0.5555555555555557)),
+    5: ((-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664),
+        (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663,
+         0.23692688505618928)),
 }
-for _q in (3, 5):
-    _x, _w = np.polynomial.legendre.leggauss(_q)
+
+# tensor Gauss-Legendre nodes/weights on (0,1), per supported quad order
+_GAUSS_01 = {1: (np.array([0.5]), np.array([1.0]))}
+for _q, (_x, _w) in _LEGENDRE.items():
+    _x, _w = np.array(_x), np.array(_w)
     _GAUSS_01[_q] = ((_x + 1.0) / 2.0, _w / _w.sum())
 
 

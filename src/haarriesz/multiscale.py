@@ -9,14 +9,14 @@ on the range side, y = T v with the Gram map T T^* (reproducible lower
 bounds).  Fourier coordinates appear only where that traffic runs: for
 T_ell the range vectors are the level-coset spectra of the Haar
 coefficients, on which T T^* is a set of separable coset multipliers
-(_slice_gram), so after one real FFT of the start no step touches a grid
-or an FFT.  On each level the partial sums of the T_ell telescope to one
-difference of smoothings, so the residuals of the scale decomposition are
-Parseval sums over the same level-coset spectra (slice_sum_residuals).
-They are taken for a field given by its spectrum on a list of modes: per
-level and scale one scatter-add of the modes onto their cosets, with no
-grid and no transform.  The ring projection's norm is exact, from its
-cover counts.
+(_slice_gram), and power iteration starts from a Gaussian drawn on that
+range, so no step touches a level-J grid or transforms one.  On each
+level the partial sums of the T_ell telescope to one difference of
+smoothings, so the residuals of the scale decomposition are Parseval sums
+over the same level-coset spectra (slice_sum_residuals).  They are taken
+for a field given by its spectrum on a list of modes: per level and order
+one scatter-add of the modes onto their cosets, with no grid and no
+transform.  The ring projection's norm is exact, from its cover counts.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .fields import stream
-from .fourier import _forward, beta_factor, delta_conv, resolvable
+from .fourier import beta_complement, beta_factor, delta_conv, resolvable
 from .grid import Direction, DyadicCube, GridFunction, dot
 from .haar import haar_analyze, level_coefficients, level_field
 from .profiles import sine_cell_averages
@@ -43,7 +43,6 @@ __all__ = [
     "slice_sum_residuals",
     "OpNormResult",
     "op_norm2_estimate",
-    "unit_start_spectrum",
     "ring_cover",
     "ring_projection_operator",
     "ring_norm",
@@ -59,18 +58,17 @@ __all__ = [
 
 @dataclass
 class GramForm:
-    """The range of an operator T as power iteration walks it: ``start``
-    maps a field v to its image y = T v, ``gram`` applies T T^* to such a
-    y, and ``inner`` is the L2 inner product of the fields that two of them
-    stand for.  Range vectors support y - c * y' and y * c.  A form that
-    reads v through its rfftn half spectrum also has ``from_spectrum``,
-    which maps that spectrum to T v, so estimates can share one transform
-    of one start."""
+    """The range of an operator T as power iteration walks it: ``gram``
+    applies T T^* to a range vector y, and ``inner`` is the L2 inner
+    product of the fields that two of them stand for.  Range vectors
+    support y - c * y', y * c and y *= c.  The start comes from ``draw``,
+    which maps a seed to a random range vector z, when the form has one;
+    otherwise from ``start``, which maps a field v to its image T v."""
 
-    start: Callable[[GridFunction], Any]
     gram: Callable[[Any], Any]
     inner: Callable[[Any, Any], float]
-    from_spectrum: Optional[Callable[[np.ndarray], Any]] = None
+    start: Optional[Callable[[GridFunction], Any]] = None
+    draw: Optional[Callable[[int], Any]] = None
 
 
 @dataclass
@@ -94,7 +92,7 @@ class LinearFieldOp:
     def gram_form(self) -> GramForm:
         if self.range_form is not None:
             return self.range_form()
-        return GramForm(self.apply, lambda y: self.apply(self.adjoint(y)), GridFunction.inner)
+        return GramForm(lambda y: self.apply(self.adjoint(y)), GridFunction.inner, self.apply)
 
 
 def _level_sum(coeffs: dict[int, np.ndarray], direction: Direction, J: int) -> GridFunction:
@@ -192,38 +190,6 @@ def t_ell_operator(
 # frequencies of the numpy FFT layout: m = sum_q f[q, 0] x ... x f[q, n-1].
 
 
-def _on_axis(blocks: np.ndarray, ax: int, n: int) -> np.ndarray:
-    """Per-term factor blocks (terms, ...) shaped to broadcast against a
-    (terms, d_0, .., d_{n-1}) array whose axis ax is split as blocks[0]."""
-    return blocks.reshape(blocks.shape[:1] + (1,) * ax + blocks.shape[1:] + (1,) * (n - 1 - ax))
-
-
-def _fold(spec: np.ndarray, f: np.ndarray, M: int) -> np.ndarray:
-    """Coset fold F(eta) = sum_{xi = eta mod M} m(xi) spec(xi) on Z_M^n, as a
-    full (M,)*n array, of the rfftn half spectrum ``spec`` of a real field
-    against the Hermitian separable sum m = f.  Axes fold one at a time (the
-    first for every term in one batched product); the last, held as its
-    N/2+1 nonnegative frequencies, is completed by the symmetry
-    half(-eta', -xi_n) = conj half(eta', xi_n) once the others are folded."""
-    T, n, N = f.shape
-    w, H = N // M, N // 2 + 1
-    blocks = f.reshape(T, n, w, M)
-    x, first = spec[np.newaxis], 0
-    if n > 1:
-        x = np.matmul(blocks[:, 0].transpose(2, 0, 1), spec.reshape(w, M, -1).transpose(1, 0, 2))
-        x, first = x.transpose(1, 0, 2).reshape((T, M) + spec.shape[1:]), 1
-    for ax in range(first, n - 1):
-        sh = x.shape
-        x = x.reshape(sh[: ax + 1] + (w, M) + sh[ax + 2:]) * _on_axis(blocks[:, ax], ax, n)
-        x = x.sum(axis=ax + 1)
-    half = (x * _on_axis(f[:, -1, :H], n - 1, n)).sum(axis=0)
-    mirror = np.conj(half[..., N // 2 - 1: 0: -1])
-    for ax in range(n - 1):
-        mirror = mirror.take(-np.arange(M) % M, axis=ax)
-    full = np.concatenate([half, mirror], axis=-1)
-    return full.reshape(full.shape[:-1] + (w, M)).sum(axis=-2)
-
-
 @lru_cache(maxsize=None)
 def _haar_factor(J: int, j: int, bit: int) -> np.ndarray:
     """DFT on Z_N, N = 2^J, of the 1D factor of the level-j Haar function at
@@ -266,6 +232,14 @@ def _coset_sum(F: np.ndarray, M: int) -> np.ndarray:
     return F.reshape((w, M) * n).sum(axis=tuple(range(0, 2 * n, 2)))
 
 
+def _range_draw(n: int, J: int, j: int, seed: int) -> np.ndarray:
+    """Level j of the range start of the T_ell estimates: real standard
+    Gaussian coefficients Z_j on Z_M^n, M = 2^j, from a stream keyed by
+    seed, J and j alone, so every slice that keeps level j draws the same
+    Z_j."""
+    return stream(seed, 8, J, j).standard_normal((2**j,) * n)
+
+
 def _slice_gram(J: int, direction: Direction, ell: int, levels: Sequence[int]) -> GramForm:
     """The range of T_ell as the level-coset spectra y = (y_j) of its Haar
     coefficients, with T T^* as separable coset multipliers.
@@ -282,9 +256,15 @@ def _slice_gram(J: int, direction: Direction, ell: int, levels: Sequence[int]) -
     finer of the two levels, that is the coset sum of W_kj y_j down to
     level k when k <= j, and W_kj times y_j tiled up to level k when k > j.
     a_k conj(a_j) is a sum of 4 separable products, so each W_kj is a sum
-    of 4 tensor products of 1D folds.  The tests hold ``start`` to the
-    definition: block j is -2^(-nj) DFT of the level-j coefficients of
-    t_ell_operator's apply."""
+    of 4 tensor products of 1D folds, added into one array.  The fold
+    commutes with conjugation, so W_jk = conj(W_kj), and only the blocks
+    with k on the coarser level are held.
+
+    ``draw`` is the range vector of the level field sum_j sum_Q Z_j(Q) h_Q
+    (_range_draw): z_j = 2^(-nj) DFT(Z_j), Hermitian because Z_j is real,
+    so T T^* z lies in the real range.  The tests hold the form to the
+    definition: block j of T_ell v is -2^(-nj) DFT of the level-j
+    coefficients of t_ell_operator's apply."""
     n = direction.n
     lv = list(_slice_levels(J, direction, ell, levels))
     bounds = np.cumsum([0] + [M**n for M, _, _ in lv])
@@ -294,63 +274,65 @@ def _slice_gram(J: int, direction: Direction, ell: int, levels: Sequence[int]) -
         M = max(Mk, Mj)
         f = np.einsum("piwm,qiwm->pqim", ak.reshape(2, n, -1, M),
                       np.conj(aj).reshape(2, n, -1, M)).reshape(4, n, M)
-        W = f[:, 0]
-        for i in range(1, n):
-            W = W[..., np.newaxis] * f[:, i].reshape((4,) + (1,) * i + (M,))
-        return W.sum(axis=0) * math.sqrt(ck * cj)
+        W = np.zeros((M,) * n, dtype=complex)
+        for fq in f:
+            term = fq[0]
+            for i in range(1, n):
+                term = np.multiply.outer(term, fq[i])
+            W += term
+        W *= math.sqrt(ck * cj)
+        return W
 
-    W = {(k, j): cross(k, j) for k in range(len(lv)) for j in range(len(lv))}
+    W = {(k, j): cross(k, j) for k in range(len(lv)) for j in range(len(lv))
+         if lv[k][0] <= lv[j][0]}
 
-    def from_spectrum(spec: np.ndarray) -> np.ndarray:
-        y = np.empty(bounds[-1], dtype=complex)
-        for (M, c, a), lo, hi in zip(lv, bounds, bounds[1:]):
-            y[lo:hi] = (_fold(spec, a, M) * (2.0 ** (-n * J) * math.sqrt(c))).ravel()
-        return y
+    def draw(seed: int) -> np.ndarray:
+        z = np.empty(bounds[-1], dtype=complex)
+        for j, lo, hi in zip(levels, bounds, bounds[1:]):
+            zj = np.fft.fftn(_range_draw(n, J, j, seed))
+            zj *= 2.0 ** (-n * j)
+            z[lo:hi] = zj.ravel()
+        return z
 
     def gram(y: np.ndarray) -> np.ndarray:
         parts = [y[lo:hi].reshape((M,) * n) for (M, _, _), lo, hi in zip(lv, bounds, bounds[1:])]
-        out = np.empty_like(y)
+        out = np.zeros_like(y)
         for k, (Mk, _, _) in enumerate(lv):
-            acc = np.zeros((Mk,) * n, dtype=complex)
+            acc = out[bounds[k]:bounds[k + 1]].reshape((Mk,) * n)
             for j, yj in enumerate(parts):
                 Mj = yj.shape[0]
                 if Mk <= Mj:
                     acc += _coset_sum(W[k, j] * yj, Mk)
                 else:
-                    # y_j tiled up to level k, by broadcasting over the cosets
-                    tiled = W[k, j].reshape((Mk // Mj, Mj) * n) * yj.reshape((1, Mj) * n)
-                    acc += tiled.reshape(acc.shape)
-            out[bounds[k]:bounds[k + 1]] = acc.ravel()
+                    # conj(W_jk) times y_j tiled up to level k, by
+                    # broadcasting over the cosets
+                    tiled = W[j, k].reshape((Mk // Mj, Mj) * n) * np.conj(yj).reshape((1, Mj) * n)
+                    acc += np.conj(tiled, out=tiled).reshape(acc.shape)
         return out
 
-    return GramForm(lambda v: from_spectrum(_forward(v.values, n)), gram,
-                    lambda x, y: dot(x.view(np.float64), y.view(np.float64)), from_spectrum)
+    return GramForm(gram, lambda x, y: dot(x.view(np.float64), y.view(np.float64)), draw=draw)
 
 
-def _mode_folds(
+def _level_modes(
     J: int, j: int, direction: Direction, modes: np.ndarray, spectrum: np.ndarray
-) -> Callable[[Optional[int]], np.ndarray]:
-    """The level-j folds of slice_sum_residuals as a cached function of the
-    scale: s maps to 2^(-n(2J-j)) fold(conj(g_j) h_s u^) (s = None: h = 1)
-    for a DFT u^ that is ``spectrum`` on ``modes`` and 0 elsewhere.  Each
-    fold scatter-adds the modes onto the cosets of Z_M^n, M = 2^j, that
-    they hit, in np.unique order; every other coset folds to 0 and is not
-    held."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The level-j terms of slice_sum_residuals' folds: the coset of Z_M^n,
+    M = 2^j, that each mode hits (its index in np.unique order), and the
+    mode's weight 2^(-n(2J-j)) conj(g_j) u^ for a DFT u^ that is
+    ``spectrum`` on ``modes`` and 0 elsewhere.  The fold against a per-mode
+    symbol m is _coset_fold(coset, weight * m); a coset no mode hits folds
+    to 0 and is not held."""
     n, M = direction.n, 2**j
     at = modes % 2**J  # each coordinate's place in the FFT layout
     _, coset = np.unique(np.ravel_multi_index((modes % M).T, (M,) * n), return_inverse=True)
     w = spectrum * 2.0 ** (-n * (2 * J - j))
     for i, b in enumerate(direction.bits):
         w = w * np.conj(_haar_factor(J, j, b))[at[:, i]]
-    folds: dict[Optional[int], np.ndarray] = {}
+    return coset, w
 
-    def fold(s: Optional[int]) -> np.ndarray:
-        if s not in folds:
-            ws = w if s is None else w * beta_factor(s, J)[at].prod(axis=1)
-            folds[s] = np.bincount(coset, ws.real) + 1j * np.bincount(coset, ws.imag)
-        return folds[s]
 
-    return fold
+def _coset_fold(coset: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.bincount(coset, w.real) + 1j * np.bincount(coset, w.imag)
 
 
 def slice_sum_residuals(
@@ -373,19 +355,39 @@ def slice_sum_residuals(
     part of sum_{|ell| <= L} T_ell is P_j (beta_{b+1} - beta_a), with
     a = max(0, j-L) and b+1 = min(J-1, j+L+1).  So the level-j part of the
     residual is P_j (I - beta_{b+1} + beta_a) u, whose coset spectrum (as
-    in _slice_gram) is 2^(-n(2J-j)) fold(conj(g_j) (1 - h_{b+1} + h_a) u^)
-    on Z_M^n, M = 2^j, and distinct levels are orthogonal.  The fold is
-    linear, so each level folds u^ once per distinct scale (_mode_folds).
-    From L = J-1 on, every level reaches both ends of the ladder, a = 0 and
-    b+1 = J-1: that residual is the truncation floor
-    ||P (I - beta_{J-1} + beta_0) u||."""
-    if modes.shape[1] != direction.n:
+    in _slice_gram) is 2^(-n(2J-j)) fold(conj(g_j) r u^) on Z_M^n, M = 2^j,
+    with the per-mode weight r = (1 - prod_i h_{b+1}) + prod_i h_a, and
+    distinct levels are orthogonal.  Each weight is folded once, and
+    1 - prod_i h_s is built from the 1 - h_s of fourier.beta_complement,
+    so a small residual keeps its digits: folding 1, h_{b+1} and h_a apart
+    would cancel down to it.  From L = J-1 on, every level reaches both
+    ends of the ladder, a = 0 and b+1 = J-1: that residual is the
+    truncation floor ||P (I - beta_{J-1} + beta_0) u||."""
+    n = direction.n
+    if modes.shape[1] != n:
         raise ValueError("dimension mismatch")
+    at = modes % 2**J
+    ends: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def end(s: int) -> tuple[np.ndarray, np.ndarray]:
+        # (prod_i h_s, 1 - prod_i h_s) on the modes, the second by
+        # 1 - h_0..h_i = (1 - h_0..h_{i-1}) + h_0..h_{i-1} (1 - h_i)
+        if s not in ends:
+            h, d = beta_factor(s, J)[at], beta_complement(s, J, at)
+            prod, comp = h[:, 0], d[:, 0]
+            for i in range(1, n):
+                comp = comp + prod * d[:, i]
+                prod = prod * h[:, i]
+            ends[s] = prod, comp
+        return ends[s]
+
     squares = [0.0] * len(orders)
     for j in _window(J, levels):
-        fold = _mode_folds(J, j, direction, modes, spectrum)
+        coset, w = _level_modes(J, j, direction, modes, spectrum)
         for k, L in enumerate(orders):
-            y = fold(None) - fold(min(J - 1, j + L + 1)) + fold(max(0, j - L))
+            # r = (1 - prod h_{b+1}) + prod h_a
+            r = end(min(J - 1, j + L + 1))[1] + end(max(0, j - L))[0]
+            y = _coset_fold(coset, w * r)
             squares[k] += dot(y.view(np.float64), y.view(np.float64))
     return [math.sqrt(x) for x in squares]
 
@@ -404,19 +406,11 @@ class OpNormResult:
 
 
 def _unit_start(n: int, J: int, seed: int) -> GridFunction:
-    """The start vector of power iteration: a unit Gaussian field, scaled
-    in place."""
+    """The field start of power iteration: a unit Gaussian field, scaled in
+    place."""
     v = GridFunction(n, J, stream(seed, 4, n, J).standard_normal((2**J,) * n))
     v.values *= 1.0 / v.lp_norm(2)
     return v
-
-
-def unit_start_spectrum(n: int, J: int, seed: int) -> np.ndarray:
-    """The rfftn half spectrum of the unit start (read-only), for estimates
-    that share one start (``op_norm2_estimate``'s ``spectrum``)."""
-    spec = _forward(_unit_start(n, J, seed).values, n)
-    spec.setflags(write=False)
-    return spec
 
 
 def op_norm2_estimate(
@@ -426,7 +420,6 @@ def op_norm2_estimate(
     iters: int = 20,
     seed: int = 0,
     tol: float = 1e-4,
-    spectrum: Optional[np.ndarray] = None,
 ) -> OpNormResult:
     """Power iteration on N = op^T op, run on the range side: it carries
     y_k = op v_k for the unit field iterates v_k, and y_(k+1) = g / w_k
@@ -434,6 +427,11 @@ def op_norm2_estimate(
     sqrt(<y_k, g>).  The Rayleigh quotients <v_k, N v_k> = ||y_k||^2 are
     nondecreasing, and the final square root ``value`` is a lower bound on
     the L2 operator norm.
+
+    The start comes from the seed.  A form with a ``draw`` gives a random
+    range vector z, and y_0 = op op^T z / sqrt(<z, op op^T z>), which is
+    op v_0 for the unit field v_0 = op^T z / ||op^T z||; any other form
+    starts from v_0 the unit Gaussian field.
 
     ``residual`` is the eigen-residual ||N v - theta v||_2 of the final unit
     iterate v and its Rayleigh quotient theta = rayleigh[-1].  With y and
@@ -443,30 +441,29 @@ def op_norm2_estimate(
     theta.  ``converged`` is the certificate residual <= tol * theta: theta
     lies within tol * theta of *an* eigenvalue of N.  It does not prove
     that eigenvalue is the largest, so ``value`` stays a lower bound on the
-    norm either way.
-
-    The start is the unit Gaussian field of ``seed``.  ``spectrum``, when
-    given, must be its ``unit_start_spectrum(n, J, seed)``; the estimate
-    then starts from it through ``from_spectrum``, and the result is the
-    same to the bit."""
+    norm either way."""
     if iters < 10:
         raise ValueError("need at least 10 iterations")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol}")
     form = op.gram_form()
-    if spectrum is None:
+    if form.draw is None:
         y = form.start(_unit_start(n, J, seed))
-    elif form.from_spectrum is None:
-        raise ValueError(f"{op.name} does not start from a spectrum")
     else:
-        y = form.from_spectrum(spectrum)
+        z = form.draw(seed)
+        y = form.gram(z)
+        wz = math.sqrt(max(form.inner(z, y), 0.0))
+        del z
+        if wz > 0.0:
+            y *= 1.0 / wz
     history = [form.inner(y, y)]
     for _ in range(iters - 1):
         g = form.gram(y)
         wn = math.sqrt(max(form.inner(y, g), 0.0))
         if wn <= 1e-300:
             return OpNormResult(0.0, len(history), True, history, 0.0)
-        y_last, w_last, y = y, wn, g * (1.0 / wn)
+        y_last, w_last, y = y, wn, g
+        y *= 1.0 / wn
         history.append(form.inner(y, y))
     theta = history[-1]
     r = y - (theta / w_last) * y_last

@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import stream
 from .fourier import riesz_half_spectrum
-from .grid import Direction, DyadicCube, GridFunction, dot
+from .grid import _LEGENDRE, Direction, DyadicCube, GridFunction, dot
 from .haar import _analyze, conditional_expectation, level_field
 from .profiles import (
     SinePiece,
@@ -391,7 +391,7 @@ _QUAD_ORDER = 5
 
 
 def _gauss_points(N: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(_QUAD_ORDER)
+    x, w = (np.array(a) for a in _LEGENDRE[_QUAD_ORDER])
     nodes = ((np.arange(N)[:, None] + (x[None, :] + 1.0) / 2.0) / N).ravel()
     weights = np.tile(w / 2.0 / N, N)
     return nodes, weights

@@ -1,10 +1,16 @@
 """Dyadic geometry, grid fields, embedding and serialization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from grid_oracle import cell_slices, child_rank, coordinate_fields, predecessor
 
 from haarriesz.grid import (
+    _LEGENDRE,
     Direction,
     DyadicCube,
     GridFunction,
@@ -136,6 +142,21 @@ class TestEmbed:
     def test_rejects_bad_quad_order(self):
         with pytest.raises(ValueError):
             embed(lambda x: x, 1, 2, quad_order=2)
+
+    @pytest.mark.parametrize("order", sorted(_LEGENDRE))
+    def test_gauss_table_is_leggauss_to_the_bit(self, order):
+        x, w = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(np.array(_LEGENDRE[order][0]), x)
+        assert np.array_equal(np.array(_LEGENDRE[order][1]), w)
+
+    def test_import_leaves_numpy_polynomial_unloaded(self):
+        # the Gauss tables are literal: no job pays numpy.polynomial's import
+        # and eigensolver
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = "import sys, haarriesz.cli; print('numpy.polynomial' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                             check=True, capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestSerialization:

@@ -11,16 +11,20 @@ from slice_oracle import (
     field_decomposition_residuals,
     field_op_norm2_estimate,
     grid_slice_sum_residuals,
+    longdouble_slice_sum_residuals,
+    range_image,
+    range_start_field,
 )
 
-from haarriesz import multiscale
+from haarriesz import fourier, multiscale
 from haarriesz.cli import (
+    EXIT_RESOURCE,
     JENSEN_BATCH,
-    TL_DECAY_COPIES,
     grid_budget,
     main,
     ple2_budget,
     rearrange_budget,
+    tl_decay_budget,
 )
 from haarriesz.experiments import (
     decomposition_residuals,
@@ -50,7 +54,6 @@ from haarriesz.multiscale import (
     slice_sum_residuals,
     t_ell,
     t_ell_operator,
-    unit_start_spectrum,
 )
 from haarriesz.semiconvexity import VectorField, jensen_range_check, registry_integrands
 from haarriesz.sharpness import (
@@ -60,6 +63,7 @@ from haarriesz.sharpness import (
 )
 
 D10 = Direction((1, 0))
+D1 = Direction((1,))
 
 
 def count_level_transforms(monkeypatch, n, J) -> dict[str, int]:
@@ -152,7 +156,10 @@ class TestTEll:
         once, twice = (t_ell_operator(2, 6, D10, 0, lv) for lv in ([2, 3], [2, 2, 3]))
         assert np.array_equal(twice.apply(u).values, once.apply(u).values)
         assert np.array_equal(twice.adjoint(v).values, once.adjoint(v).values)
-        assert np.array_equal(twice.gram_form().start(u), once.gram_form().start(u))
+        f_once, f_twice = once.gram_form(), twice.gram_form()
+        z = f_once.draw(1)
+        assert np.array_equal(f_twice.draw(1), z)
+        assert np.array_equal(f_twice.gram(z), f_once.gram(z))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_fields_constant_across_e1_see_the_1d_slice(self, n):
@@ -211,17 +218,18 @@ def _rel(got, want):
 
 
 class TestSpectralSlices:
-    """The range form of T_ell in Fourier coordinates (the level-coset
-    spectra of _slice_gram.start) against the grid-space apply, level by
-    level, on the default window and on one reaching levels 0 and J-1, for
-    every ell in -4..4 that keeps a resolvable level."""
+    """The range coordinates of T_ell in Fourier coordinates (the level-coset
+    spectra of _slice_gram, folded from the grid's spectrum by
+    slice_oracle.range_image) against the grid-space apply, level by level,
+    on the default window and on one reaching levels 0 and J-1, for every
+    ell in -4..4 that keeps a resolvable level."""
 
     @pytest.mark.parametrize("window", ["default", "edges"])
     @pytest.mark.parametrize("n,J,bits", SLICE_CASES)
     def test_matches_grid_space_form(self, n, J, bits, window):
         direction = Direction(bits)
         lv = default_levels(J) if window == "default" else [0, 2, J - 1]
-        # Nyquist content exercises the half-spectrum completion of _fold
+        # Nyquist content exercises the half-spectrum completion of the fold
         u = random_field(n, J, seed=60, nyquist_free=False)
         checked = 0
         for ell in range(-4, 5):
@@ -229,7 +237,7 @@ class TestSpectralSlices:
             if not kept:
                 continue
             op = t_ell_operator(n, J, direction, ell, lv)
-            y, tu = op.gram_form().start(u), op.apply(u)
+            y, tu = range_image(u, direction, ell, lv), op.apply(u)
             lo = 0
             for j in kept:
                 # y_j = -2^(-nj) DFT of the level-j coefficients of T_ell u
@@ -254,7 +262,7 @@ class TestSpectralSlices:
             "t_ell": lambda: t_ell(u, D10, -4, levels=[7]),
             "apply": lambda: t_ell_operator(2, 6, D10, -4, [0, 7]).apply(u),
             "adjoint": lambda: t_ell_operator(2, 6, D10, -4, [0, 7]).adjoint(u),
-            "range form": lambda: t_ell_operator(2, 6, D10, -4, [0, 7]).gram_form().start(u),
+            "range form": lambda: t_ell_operator(2, 6, D10, -4, [0, 7]).gram_form(),
         }
         for name, call in calls.items():
             with pytest.raises(ValueError, match=r"no coefficients at level 7 \(J=6\)"):
@@ -300,10 +308,10 @@ class TestClosedFormResiduals:
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("n,J", [(1, 5), (2, 7), (3, 6), (3, 7)])
     def test_mode_list_matches_the_grid_folds(self, n, J, window):
-        # the sums y = fold(None) - fold(b+1) + fold(a) cancel down to the
-        # residual, so both forms carry rounding of about 1e-16 ||P u||:
-        # each residual agrees to 1e-14 relative, or to 1e-14 ||P u|| where
-        # the residual is small
+        # the grid form's sums y = fold(None) - fold(b+1) + fold(a) cancel
+        # down to the residual, so it carries rounding of about
+        # 1e-16 ||P u||: each residual agrees to 1e-14 relative, or to
+        # 1e-14 ||P u|| where the residual is small
         lv = self.WINDOWS[window](J)
         orders = range(J + 1)
         for bits in {(1,) + (0,) * (n - 1), (1,) * n}:
@@ -324,10 +332,24 @@ class TestClosedFormResiduals:
             direction = Direction(bits)
             _, base = decomposition_residuals(n, J, direction, 0, lv, seed=4)
             grid = directional_project(standard_random_field(n, J, 4), direction, lv).lp_norm(2)
-            folds = [multiscale._mode_folds(J, j, direction, modes, spectrum)(None) for j in lv]
+            folds = [multiscale._coset_fold(*multiscale._level_modes(J, j, direction, modes,
+                                                                      spectrum)) for j in lv]
             parseval = math.sqrt(sum(np.vdot(y, y).real for y in folds))
             assert base == pytest.approx(grid, rel=1e-13, abs=0)
             assert base == pytest.approx(parseval, rel=1e-13, abs=0)
+
+    def test_mode_sums_hold_every_digit(self):
+        # the per-mode weight is folded once and 1 - prod h comes from the
+        # 1 - h_i, so the float64 residuals match a longdouble run of the
+        # same sums to a few ulps, down to the truncation floor (4.7e-4
+        # ||P u|| here), where cancelling folds lost 4.2e-14 relative
+        n, J, lv = 1, 12, default_levels(12)
+        orders = range(J + 1)
+        modes, spectrum = standard_random_spectrum(n, J, 1)
+        got = slice_sum_residuals(J, modes, spectrum, D1, orders, lv)
+        want = longdouble_slice_sum_residuals(J, modes, spectrum, D1, orders, lv)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-15 * w, (g, w)
 
     def test_empty_window_has_no_residual(self):
         assert decomposition_residuals(2, 5, D10, 2, levels=[], seed=1) == ([0.0] * 3, 0.0)
@@ -359,11 +381,15 @@ def cli_peak(tmp_path, argv, warm_up) -> int:
 
 
 class TestWorkingSet:
-    @pytest.mark.parametrize("n,J", [(1, 8), (1, 12), (2, 6), (3, 5), (2, 8), (3, 7)])
+    @pytest.mark.parametrize("n,J", [(1, 8), (1, 12), (2, 6), (3, 5), (2, 8), (3, 7), (3, 8)])
     def test_tl_decay_fits_its_cap_budget(self, n, J):
-        # what cmd_tl_decay runs after
-        # enforce_cap(grid_budget(n, J, copies=TL_DECAY_COPIES[n])); a J = 4
-        # run first keeps numpy's lazy imports out of the trace
+        # what cmd_tl_decay runs after enforce_cap(tl_decay_budget(n, J));
+        # a J = 4 run first keeps numpy's lazy imports out of the trace.
+        # The charge tracks the run: the traced peak is over half of it.
+        # A run starts with empty 1D tables, so the caches other tests
+        # filled are cleared
+        for cached in (multiscale._haar_factor, fourier.beta_factor, fourier._b_scaled_lag_table):
+            cached.cache_clear()
         direction = axis_direction(n, 1)
         tl_decay_norms(n, 4, direction, [0], iters=10, seed=1)
         decomposition_residuals(n, 4, direction, L_max=1, seed=1)
@@ -374,7 +400,26 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= grid_budget(n, J, copies=TL_DECAY_COPIES[n])
+        assert tl_decay_budget(n, J) / 2 <= peak <= tl_decay_budget(n, J)
+
+    def test_tl_decay_refuses_n3_j10_before_allocating(self, tmp_path, monkeypatch):
+        # the dense W_kj blocks at level 8 alone take 2.1 GB and the run is
+        # charged 5.4 GB: the default cap refuses it before any experiment
+        # runs
+        main(["tl-decay", "--n", "3", "--J", "4", "--ell=0", "--trials", "4",
+              "--out", str(tmp_path / "warm")])
+        for name in ("tl_decay_norms", "decomposition_residuals"):
+            monkeypatch.setattr(f"haarriesz.cli.{name}", None)
+        tracemalloc.start()
+        try:
+            code = main(["tl-decay", "--n", "3", "--J", "10", "--ell=-1..1", "--trials", "4",
+                         "--seed", "1", "--out", str(tmp_path / "run")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_RESOURCE
+        assert peak <= 1 << 20
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("n,J", [(2, 8), (3, 6), (3, 7)])
     def test_decomposition_residuals_fit_one_grid_copy(self, n, J):
@@ -577,9 +622,18 @@ def _assert_same_estimate(got, want):
     assert got.converged == want.converged
 
 
+def _field_side_from_range_start(op, n, J, direction, iters, seed):
+    """The field-side oracle started from v_0 = T^* z / ||T^* z||, z the
+    range start the slice estimates draw."""
+    start = op.adjoint(range_start_field(n, J, direction, seed))
+    return field_op_norm2_estimate(op, n, J, iters=iters, seed=seed, start=start)
+
+
 class TestRangeSideIteration:
     """op_norm2_estimate walks the range, y = T v with T T^*; the field-side
-    loop on T^* T (slice_oracle.field_op_norm2_estimate) is its oracle."""
+    loop on T^* T (slice_oracle.field_op_norm2_estimate) is its oracle.  The
+    slices start from a draw z on the range, y_0 = T T^* z / ||T^* z||, so
+    their oracle starts from the field v_0 = T^* z / ||T^* z||."""
 
     @pytest.mark.parametrize("window", ["default", "edges"])
     @pytest.mark.parametrize("n,J", [(1, 7), (2, 6), (3, 5)])
@@ -589,7 +643,7 @@ class TestRangeSideIteration:
         for ell in range(-4, 5):
             op = t_ell_operator(n, J, direction, ell, lv)
             got = op_norm2_estimate(op, n, J, iters=24, seed=1)
-            want = field_op_norm2_estimate(op, n, J, iters=24, seed=1)
+            want = _field_side_from_range_start(op, n, J, direction, 24, 1)
             _assert_same_estimate(got, want)
 
     def test_rearrangement_matches_field_side(self):
@@ -602,45 +656,73 @@ class TestRangeSideIteration:
     def test_range_inner_product_is_the_field_one(self):
         # the level-coset spectra stand for T u: their inner products and
         # Gram map are those of the fields
-        op = t_ell_operator(2, 6, Direction((1, 1)), 1, [0, 2, 5])
+        direction = Direction((1, 1))
+        op = t_ell_operator(2, 6, direction, 1, [0, 2, 5])
         form = op.gram_form()
         u = random_field(2, 6, seed=63, index=0)
         v = random_field(2, 6, seed=63, index=1)
-        yu, yv = form.start(u), form.start(v)
+        yu, yv = (range_image(w, direction, 1, [0, 2, 5]) for w in (u, v))
         assert form.inner(yu, yv) == pytest.approx(op.apply(u).inner(op.apply(v)), rel=1e-12)
         want = op.apply(op.normal_apply(v)).inner(op.apply(u))
         assert form.inner(yu, form.gram(yv)) == pytest.approx(want, rel=1e-12)
 
     def test_slice_estimate_runs_no_step_fft(self, monkeypatch):
-        # one rfft builds the start vector; no step transforms a grid
+        # the start is drawn on the range: neither it nor any step
+        # transforms a level-J grid
         calls = count_level_transforms(monkeypatch, 2, 6)
         op = t_ell_operator(2, 6, D10, 0)
         op_norm2_estimate(op, 2, 6, iters=24, seed=1)
-        assert calls == {"rfft": 1}
+        assert calls == {}
+
+    @pytest.mark.parametrize("J,ells", [(5, range(-3, 3)), (7, (-2, 0, 1))])
+    def test_slice_value_is_below_the_dense_norm(self, J, ells):
+        # ||T||^2 is the top eigenvalue of the range Gram matrix (at J = 7
+        # its dimension is 1364); every Rayleigh quotient is a lower bound
+        for ell in ells:
+            op = t_ell_operator(2, J, D10, ell)
+            form = op.gram_form()
+            size = form.draw(0).size
+            G = np.empty((size, size), dtype=complex)
+            for i in range(size):
+                e = np.zeros(size, dtype=complex)
+                e[i] = 1.0
+                G[:, i] = form.gram(e)
+            exact = math.sqrt(max(np.linalg.eigvalsh((G + G.conj().T) / 2)[-1], 0.0))
+            got = op_norm2_estimate(op, 2, J, iters=24, seed=1)
+            assert got.value <= exact * (1 + 1e-12), (ell, got.value, exact)
+            assert got.value >= 0.9 * exact, (ell, got.value, exact)
 
 
 class TestTlDecay:
     @pytest.mark.parametrize("n,J", [(1, 7), (2, 6), (3, 5)])
-    def test_slices_share_one_drawn_and_transformed_start(self, n, J, monkeypatch):
-        # each slice estimate on its own, then the run: the run draws the
-        # unit start and takes its real FFT once, to the same bits
-        ells = range(-2, 3)
-        want = {ell: op_norm2_estimate(t_ell_operator(n, J, axis_direction(n, 1), ell), n, J,
-                                       iters=12, seed=5) for ell in ells}
-        draws = []
-        unit_start = multiscale._unit_start
-        monkeypatch.setattr(multiscale, "_unit_start", lambda *a: draws.append(a) or unit_start(*a))
-        calls = count_level_transforms(monkeypatch, n, J)
-        got = tl_decay_norms(n, J, axis_direction(n, 1), ells, iters=12, seed=5)
-        assert len(draws) == 1 and calls == {"rfft": 1}
-        for ell in ells:
-            assert (got[ell].value, got[ell].rayleigh, got[ell].residual, got[ell].converged) == (
-                want[ell].value, want[ell].rayleigh, want[ell].residual, want[ell].converged)
+    def test_slices_share_one_range_start(self, n, J, monkeypatch):
+        # the run transforms no level-J array and draws no field start;
+        # every slice reads the same per-level draws, and its Rayleigh
+        # sequence is the field-side one from v_0 = T^* z / ||T^* z||
+        direction, ells = axis_direction(n, 1), range(-2, 3)
+        draws: dict[tuple, list] = {}
+        range_draw = multiscale._range_draw
 
-    def test_a_spectrum_start_needs_a_spectral_form(self):
-        op = LinearFieldOp(apply=lambda u: u, adjoint=lambda u: u, name="id")
-        with pytest.raises(ValueError, match="does not start from a spectrum"):
-            op_norm2_estimate(op, 2, 4, iters=10, spectrum=unit_start_spectrum(2, 4, 0))
+        def recorded(*args):
+            out = range_draw(*args)
+            draws.setdefault(args, []).append(out)
+            return out
+
+        monkeypatch.setattr(multiscale, "_range_draw", recorded)
+        monkeypatch.setattr(multiscale, "_unit_start", None)
+        calls = count_level_transforms(monkeypatch, n, J)
+        got = tl_decay_norms(n, J, direction, ells, iters=12, seed=5)
+        assert calls == {}
+        kept = {ell: [j for j in default_levels(J) if resolvable(j + ell, J)] for ell in ells}
+        assert sorted(draws) == sorted({(n, J, j, 5) for lv in kept.values() for j in lv})
+        for args, arrays in draws.items():
+            assert len(arrays) == sum(args[2] in lv for lv in kept.values())
+            assert all(np.array_equal(a, arrays[0]) for a in arrays)
+        monkeypatch.undo()
+        for ell in ells:
+            op = t_ell_operator(n, J, direction, ell)
+            want = _field_side_from_range_start(op, n, J, direction, 12, 5)
+            assert got[ell].rayleigh == pytest.approx(want.rayleigh, rel=1e-12, abs=0)
 
     def test_norm_decay_at_p2(self):
         norms = tl_decay_norms(2, 7, D10, range(-4, 5), iters=24, seed=0)
