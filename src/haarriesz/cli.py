@@ -110,17 +110,20 @@ def parse_eps_list(text: str) -> list[float]:
 
 
 def parse_int_list(text: str) -> list[int]:
-    """Either 'a..b' (inclusive range) or comma-separated integers."""
+    """Either 'a..b' (inclusive range) or strictly increasing
+    comma-separated integers."""
     text = text.strip()
     if ".." in text:
         a_s, b_s = text.split("..", 1)
         a, b = int(a_s), int(b_s)
         if b < a:
-            raise ValidationError(f"empty range {text!r}")
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
         return list(range(a, b + 1))
     values = [int(tok) for tok in text.split(",") if tok.strip()]
     if not values:
-        raise ValidationError("empty list")
+        raise argparse.ArgumentTypeError("empty list")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(f"{text!r} is not strictly increasing")
     return values
 
 
@@ -353,10 +356,12 @@ def cmd_ring_decay(args, run: Run) -> None:
 
 
 def rearrange_budget(n: int, J: int) -> int:
-    """cmd_rearrange's charge: 160 grid copies, plus the float64 profile
-    matrices A_j of one operator, 2^j x 2^J each and at most 2^(J-1) rows
-    over its window.  They grow like 4^J, past the 2^J-cell grid at n = 1."""
-    return grid_budget(n, J, copies=160) + 8 * 2**J * 2 ** (J - 1)
+    """cmd_rearrange's charge: 10 grid copies (6.3-8.2 traced at n = 2, 3
+    from J = 7 on); one operator's float64 profile matrices A_j, 2^j x 2^J
+    each and at most 2^(J-1) rows, which set the peak at n = 1; 16 arrays
+    of 2^J while a row of A_j is built (12-14 traced); 64 KiB of fixed
+    objects.  The traced peak is 0.6-0.75 of it at n >= 2."""
+    return grid_budget(n, J, copies=10) + 8 * 2**J * (2 ** (J - 1) + 16) + (1 << 16)
 
 
 def cmd_rearrange(args, run: Run) -> None:

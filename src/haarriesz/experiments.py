@@ -105,7 +105,7 @@ def tl_decay_norms(
     diagnostics.  Every slice starts from the same Gaussian on the range,
     drawn per level from streams keyed by seed, level and J (so nothing
     passes between slices), and touches no level-J grid."""
-    return {ell: op_norm2_estimate(t_ell_operator(n, J, direction, ell, levels), n, J,
+    return {ell: op_norm2_estimate(t_ell_operator(n, J, direction, ell, levels),
                                    iters=iters, seed=seed) for ell in ells}
 
 
@@ -124,8 +124,9 @@ def rearrangement_norms(
     seed: int = 0,
 ) -> dict[int, OpNormResult]:
     """Power-iteration L2 norms of the rearrangement operator, with their
-    solver diagnostics; one operator is alive at a time."""
-    return {lam: op_norm2_estimate(rearrangement_operator(n, J, lam), n, J, iters=iters, seed=seed)
+    solver diagnostics; one operator is alive at a time, and each starts
+    from the per-level range draws of the slices, on its own window."""
+    return {lam: op_norm2_estimate(rearrangement_operator(n, J, lam), iters=iters, seed=seed)
             for lam in lams}
 
 

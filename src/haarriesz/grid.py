@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -209,7 +209,7 @@ class GridFunction:
         return float(self.values.sum() * self.cell_volume())
 
     def lp_norm(self, p: float) -> float:
-        return lp_norm(self, p)
+        return lp_norm((self.values,), self.cell_volume(), p)
 
     def inner(self, other: "GridFunction") -> float:
         self._check_compatible(other)
@@ -240,13 +240,16 @@ def dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x.ravel(), y.ravel()))
 
 
-def lp_norm(u: GridFunction, p: float) -> float:
-    """Exact L^p norm of a piecewise-constant field, p >= 1 finite."""
+def lp_norm(parts: Iterable[np.ndarray], volume: float, p: float) -> float:
+    """Exact L^p norm, p >= 1 finite, of a piecewise-constant field whose
+    cells have measure ``volume``, given as the value arrays of its parts
+    (one part for a whole grid, or strips of rows): the sum of |v|^p, or of
+    v*v by dot at p = 2, part by part."""
     if not np.isfinite(p) or p < 1:
         raise ValueError(f"p must satisfy 1 <= p < inf, got {p}")
     if p == 2.0:
-        return float(np.sqrt(dot(u.values, u.values) * u.cell_volume()))
-    return float((np.abs(u.values) ** p).sum() * u.cell_volume()) ** (1.0 / p)
+        return float(np.sqrt(sum(dot(v, v) for v in parts) * volume))
+    return (sum(float((np.abs(v) ** p).sum()) for v in parts) * volume) ** (1.0 / p)
 
 
 def embed(

@@ -96,12 +96,8 @@ def _synthesize(avg: np.ndarray, levels: dict[int, dict[int, np.ndarray]], n: in
                 J: int) -> np.ndarray:
     """Inverse of _analyze; directions absent from ``levels`` are zero."""
     for j in range(0, J):
-        parts = {0: avg}
-        dirs = levels.get(j, {})
-        for eps_idx in range(1, 2**n):
-            arr = dirs.get(eps_idx)
-            parts[eps_idx] = arr if arr is not None else np.zeros_like(avg)
-        avg = _merge_block(parts, n)
+        dirs, zero = levels.get(j, {}), np.zeros_like(avg)
+        avg = _merge_block({0: avg, **{e: dirs.get(e, zero) for e in range(1, 2**n)}}, n)
     return avg
 
 
@@ -164,17 +160,17 @@ def level_field(coeffs: np.ndarray, direction: Direction, J: int) -> GridFunctio
         raise ValueError("dimension mismatch")
     if j >= J:
         raise ValueError(f"no coefficients at level {j} (J={J})")
-    zero = np.zeros_like(coeffs)
-    parts = {bits: zero for bits in range(2**n)}
-    parts[direction.index] = coeffs
-    return GridFunction(n, J, _upsample(_merge_block(parts, n), J, n))
+    values = _synthesize(np.zeros((1,) * n), {j: {direction.index: coeffs}}, n, J)
+    return GridFunction(n, J, values)
 
 
-def _project_stack(values: np.ndarray, n: int, J: int, eps_idx: int) -> np.ndarray:
-    """P^(eps) at every level of the fields on the trailing n axes of
-    ``values``: directional_project for a stack of fields."""
-    _, levels = _analyze(values, n, J)
-    kept = {j: {eps_idx: dirs[eps_idx]} for j, dirs in levels.items()}
+def _project_stack(values: np.ndarray, n: int, J: int, eps_idx: int,
+                   levels: Optional[Sequence[int]] = None) -> np.ndarray:
+    """P^(eps) on ``levels`` (default all) of the fields on the trailing n
+    axes of ``values``: directional_project for a stack of fields."""
+    keep = range(J) if levels is None else set(levels)
+    _, pyramid = _analyze(values, n, J)
+    kept = {j: {eps_idx: dirs[eps_idx]} for j, dirs in pyramid.items() if j in keep}
     return _synthesize(np.zeros(values.shape[:-n] + (1,) * n), kept, n, J)
 
 
@@ -190,14 +186,7 @@ def directional_project(
     """
     if direction.n != u.n:
         raise ValueError("dimension mismatch")
-    c = haar_analyze(u)
-    keep = set(range(u.J)) if levels is None else set(levels)
-    out = HaarCoefficients(n=u.n, J=u.J, mean=0.0)
-    eps_idx = direction.index
-    for j in range(u.J):
-        if j in keep and j in c.levels:
-            out.levels[j] = {eps_idx: c.levels[j][eps_idx]}
-    return haar_synthesize(out)
+    return GridFunction(u.n, u.J, _project_stack(u.values, u.n, u.J, direction.index, levels))
 
 
 def conditional_expectation(u: GridFunction, M: int) -> GridFunction:

@@ -32,7 +32,7 @@ import numpy as np
 from .fields import stream
 from .fourier import beta_complement, beta_factor, delta_conv, resolvable
 from .grid import Direction, DyadicCube, GridFunction, dot
-from .haar import haar_analyze, level_coefficients, level_field
+from .haar import _synthesize, haar_analyze, level_coefficients, level_field
 from .profiles import sine_cell_averages
 
 __all__ = [
@@ -59,49 +59,50 @@ __all__ = [
 @dataclass
 class GramForm:
     """The range of an operator T as power iteration walks it: ``gram``
-    applies T T^* to a range vector y, and ``inner`` is the L2 inner
-    product of the fields that two of them stand for.  Range vectors
-    support y - c * y', y * c and y *= c.  The start comes from ``draw``,
-    which maps a seed to a random range vector z, when the form has one;
-    otherwise from ``start``, which maps a field v to its image T v."""
+    applies T T^* to a range vector y, ``inner`` is the L2 inner product
+    of the fields that two of them stand for, and ``draw`` maps a seed to
+    the random range vector z that power iteration starts from.  Range
+    vectors support y - c * y', y * c and y *= c."""
 
     gram: Callable[[Any], Any]
     inner: Callable[[Any, Any], float]
-    start: Optional[Callable[[GridFunction], Any]] = None
-    draw: Optional[Callable[[int], Any]] = None
+    draw: Callable[[int], Any]
 
 
 @dataclass
 class LinearFieldOp:
-    """Uniform handle for a linear map on grid fields, with its adjoint and,
-    optionally, ``range_form``, a builder of a compact GramForm of its
-    range.  Without one the range is apply's GridFunction, with
-    T T^* = apply(adjoint(.))."""
+    """Uniform handle for a linear map on grid fields, with its adjoint and
+    ``gram_form``, the builder of the GramForm of its range."""
 
     apply: Callable[[GridFunction], GridFunction]
     adjoint: Callable[[GridFunction], GridFunction]
-    name: str = "op"
-    range_form: Optional[Callable[[], GramForm]] = None
-
-    def __call__(self, u: GridFunction) -> GridFunction:
-        return self.apply(u)
+    gram_form: Callable[[], GramForm]
 
     def normal_apply(self, u: GridFunction) -> GridFunction:
         return self.adjoint(self.apply(u))
 
-    def gram_form(self) -> GramForm:
-        if self.range_form is not None:
-            return self.range_form()
-        return GramForm(lambda y: self.apply(self.adjoint(y)), GridFunction.inner, self.apply)
-
 
 def _level_sum(coeffs: dict[int, np.ndarray], direction: Direction, J: int) -> GridFunction:
     """sum over levels j of the level-j, direction-eps Haar field with
-    coefficients coeffs[j]."""
-    acc = GridFunction.zeros(direction.n, J)
-    for c in coeffs.values():
-        acc = acc + level_field(c, direction, J)
-    return acc
+    coefficients coeffs[j], by one synthesis (levels added coarse to
+    fine)."""
+    n = direction.n
+    kept = {j: {direction.index: c} for j, c in coeffs.items()}
+    return GridFunction(n, J, _synthesize(np.zeros((1,) * n), kept, n, J))
+
+
+def _field_form(fwd: Callable[[GridFunction], GridFunction],
+                adj: Callable[[GridFunction], GridFunction],
+                direction: Direction, J: int, levels: Iterable[int]) -> Callable[[], GramForm]:
+    """The range form of an operator whose range vectors are level-J
+    fields: T T^* = fwd(adj(.)), and ``draw`` is the level field along
+    ``direction`` of the per-level Gaussians the T_ell estimates draw
+    (_range_draw), taken on ``levels``."""
+
+    def draw(seed: int) -> GridFunction:
+        return _level_sum({j: _range_draw(direction.n, J, j, seed) for j in levels}, direction, J)
+
+    return lambda: GramForm(lambda y: fwd(adj(y)), GridFunction.inner, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +179,7 @@ def t_ell_operator(
     return LinearFieldOp(
         apply=lambda u: t_ell(u, direction, ell, lv),
         adjoint=adjoint,
-        name=f"T[{ell}]^{direction}",
-        range_form=lambda: _slice_gram(J, direction, ell, lv),
+        gram_form=lambda: _slice_gram(J, direction, ell, lv),
     )
 
 
@@ -405,18 +405,8 @@ class OpNormResult:
     residual: float = 0.0
 
 
-def _unit_start(n: int, J: int, seed: int) -> GridFunction:
-    """The field start of power iteration: a unit Gaussian field, scaled in
-    place."""
-    v = GridFunction(n, J, stream(seed, 4, n, J).standard_normal((2**J,) * n))
-    v.values *= 1.0 / v.lp_norm(2)
-    return v
-
-
 def op_norm2_estimate(
     op: LinearFieldOp,
-    n: int,
-    J: int,
     iters: int = 20,
     seed: int = 0,
     tol: float = 1e-4,
@@ -428,10 +418,9 @@ def op_norm2_estimate(
     nondecreasing, and the final square root ``value`` is a lower bound on
     the L2 operator norm.
 
-    The start comes from the seed.  A form with a ``draw`` gives a random
-    range vector z, and y_0 = op op^T z / sqrt(<z, op op^T z>), which is
-    op v_0 for the unit field v_0 = op^T z / ||op^T z||; any other form
-    starts from v_0 the unit Gaussian field.
+    The start comes from the seed: the form's ``draw`` gives a random range
+    vector z, and y_0 = op op^T z / sqrt(<z, op op^T z>), which is op v_0
+    for the unit field v_0 = op^T z / ||op^T z||.
 
     ``residual`` is the eigen-residual ||N v - theta v||_2 of the final unit
     iterate v and its Rayleigh quotient theta = rayleigh[-1].  With y and
@@ -447,15 +436,12 @@ def op_norm2_estimate(
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol}")
     form = op.gram_form()
-    if form.draw is None:
-        y = form.start(_unit_start(n, J, seed))
-    else:
-        z = form.draw(seed)
-        y = form.gram(z)
-        wz = math.sqrt(max(form.inner(z, y), 0.0))
-        del z
-        if wz > 0.0:
-            y *= 1.0 / wz
+    z = form.draw(seed)
+    y = form.gram(z)
+    wz = math.sqrt(max(form.inner(z, y), 0.0))
+    del z
+    if wz > 0.0:
+        y *= 1.0 / wz
     history = [form.inner(y, y)]
     for _ in range(iters - 1):
         g = form.gram(y)
@@ -573,7 +559,8 @@ def ring_projection_operator(
     """The ring projection S as a 0/1 map from level-j to level-(j+lam)
     Haar coefficients: S copies c_Q onto every cell of the cover of Q, and
     its adjoint sums the cover coefficients back onto Q with weight |E|/|Q|.
-    The family is validated when the operator is built (_ring_index)."""
+    Its range form starts on the cover levels.  The family is validated
+    when the operator is built (_ring_index)."""
     index = _ring_index(family, direction, lam, C, J)
 
     def fwd(u: GridFunction) -> GridFunction:
@@ -591,7 +578,8 @@ def ring_projection_operator(
             out[jq] = np.bincount(q, w, 2 ** (n * jq)).reshape((2**jq,) * n)
         return _level_sum(out, direction, J)
 
-    return LinearFieldOp(apply=fwd, adjoint=adj, name=f"ring_S[lam={lam}]")
+    cover_levels = sorted({je for _, je in index})
+    return LinearFieldOp(fwd, adj, _field_form(fwd, adj, direction, J, cover_levels))
 
 
 def ring_norm(family: Sequence[DyadicCube], direction: Direction, lam: int, J: int) -> float:
@@ -654,7 +642,9 @@ def rearrangement_operator(
 ) -> LinearFieldOp:
     """Separable implementation of the rearrangement operator and its exact
     adjoint (default profile family only).  Level j is the Kronecker product
-    A_j x ... x A_j of one 2^j x 2^J matrix, applied one axis at a time."""
+    A_j x ... x A_j of one 2^j x 2^J matrix, applied one axis at a time.
+    Its range form starts on the window's levels, from the draws the T_ell
+    estimates take there."""
     direction = direction or Direction((1,) * n)
     lv = _rearrangement_levels(J, lam, levels)
     mats = {j: _profile_matrix(J, lam, j) for j in lv}
@@ -680,4 +670,4 @@ def rearrangement_operator(
             acc += contract(c.levels[j][direction.index], mats[j], 0)
         return GridFunction(n, J, acc)
 
-    return LinearFieldOp(apply=fwd, adjoint=adj, name=f"rearr_S[lam={lam}]")
+    return LinearFieldOp(fwd, adj, _field_form(fwd, adj, direction, J, lv))

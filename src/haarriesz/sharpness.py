@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import stream
 from .fourier import riesz_half_spectrum
-from .grid import _LEGENDRE, Direction, DyadicCube, GridFunction, dot
+from .grid import _LEGENDRE, Direction, DyadicCube, GridFunction, lp_norm
 from .haar import _analyze, conditional_expectation, level_field
 from .profiles import (
     SinePiece,
@@ -477,15 +477,6 @@ def single_block_square() -> DyadicCube:
 _STRIP_ROWS = 64
 
 
-def _strip_lp_norm(strips, J: int, p: float) -> float:
-    """L^p norm of the level-J planar field given as strips of rows: the sum
-    of |.|^p strip by strip, in the form of grid.lp_norm (dot at p = 2)."""
-    if p == 2.0:
-        return math.sqrt(sum(dot(s, s) for s in strips) * 2.0 ** (-2 * J))
-    total = sum(float((np.abs(s) ** p).sum()) for s in strips)
-    return float(total * 2.0 ** (-2 * J)) ** (1.0 / p)
-
-
 def _tensor_riesz1_lp_norm(v1: np.ndarray, v2: np.ndarray, J: int, p: float) -> float:
     """||R_1 (v1 (x) v2)||_p on the level-J grid.  The half spectrum of the
     tensor field is fft(v1) (x) rfft(v2); R_1 runs on it in place, then the
@@ -493,8 +484,8 @@ def _tensor_riesz1_lp_norm(v1: np.ndarray, v2: np.ndarray, J: int, p: float) -> 
     N = 2**J
     spec = riesz_half_spectrum(np.multiply.outer(np.fft.fft(v1), np.fft.rfft(v2)), J, 1)
     np.fft.ifft(spec, axis=0, out=spec)
-    return _strip_lp_norm((np.fft.irfft(spec[lo:lo + _STRIP_ROWS], n=N, axis=-1)
-                           for lo in range(0, N, _STRIP_ROWS)), J, p)
+    return lp_norm((np.fft.irfft(spec[lo:lo + _STRIP_ROWS], n=N, axis=-1)
+                    for lo in range(0, N, _STRIP_ROWS)), 2.0 ** (-2 * J), p)
 
 
 def _tensor_project10_lp_norm(v1: np.ndarray, v2: np.ndarray, J: int, p: float) -> float:
@@ -509,8 +500,8 @@ def _tensor_project10_lp_norm(v1: np.ndarray, v2: np.ndarray, J: int, p: float) 
     D = np.stack([level_field(levels[j][1], x1, J).values for j in range(J)], axis=1)
     E = np.stack([conditional_expectation(GridFunction(1, J, v2), j).values
                   for j in range(J)], axis=1)
-    return _strip_lp_norm((np.einsum("aj,bj->ab", D[lo:lo + _STRIP_ROWS], E)
-                           for lo in range(0, N, _STRIP_ROWS)), J, p)
+    return lp_norm((np.einsum("aj,bj->ab", D[lo:lo + _STRIP_ROWS], E)
+                    for lo in range(0, N, _STRIP_ROWS)), 2.0 ** (-2 * J), p)
 
 
 def single_block_experiment_ple2(

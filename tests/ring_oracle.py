@@ -8,9 +8,9 @@ validator compares every pair of cover cells of every pair of cubes.
 """
 
 import numpy as np
+from projection_oracle import level_sum_by_fields as _level_sum
 
-from haarriesz.grid import GridFunction
-from haarriesz.haar import level_coefficients, level_field
+from haarriesz.haar import level_coefficients
 from haarriesz.multiscale import ring_cover
 
 
@@ -51,13 +51,6 @@ def validate_ring_family(covers):
                             f"nesting violation: cover cell of {Qp} inside a cover "
                             f"cell of {Q} but {Qp} not inside {Q}"
                         )
-
-
-def _level_sum(coeffs, direction, J):
-    acc = GridFunction.zeros(direction.n, J)
-    for c in coeffs.values():
-        acc = acc + level_field(c, direction, J)
-    return acc
 
 
 def ring_apply(u, covers, direction):

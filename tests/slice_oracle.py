@@ -13,11 +13,12 @@ no oracle of their own.
 import math
 
 import numpy as np
+from projection_oracle import level_sum_by_fields
 
-from haarriesz.fields import standard_random_field, stream
+from haarriesz.fields import standard_random_field
 from haarriesz.fourier import beta_complement, beta_factor, resolvable
 from haarriesz.grid import GridFunction, dot
-from haarriesz.haar import directional_project, level_field
+from haarriesz.haar import directional_project
 from haarriesz.multiscale import (
     OpNormResult,
     _haar_factor,
@@ -30,14 +31,12 @@ from haarriesz.multiscale import (
 )
 
 
-def field_op_norm2_estimate(op, n, J, iters=20, seed=0, tol=1e-4, start=None):
+def field_op_norm2_estimate(op, start, iters=20, tol=1e-4):
     """Power iteration on the field side, v -> N v / ||N v|| with
-    N = op.normal_apply, from the unit field along ``start`` (default: the
-    unit Gaussian field start of op_norm2_estimate for forms without a
-    draw): the oracle for its range-side iteration (same Rayleigh
-    sequence, residual and flag in exact arithmetic)."""
-    if start is None:
-        start = GridFunction(n, J, stream(seed, 4, n, J).standard_normal((2**J,) * n))
+    N = op.normal_apply, from the unit field along ``start``: the oracle
+    for op_norm2_estimate's range-side iteration (same Rayleigh sequence,
+    residual and flag in exact arithmetic when ``start`` is op^T z for the
+    form's draw z)."""
     norm = start.lp_norm(2)
     v = start * (1.0 / norm) if norm > 0.0 else start
     history = []
@@ -70,14 +69,11 @@ def field_decomposition_residuals(n, J, direction, L_max, levels=None, seed=0):
 
 def range_start_field(n, J, direction, seed):
     """The level field sum_j sum_Q Z_j(Q) h_Q^(eps) over every level
-    0..J-1 whose coefficients the range start of the T_ell estimates draws
-    (multiscale._range_draw).  T_ell^* reads only its own window's levels,
-    so op.adjoint of this field is T^* z for the draw z of any window, and
-    the range start is op v_0 for v_0 along it."""
-    acc = GridFunction.zeros(n, J)
-    for j in range(J):
-        acc = acc + level_field(_range_draw(n, J, j, seed), direction, J)
-    return acc
+    0..J-1 whose coefficients the range starts draw (multiscale._range_draw).
+    The adjoints of T_ell and of the rearrangement read only their own
+    window's levels, so op.adjoint of this field is op^T z for the draw z
+    of any window, and the range start is op v_0 for v_0 along it."""
+    return level_sum_by_fields({j: _range_draw(n, J, j, seed) for j in range(J)}, direction, J)
 
 
 def _on_axis(blocks, ax, n):

@@ -26,6 +26,7 @@ class TestFlagParsing:
     def test_int_ranges(self):
         assert parse_int_list("-4..4") == list(range(-4, 5))
         assert parse_int_list("3,4,5") == [3, 4, 5]
+        assert parse_int_list("-3,0,2") == [-3, 0, 2]
 
 
 class TestSelftest:
@@ -212,6 +213,8 @@ OUT_OF_DOMAIN = [
     (["tl-decay", "--J", "3"], "--J"),
     (["tl-decay", "--p", "1.5"], "--p"),
     (["tl-decay", "--ell="], "--ell"),
+    (["tl-decay", "--J", "5", "--ell=1,0,0"], "--ell"),
+    (["tl-decay", "--ell=0,0"], "--ell"),
     (["tl-decay", "--slack", "nan"], "--slack"),
     (["tl-decay", "--slack", "-3"], "--slack"),
     (["tl-decay", "--slack", "0"], "--slack"),
@@ -222,6 +225,8 @@ OUT_OF_DOMAIN = [
     (["ring-decay", "--J", "7", "--lambda", "3,6"], "--lambda"),
     (["ring-decay", "--J", "7", "--lambda=-1"], "--lambda"),
     (["rearrange-scaling", "--J", "5", "--lambda", "5"], "--lambda"),
+    (["rearrange-scaling", "--J", "4", "--lambda", "2,1"], "--lambda"),
+    (["ring-decay", "--lambda", "5,3"], "--lambda"),
     (["rearrange-scaling", "--trials", "4"], "--trials"),
     (["interp-ratio", "--J", "3"], "--J"),
     (["interp-ratio", "--p-list", "2,0.5"], "--p-list"),

@@ -100,21 +100,28 @@ class TestLpNorm:
     def test_constant_is_one_for_every_p(self):
         u = GridFunction.constant(2, 3, 1.0)
         for p in (1.0, 1.5, 2.0, 3.0, 7.0):
-            assert lp_norm(u, p) == pytest.approx(1.0)
+            assert u.lp_norm(p) == pytest.approx(1.0)
 
     def test_haar_block_has_unit_norm(self):
         u = GridFunction(1, 1, [1.0, -1.0])
         for p in (1.0, 2.0, 4.0):
-            assert lp_norm(u, p) == pytest.approx(1.0)
+            assert u.lp_norm(p) == pytest.approx(1.0)
 
     def test_two_cell_example(self):
         u = GridFunction(1, 1, [2.0, 0.0])
-        assert lp_norm(u, 2.0) == pytest.approx(np.sqrt(2.0))
+        assert u.lp_norm(2.0) == pytest.approx(np.sqrt(2.0))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_strips_add_up_to_the_whole_grid(self, p):
+        values = np.random.default_rng(7).standard_normal((32, 32))
+        strips = (values[lo:lo + 8] for lo in range(0, 32, 8))
+        whole = lp_norm([values], 2.0**-10, p)
+        assert lp_norm(strips, 2.0**-10, p) == pytest.approx(whole, rel=1e-14, abs=0)
+        assert GridFunction(2, 5, values).lp_norm(p) == whole
 
     def test_rejects_p_below_one(self):
-        u = GridFunction.constant(1, 1, 1.0)
         with pytest.raises(ValueError):
-            lp_norm(u, 0.5)
+            lp_norm([np.ones(2)], 0.5, 0.5)
 
 
 class TestEmbed:

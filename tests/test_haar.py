@@ -5,8 +5,14 @@ import itertools
 import numpy as np
 import pytest
 from grid_oracle import cell_slices
-from projection_oracle import vector_project
+from projection_oracle import (
+    level_field_by_merge,
+    level_sum_by_fields,
+    project_by_pyramid,
+    vector_project,
+)
 
+from haarriesz import multiscale
 from haarriesz.fields import random_field, single_haar_block
 from haarriesz.grid import Direction, DyadicCube, GridFunction, _upsample, all_directions, embed
 from haarriesz.haar import (
@@ -108,6 +114,54 @@ class TestLevelPrimitives:
                 one_level = HaarCoefficients(n=n, J=J, mean=0.0, levels={j: {d.index: coeffs}})
                 expect = haar_synthesize(one_level).values
                 assert np.abs(level_field(coeffs, d, J).values - expect).max() <= 1e-14
+
+
+class TestOneSynthesis:
+    """level_field, multiscale._level_sum and directional_project run the one
+    synthesis pyramid, haar._synthesize; the one-level and per-field forms
+    of tests/projection_oracle.py hold them bit for bit: merging a zero
+    detail only repeats values, and the sums add the levels coarse to
+    fine (the oracle sum is given its levels in that order)."""
+
+    CASES = [(1, 7), (2, 5), (3, 4)]
+
+    @staticmethod
+    def windows(J):
+        # sparse, unordered and full level lists
+        return [[0, 2, J - 1], [J - 2, 1], [J - 1, 0, 2], list(range(J))]
+
+    @pytest.mark.parametrize("n,J", CASES)
+    def test_level_field(self, n, J):
+        rng = np.random.default_rng(30 + n)
+        for j in range(J):
+            for d in all_directions(n):
+                c = rng.standard_normal((2**j,) * n)
+                assert np.array_equal(level_field(c, d, J).values,
+                                      level_field_by_merge(c, d, J).values), (j, d)
+
+    @pytest.mark.parametrize("n,J", CASES)
+    def test_level_sum(self, n, J):
+        rng = np.random.default_rng(40 + n)
+        for lv in self.windows(J):
+            for d in all_directions(n):
+                coeffs = {j: rng.standard_normal((2**j,) * n) for j in lv}
+                got = multiscale._level_sum(coeffs, d, J).values
+                want = level_sum_by_fields(dict(sorted(coeffs.items())), d, J).values
+                assert np.array_equal(got, want), (lv, d)
+
+    @pytest.mark.parametrize("n,J", CASES)
+    def test_directional_project_on_a_stack(self, n, J):
+        # leading axes (2, 3) are a stack of six fields
+        stack = np.random.default_rng(50 + n).standard_normal((2, 3) + (2**J,) * n)
+        fields = stack.reshape((6,) + (2**J,) * n)
+        for lv in [None, *self.windows(J)]:
+            for d in all_directions(n):
+                projected = _project_stack(stack, n, J, d.index, lv).reshape(fields.shape)
+                for f, got in zip(fields, projected):
+                    u = GridFunction(n, J, f)
+                    want = project_by_pyramid(u, d, lv).values
+                    assert np.array_equal(got, want), (lv, d)
+                    assert np.array_equal(directional_project(u, d, lv).values, want), (lv, d)
 
 
 class TestDirectionalProjection:
@@ -296,7 +350,7 @@ def test_primitives_on_a_stack_equal_per_field_results(n, J):
         assert np.array_equal(member(merged, b), _merge_block(single, n))
         u = GridFunction(n, J, f)
         assert np.array_equal(member(projected, b),
-                              directional_project(u, Direction((1,) * n)).values)
+                              project_by_pyramid(u, Direction((1,) * n)).values)
     for j in range(J + 1):
         means = _block_mean(stack, j, n)
         assert means.shape == (2, 3) + (2**j,) * n
