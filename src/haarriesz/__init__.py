@@ -23,7 +23,6 @@ from .fourier import (
     ResolvingKernel,
     delta_conv,
     derivative,
-    antiderivative,
     riesz,
     riesz_inverse,
     smoothing_conv,

@@ -42,7 +42,14 @@ from .haar import (
     haar_synthesize,
     square_function,
 )
-from .multiscale import OpNormResult, default_levels, ring_cover, t_ell_operator
+from .multiscale import (
+    OpNormResult,
+    default_levels,
+    op_norm2_estimate,
+    rearrangement_operator,
+    ring_cover,
+    t_ell_operator,
+)
 from .profiles import haar_pieces, profile_integral, profile_product_integral, sine_cell_averages
 from .semiconvexity import (
     VectorField,
@@ -52,13 +59,7 @@ from .semiconvexity import (
     registry_integrands,
     semicontinuity_experiment,
 )
-from .experiments import (
-    decomposition_residuals,
-    interp_ratio_sup,
-    rearrangement_norms,
-    ring_decay_norms,
-    tl_decay_norms,
-)
+from .experiments import decomposition_residuals, interp_ratio_sup, ring_decay_norms
 from .sharpness import (
     A_PROFILE,
     B_PROFILE,
@@ -289,7 +290,10 @@ def cmd_tl_decay(args, run: Run) -> None:
     n, J, p, ells, seed = args.n, args.J, args.p, args.ell, args.seed
     enforce_cap(tl_decay_budget(n, J), args.cap_bytes)
     direction = axis_direction(n, 1)
-    norms = tl_decay_norms(n, J, direction, ells, iters=args.trials * 3, seed=seed)
+    # every slice starts from the same per-level range draws (_range_draw),
+    # so nothing passes between slices
+    norms = {ell: op_norm2_estimate(t_ell_operator(n, J, direction, ell), iters=args.trials * 3,
+                                    seed=seed) for ell in ells}
     run.set_columns(SCALING_COLUMNS)
     values = {ell: r.value for ell, r in norms.items()}
     m0, m_neg1 = values.get(0), values.get(-1)
@@ -369,8 +373,11 @@ def cmd_rearrange(args, run: Run) -> None:
     if not all(0 <= lam <= J - 1 for lam in lams):
         raise ValidationError(f"--lambda values must lie in 0..J-1 = 0..{J - 1}")
     enforce_cap(rearrange_budget(n, J), args.cap_bytes)
-    results = rearrangement_norms(n, J, lams, iters=args.trials * 2, seed=args.seed)
-    norms = {lam: (r.value, solver_columns(r)) for lam, r in results.items()}
+    norms = {}
+    for lam in lams:  # one operator is alive at a time
+        r = op_norm2_estimate(rearrangement_operator(n, J, lam), iters=args.trials * 2,
+                              seed=args.seed)
+        norms[lam] = r.value, solver_columns(r)
     lambda_scaling(args, run, norms, args.trials, "1" * n, "C0*2^(n*lam)", n,
                    "rearrange growth")
 
@@ -551,7 +558,7 @@ def cmd_selftest(args, run: Run) -> None:
     row("bmo-haar-block", bmo_d_norm(hb), 1.0, 1e-12)
     # embed oracle: sin cell averages against closed form
     two_pi = 2.0 * math.pi
-    u_sin = embed(lambda *xs: np.sin(two_pi * xs[0]), n, J, quad_order=5)
+    u_sin = embed(lambda *xs: np.sin(two_pi * xs[0]), n, J)
     exact = sine_cell_averages(2**J, two_pi, 0.0, 0.0, 1.0)
     shape = [1] * n
     shape[0] = 2**J
@@ -561,9 +568,6 @@ def cmd_selftest(args, run: Run) -> None:
     row("riesz-energy", (total - u.lp_norm(2) ** 2) / u.lp_norm(2) ** 2, 0.0, 1e-10)
     for i in range(5):
         w = cone_band_field(n, J, seed, index=i, i0=1)
-        d_ = riesz_inverse(w, 1, "direct")
-        c_ = riesz_inverse(w, 1, "composite")
-        row(f"riesz-inverse-modes[{i}]", (d_ - c_).lp_norm(2) / max(d_.lp_norm(2), 1e-30), 0.0, 1e-8)
         row(f"riesz-inverse-identity[{i}]", (riesz_inverse(riesz(w, 1), 1) - w).lp_norm(2), 0.0, 1e-8)
     # resolving kernel invariants
     for s in (1, 2, J - 2):
@@ -583,7 +587,7 @@ def cmd_selftest(args, run: Run) -> None:
     row("t-ell-range", (directional_project(tl, dirs[0]) - tl).lp_norm(2), 0.0, 1e-10)
     # ring cover example (planar)
     if n == 2:
-        cover = ring_cover(DyadicCube(2, 0, (0, 0)), Direction((1, 0)), 3, C=0.5)
+        cover = ring_cover(DyadicCube(2, 0, (0, 0)), Direction((1, 0)), 3)
         row("ring-cover-40cells", float(len(cover)), 40.0, 0.0)
         measure = sum(E.volume() for E in cover)
         row("ring-cover-measure", measure, 40.0 / 64.0, 1e-12)

@@ -1,5 +1,7 @@
-"""Experiment drivers: every measured quantity behind the CLI subcommands
-and the acceptance suite."""
+"""Experiment drivers behind the CLI subcommands and the acceptance suite:
+the decomposition residuals, the ring-decay norms and the interpolatory
+ratios.  The T_ell and rearrangement norms are op_norm2_estimate of
+multiscale's operators, called directly."""
 
 from __future__ import annotations
 
@@ -17,23 +19,12 @@ from .fields import (
 from .fourier import _inverse, riesz
 from .grid import Direction, GridFunction, axis_direction
 from .haar import HaarCoefficients, directional_project, haar_analyze
-from .multiscale import (
-    OpNormResult,
-    default_even_family,
-    default_levels,
-    op_norm2_estimate,
-    rearrangement_operator,
-    ring_norm,
-    slice_sum_residuals,
-    t_ell_operator,
-)
+from .multiscale import default_even_family, default_levels, ring_norm, slice_sum_residuals
 from .sharpness import BlockSpec, block_field, f_eps_field, single_block_square
 
 __all__ = [
     "decomposition_residuals",
-    "tl_decay_norms",
     "ring_decay_norms",
-    "rearrangement_norms",
     "interpolatory_family",
     "interp_ratio_sup",
 ]
@@ -92,42 +83,11 @@ def decomposition_residuals(
     return residuals, math.sqrt(kept.energy())
 
 
-def tl_decay_norms(
-    n: int,
-    J: int,
-    direction: Direction,
-    ells: Sequence[int],
-    levels: Optional[Sequence[int]] = None,
-    iters: int = 24,
-    seed: int = 0,
-) -> dict[int, OpNormResult]:
-    """Power-iteration L2 norms of the scale slices, with their solver
-    diagnostics.  Every slice starts from the same Gaussian on the range,
-    drawn per level from streams keyed by seed, level and J (so nothing
-    passes between slices), and touches no level-J grid."""
-    return {ell: op_norm2_estimate(t_ell_operator(n, J, direction, ell, levels),
-                                   iters=iters, seed=seed) for ell in ells}
-
-
 def ring_decay_norms(n: int, J: int, lams: Sequence[int]) -> dict[int, float]:
     """Exact L2 norms of the ring projection along e_1 over the level-1
     all-even family, from the cover counts (multiscale.ring_norm)."""
     family, direction = default_even_family(n, 1), axis_direction(n, 1)
     return {lam: ring_norm(family, direction, lam, J) for lam in lams}
-
-
-def rearrangement_norms(
-    n: int,
-    J: int,
-    lams: Sequence[int],
-    iters: int = 16,
-    seed: int = 0,
-) -> dict[int, OpNormResult]:
-    """Power-iteration L2 norms of the rearrangement operator, with their
-    solver diagnostics; one operator is alive at a time, and each starts
-    from the per-level range draws of the slices, on its own window."""
-    return {lam: op_norm2_estimate(rearrangement_operator(n, J, lam), iters=iters, seed=seed)
-            for lam in lams}
 
 
 # ---------------------------------------------------------------------------

@@ -50,22 +50,10 @@ def _strip_nyquist(values: np.ndarray, n: int) -> np.ndarray:
     return np.fft.ifftn(spec).real
 
 
-def random_field(
-    n: int,
-    J: int,
-    seed: int,
-    index: int = 0,
-    mean_zero: bool = True,
-    nyquist_free: bool = True,
-) -> GridFunction:
-    """White-noise cell values, optionally mean-free and Nyquist-free."""
-    rng = stream(seed, 1, n, J, index)
-    vals = rng.standard_normal((2**J,) * n)
-    if nyquist_free:
-        vals = _strip_nyquist(vals, n)
-    if mean_zero:
-        vals = vals - vals.mean()
-    return GridFunction(n, J, vals)
+def random_field(n: int, J: int, seed: int, index: int = 0) -> GridFunction:
+    """White-noise cell values with the Nyquist modes and the mean removed."""
+    vals = _strip_nyquist(stream(seed, 1, n, J, index).standard_normal((2**J,) * n), n)
+    return GridFunction(n, J, vals - vals.mean())
 
 
 def _annulus_modes(n: int, J: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,12 +210,14 @@ def trig_band_field(
         phase = rng.random() * 2.0 * np.pi
         xis.append(xi)
         coeffs.append(amp * np.exp(1j * phase))
-    # Re sum_k amp_k e^{i phase_k} prod_ax e^{2 pi i xi_k,ax x_ax}: one
-    # separable factor per axis, contracted over k
+    # Re sum_k amp_k e^{i phase_k} prod_ax e^{2 pi i xi_k,ax x_ax} at the cell
+    # centers x_ax = (m_ax + 1/2) / N: each term sits on the cell xi_k mod N
+    # of a spectrum (two draws can share one) with the half-cell phase
+    # prod_ax e^{i pi xi_k,ax / N}, which also keeps xi = N/2 and -N/2
+    # apart, and N^n ifftn sums the terms
     N = 2**J
-    centers = (np.arange(N) + 0.5) / N
-    factors = np.exp(2j * np.pi * np.array(xis)[:, :, None] * centers)
-    axes = "abc"[:n]
-    spec = "k," + ",".join("k" + a for a in axes) + "->" + axes
-    out = np.einsum(spec, np.array(coeffs), *(factors[:, ax] for ax in range(n))).real
+    xis = np.array(xis)
+    spec = np.zeros((N,) * n, dtype=complex)
+    np.add.at(spec, tuple((xis % N).T), np.array(coeffs) * np.exp(1j * np.pi / N * xis.sum(axis=1)))
+    out = np.fft.ifftn(spec).real * N**n
     return GridFunction(n, J, out)

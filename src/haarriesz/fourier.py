@@ -1,6 +1,6 @@
 """Discrete Fourier multipliers on the torus: Riesz transforms and their
-inverse, derivative/antiderivative multipliers, and the scale-resolving
-convolutions built from the compactly supported bump kernel.
+inverse, the derivative multiplier, and the scale-resolving convolutions
+built from the compactly supported bump kernel.
 
 Every multiplier takes one path: the ``rfftn`` of the real cell values, a
 product with a Hermitian symbol on the half spectrum (last axis: the N/2+1
@@ -29,7 +29,6 @@ __all__ = [
     "riesz_half_spectrum",
     "riesz_inverse",
     "derivative",
-    "antiderivative",
     "ResolvingKernel",
     "resolvable",
     "beta_factor",
@@ -149,16 +148,16 @@ def derivative(u: GridFunction, i: int) -> GridFunction:
     return _odd_multiplier(u, i, lambda x, mag: 1j * TWO_PI * x)
 
 
-def _admissible_spectrum(u: GridFunction, i0: int, tol: float = 1e-12) -> np.ndarray:
+def _admissible_spectrum(u: GridFunction, i0: int) -> np.ndarray:
     """The half spectrum of u, once its N^-n-normalised values are checked
-    to be below tol on the hyperplane xi_{i0} = 0; otherwise raise, naming
+    to be below 1e-12 on the hyperplane xi_{i0} = 0; otherwise raise, naming
     the frequency that carries the most."""
     _check_axis(u.n, i0)
     fu = _forward(u.values, u.n)
     # index 0 of every rfftn axis is the zero frequency
     plane = np.abs(fu.take(0, axis=i0 - 1)) * 2.0 ** (-u.n * u.J)
     worst = float(plane.max())
-    if worst > tol:
+    if worst > 1e-12:
         where = list(np.unravel_index(int(plane.argmax()), plane.shape))
         where.insert(i0 - 1, 0)
         freq = tuple(int(k.ravel()[idx]) for k, idx in zip(_freqs(u.n, u.J), where))
@@ -169,43 +168,12 @@ def _admissible_spectrum(u: GridFunction, i0: int, tol: float = 1e-12) -> np.nda
     return fu
 
 
-def _off_plane_multiplier(
-    u: GridFunction, i0: int, symbol: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> GridFunction:
-    """The multiplier of ``_odd_step`` for an input admissible along i0,
-    from the one half spectrum the check takes."""
-    fu = _odd_step(_admissible_spectrum(u, i0), u.J, i0, symbol)
+def riesz_inverse(u: GridFunction, i0: int) -> GridFunction:
+    """Inverse Riesz transform along axis i0: the multiplier
+    |xi| / (-i xi_{i0}), applied in one pass to the half spectrum the
+    hyperplane check takes.  The spectrum must avoid xi_{i0} = 0."""
+    fu = _odd_step(_admissible_spectrum(u, i0), u.J, i0, lambda x, mag: mag / (-1j * x))
     return GridFunction(u.n, u.J, _inverse(fu, 2**u.J))
-
-
-def antiderivative(u: GridFunction, i0: int) -> GridFunction:
-    """Spectral antiderivative along axis i0, defined only off xi_{i0} = 0."""
-    return _off_plane_multiplier(u, i0, lambda x, mag: 1.0 / (1j * TWO_PI * x))
-
-
-def riesz_inverse(u: GridFunction, i0: int, mode: str = "direct") -> GridFunction:
-    """Inverse Riesz transform along axis i0.
-
-    direct:    multiplier |xi| / (-i xi_{i0}) applied in one pass.
-    composite: -(R_{i0} + sum_{i != i0} E_{i0} d_i R_i), assembled from the
-               individual operators.  The bracketed sum is the textbook
-               inversion identity; with the -i xi/|xi| convention used here
-               its symbol is -|xi|/(-i xi_{i0}), hence the leading sign.
-
-    Both modes require the spectrum to avoid the hyperplane xi_{i0} = 0.
-    """
-    if mode not in ("direct", "composite"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "direct":
-        return _off_plane_multiplier(u, i0, lambda x, mag: mag / (-1j * x))
-
-    _admissible_spectrum(u, i0)
-    acc = riesz(u, i0)
-    for i in range(1, u.n + 1):
-        if i == i0:
-            continue
-        acc = acc + antiderivative(derivative(riesz(u, i), i), i0)
-    return -acc
 
 
 # ---------------------------------------------------------------------------

@@ -42,18 +42,10 @@ def _upsample(arr: np.ndarray, J: int, n: int) -> np.ndarray:
 # numpy.polynomial.legendre.leggauss to the bit (held literally, so no job
 # imports numpy.polynomial or runs its eigensolver)
 _LEGENDRE = {
-    3: ((-0.7745966692414834, 0.0, 0.7745966692414834),
-        (0.5555555555555557, 0.8888888888888888, 0.5555555555555557)),
     5: ((-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664),
         (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663,
          0.23692688505618928)),
 }
-
-# tensor Gauss-Legendre nodes/weights on (0,1), per supported quad order
-_GAUSS_01 = {1: (np.array([0.5]), np.array([1.0]))}
-for _q, (_x, _w) in _LEGENDRE.items():
-    _x, _w = np.array(_x), np.array(_w)
-    _GAUSS_01[_q] = ((_x + 1.0) / 2.0, _w / _w.sum())
 
 
 @dataclass(frozen=True)
@@ -252,21 +244,15 @@ def lp_norm(parts: Iterable[np.ndarray], volume: float, p: float) -> float:
     return (sum(float((np.abs(v) ** p).sum()) for v in parts) * volume) ** (1.0 / p)
 
 
-def embed(
-    fn: Callable[..., np.ndarray],
-    n: int,
-    J: int,
-    quad_order: int = 3,
-) -> GridFunction:
-    """Project a pointwise function on [0,1)^n to per-cell averages.
+def embed(fn: Callable[..., np.ndarray], n: int, J: int) -> GridFunction:
+    """Project a pointwise function on [0,1)^n to per-cell averages by the
+    tensor 5-point Gauss-Legendre rule on each cell.
 
     ``fn`` must accept n broadcastable coordinate arrays and return values of
-    the broadcast shape.  quad_order in {1, 3, 5} selects the tensor
-    Gauss-Legendre rule per cell (1 = midpoint).
+    the broadcast shape.
     """
-    if quad_order not in _GAUSS_01:
-        raise ValueError(f"quad_order must be one of {sorted(_GAUSS_01)}")
-    nodes, weights = _GAUSS_01[quad_order]
+    x, w = (np.array(a) for a in _LEGENDRE[5])
+    nodes, weights = (x + 1.0) / 2.0, w / w.sum()
     N = 2**J
     h = 1.0 / N
     # coordinates per axis: (N, q) -> flattened N*q points

@@ -10,7 +10,6 @@ grid fields are constant on level-J cells, analysis at levels 0..J-1 is exact
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -164,29 +163,20 @@ def level_field(coeffs: np.ndarray, direction: Direction, J: int) -> GridFunctio
     return GridFunction(n, J, values)
 
 
-def _project_stack(values: np.ndarray, n: int, J: int, eps_idx: int,
-                   levels: Optional[Sequence[int]] = None) -> np.ndarray:
-    """P^(eps) on ``levels`` (default all) of the fields on the trailing n
-    axes of ``values``: directional_project for a stack of fields."""
-    keep = range(J) if levels is None else set(levels)
+def _project_stack(values: np.ndarray, n: int, J: int, eps_idx: int) -> np.ndarray:
+    """P^(eps) of the fields on the trailing n axes of ``values``:
+    directional_project for a stack of fields."""
     _, pyramid = _analyze(values, n, J)
-    kept = {j: {eps_idx: dirs[eps_idx]} for j, dirs in pyramid.items() if j in keep}
+    kept = {j: {eps_idx: dirs[eps_idx]} for j, dirs in pyramid.items()}
     return _synthesize(np.zeros(values.shape[:-n] + (1,) * n), kept, n, J)
 
 
-def directional_project(
-    u: GridFunction,
-    direction: Direction,
-    levels: Optional[Sequence[int]] = None,
-) -> GridFunction:
-    """P^(eps): keep only the direction-eps Haar coefficients (zero mean).
-
-    ``levels`` optionally restricts the projection to a subset of levels;
-    default is all levels 0..J-1.
-    """
+def directional_project(u: GridFunction, direction: Direction) -> GridFunction:
+    """P^(eps): keep only the direction-eps Haar coefficients of every level
+    0..J-1 (zero mean)."""
     if direction.n != u.n:
         raise ValueError("dimension mismatch")
-    return GridFunction(u.n, u.J, _project_stack(u.values, u.n, u.J, direction.index, levels))
+    return GridFunction(u.n, u.J, _project_stack(u.values, u.n, u.J, direction.index))
 
 
 def conditional_expectation(u: GridFunction, M: int) -> GridFunction:

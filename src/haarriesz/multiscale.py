@@ -473,11 +473,15 @@ def _interval_gap(center: np.ndarray, half: float, lo: float, hi: float) -> np.n
     return best
 
 
-def ring_cover(Q: DyadicCube, direction: Direction, lam: int, C: float = 0.5) -> list[DyadicCube]:
+# the thickness constant C of the ring domains
+RING_C = 0.5
+
+
+def ring_cover(Q: DyadicCube, direction: Direction, lam: int) -> list[DyadicCube]:
     """All level-(j+lam) dyadic cubes within torus distance
-    C 2^-lam diam(Q) of the discontinuity set of h_Q^(eps): the boundary
-    faces of Q plus the midplanes normal to oscillating axes.  Cells exactly
-    at the threshold are included."""
+    RING_C 2^-lam diam(Q) of the discontinuity set of h_Q^(eps): the
+    boundary faces of Q plus the midplanes normal to oscillating axes.
+    Cells exactly at the threshold are included."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if direction.n != Q.n:
@@ -485,7 +489,7 @@ def ring_cover(Q: DyadicCube, direction: Direction, lam: int, C: float = 0.5) ->
     n, j = Q.n, Q.j
     level = j + lam
     side_E = 2.0 ** (-level)
-    threshold = C * 2.0 ** (-lam) * Q.diam()
+    threshold = RING_C * 2.0 ** (-lam) * Q.diam()
     lo = np.array(Q.lower())
     hi = lo + Q.side
     planes: list[tuple[int, float]] = []
@@ -511,7 +515,7 @@ def ring_cover(Q: DyadicCube, direction: Direction, lam: int, C: float = 0.5) ->
 
 
 def _ring_index(
-    family: Sequence[DyadicCube], direction: Direction, lam: int, C: float, J: int
+    family: Sequence[DyadicCube], direction: Direction, lam: int, J: int
 ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
     """Flat level indices (q, e) of the pairs (Q, E) with E in the ring
     cover of Q, keyed by (Q level, E level), in family and cover order.
@@ -523,7 +527,7 @@ def _ring_index(
     owner: dict[tuple[int, tuple[int, ...]], DyadicCube] = {}
     pairs: dict[tuple[int, int], tuple[list, list]] = {}
     for Q in dict.fromkeys(family):
-        for E in ring_cover(Q, direction, lam, C):
+        for E in ring_cover(Q, direction, lam):
             if E.j >= J:
                 raise ValueError(f"cover cell {E} finer than the grid (J={J})")
             prev = owner.setdefault((E.j, E.k), Q)
@@ -554,14 +558,13 @@ def ring_projection_operator(
     family: Sequence[DyadicCube],
     direction: Direction,
     lam: int,
-    C: float = 0.5,
 ) -> LinearFieldOp:
     """The ring projection S as a 0/1 map from level-j to level-(j+lam)
     Haar coefficients: S copies c_Q onto every cell of the cover of Q, and
     its adjoint sums the cover coefficients back onto Q with weight |E|/|Q|.
     Its range form starts on the cover levels.  The family is validated
     when the operator is built (_ring_index)."""
-    index = _ring_index(family, direction, lam, C, J)
+    index = _ring_index(family, direction, lam, J)
 
     def fwd(u: GridFunction) -> GridFunction:
         out = {}
@@ -583,7 +586,7 @@ def ring_projection_operator(
 
 
 def ring_norm(family: Sequence[DyadicCube], direction: Direction, lam: int, J: int) -> float:
-    """Exact L2 norm of the ring projection S over ``family`` (C = 0.5),
+    """Exact L2 norm of the ring projection S over ``family``,
     validated as ring_projection_operator validates it.
 
     S h_Q is the sum of the h_E over the cover of Q, and distinct covers
@@ -591,7 +594,7 @@ def ring_norm(family: Sequence[DyadicCube], direction: Direction, lam: int, J: i
     distinct Haar functions: S*S is diagonal on the h_Q, with entry
     ||S h_Q||^2 / ||h_Q||^2 = |cover(Q)| |E| / |Q| = |cover(Q)| 2^(-n lam).
     Hence ||S||^2 = max_Q |cover(Q)| 2^(-n lam)."""
-    index = _ring_index(family, direction, lam, 0.5, J)
+    index = _ring_index(family, direction, lam, J)
     count = max((int(np.bincount(q).max()) for q, _ in index.values()), default=0)
     return math.sqrt(count * 2.0 ** (-direction.n * lam))
 
@@ -637,15 +640,15 @@ def rearrangement_operator(
     n: int,
     J: int,
     lam: int,
-    direction: Optional[Direction] = None,
     levels: Optional[Sequence[int]] = None,
 ) -> LinearFieldOp:
-    """Separable implementation of the rearrangement operator and its exact
-    adjoint (default profile family only).  Level j is the Kronecker product
+    """Separable implementation of the rearrangement operator along the
+    direction (1, .., 1) and its exact adjoint (default profile family
+    only).  Level j is the Kronecker product
     A_j x ... x A_j of one 2^j x 2^J matrix, applied one axis at a time.
     Its range form starts on the window's levels, from the draws the T_ell
     estimates take there."""
-    direction = direction or Direction((1,) * n)
+    direction = Direction((1,) * n)
     lv = _rearrangement_levels(J, lam, levels)
     mats = {j: _profile_matrix(J, lam, j) for j in lv}
 

@@ -1,14 +1,23 @@
 """Scalar-loop forms of three field families, the oracles for
 ``fields.trig_band_field`` (one full-grid cosine per frequency),
 ``fields.standard_random_field`` (one Python step per annulus mode) and
-``fields.haar_polynomials`` (one HaarCoefficients synthesis per field)."""
+``fields.haar_polynomials`` (one HaarCoefficients synthesis per field);
+and the raw white noise ``fields.random_field`` draws, for tests that need
+a field with a mean or Nyquist modes."""
 
 import itertools
 
 import numpy as np
 
 from haarriesz.fields import stream
+from haarriesz.grid import GridFunction
 from haarriesz.haar import HaarCoefficients, haar_synthesize
+
+
+def white_noise(n, J, seed, index=0):
+    """The standard normal cell values ``random_field`` draws, before it
+    removes their Nyquist modes and mean."""
+    return GridFunction(n, J, stream(seed, 1, n, J, index).standard_normal((2**J,) * n))
 
 
 def trig_band_cos_loop(n, J, seed, index=0, i0=1):

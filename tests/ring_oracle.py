@@ -14,8 +14,8 @@ from haarriesz.haar import level_coefficients
 from haarriesz.multiscale import ring_cover
 
 
-def ring_covers(family, direction, lam, C=0.5):
-    return {Q: ring_cover(Q, direction, lam, C) for Q in family}
+def ring_covers(family, direction, lam):
+    return {Q: ring_cover(Q, direction, lam) for Q in family}
 
 
 def validate_ring_family(covers):

@@ -13,12 +13,11 @@ no oracle of their own.
 import math
 
 import numpy as np
-from projection_oracle import level_sum_by_fields
+from projection_oracle import level_sum_by_fields, project_by_pyramid
 
 from haarriesz.fields import standard_random_field
 from haarriesz.fourier import beta_complement, beta_factor, resolvable
 from haarriesz.grid import GridFunction, dot
-from haarriesz.haar import directional_project
 from haarriesz.multiscale import (
     OpNormResult,
     _haar_factor,
@@ -57,7 +56,7 @@ def field_decomposition_residuals(n, J, direction, L_max, levels=None, seed=0):
     for |ell| <= L and measuring P u minus the sum: one FFT pair per slice."""
     lv = default_levels(J) if levels is None else list(levels)
     u = standard_random_field(n, J, seed)
-    target = directional_project(u, direction, lv)
+    target = project_by_pyramid(u, direction, lv)
     acc = GridFunction.zeros(n, J)
     residuals = []
     for L in range(L_max + 1):

@@ -9,19 +9,16 @@ import time
 
 import numpy as np
 import pytest
+from fields_oracle import white_noise
+from riesz_oracle import riesz_inverse_composite
 from sharpness_oracle import engine_coefficient, iter_all
 
-from haarriesz.experiments import (
-    decomposition_residuals,
-    interp_ratio_sup,
-    rearrangement_norms,
-    ring_decay_norms,
-    tl_decay_norms,
-)
+from haarriesz.experiments import decomposition_residuals, interp_ratio_sup, ring_decay_norms
 from haarriesz.fields import cone_band_field, haar_polynomial, random_field
 from haarriesz.fourier import riesz, riesz_inverse
 from haarriesz.grid import Direction, GridFunction
 from haarriesz.haar import directional_project, haar_analyze, haar_synthesize
+from haarriesz.multiscale import op_norm2_estimate, rearrangement_operator, t_ell_operator
 from haarriesz.semiconvexity import (
     VectorField,
     contrast_sequence,
@@ -57,7 +54,7 @@ def test_criterion_1_roundtrip_and_parseval():
     worst_cell, worst_parseval = 0.0, 0.0
     for n, J in ((1, 6), (2, 5), (3, 4)):
         for i in range(100):
-            u = random_field(n, J, seed=101, index=i, mean_zero=False, nyquist_free=False)
+            u = white_noise(n, J, seed=101, index=i)
             c = haar_analyze(u)
             v = haar_synthesize(c)
             worst_cell = max(worst_cell, float(np.abs(v.values - u.values).max()))
@@ -80,13 +77,13 @@ def test_criterion_2_riesz_identities():
     worst_inverse = 0.0
     for i in range(100):
         w = cone_band_field(2, 6, seed=103, index=i, i0=1)
-        d = riesz_inverse(w, 1, "direct")
-        c = riesz_inverse(w, 1, "composite")
+        d = riesz_inverse(w, 1)
+        c = riesz_inverse_composite(w, 1)
         worst_inverse = max(worst_inverse, (d - c).lp_norm(2) / d.lp_norm(2))
     elapsed = time.monotonic() - t0
     ok = worst_energy <= 1e-10 and worst_inverse <= 1e-8
     report(2, "Riesz identities", ok,
-           f"energy={worst_energy:.2e} inverse-modes={worst_inverse:.2e}", elapsed, 30.0)
+           f"energy={worst_energy:.2e} inverse-vs-composite={worst_inverse:.2e}", elapsed, 30.0)
 
 
 def test_criterion_3_decomposition():
@@ -101,8 +98,8 @@ def test_criterion_3_decomposition():
 
 def test_criterion_4_tl_decay():
     t0 = time.monotonic()
-    m = {ell: r.value for ell, r in
-         tl_decay_norms(2, 7, D10, range(-4, 5), levels=range(1, 6), iters=24, seed=0).items()}
+    m = {ell: op_norm2_estimate(t_ell_operator(2, 7, D10, ell, range(1, 6)), iters=24, seed=0).value
+         for ell in range(-4, 5)}
     pos = all(m[ell] <= m[0] * 2.0 ** (-ell / 2.0) * 2.0 for ell in (1, 2, 3, 4))
     neg = all(m[-ell] <= m[-1] * 2.0 ** (-(ell - 1) / 2.0) * 2.0 for ell in (2, 3, 4))
     elapsed = time.monotonic() - t0
@@ -114,7 +111,8 @@ def test_criterion_5_ring_and_rearrangement():
     t0 = time.monotonic()
     rn = ring_decay_norms(2, 7, (3, 4, 5))
     ring_ok = all(rn[l + 1] / rn[l] <= 2.0**-0.5 * 1.5 for l in (3, 4))
-    sn = {lam: r.value for lam, r in rearrangement_norms(2, 7, (1, 2, 3), iters=16, seed=0).items()}
+    sn = {lam: op_norm2_estimate(rearrangement_operator(2, 7, lam), iters=16, seed=0).value
+          for lam in (1, 2, 3)}
     rearr_ok = all(sn[l + 1] / sn[l] <= 2.0**2 * 1.5 for l in (1, 2))
     elapsed = time.monotonic() - t0
     report(5, "ring projection and rearrangement scalings", ring_ok and rearr_ok,

@@ -262,7 +262,7 @@ def test_ring_decay_runs_no_iteration(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("ring-decay ran an operator")
 
-    for target in ("haarriesz.experiments.op_norm2_estimate",
+    for target in ("haarriesz.cli.op_norm2_estimate",
                    "haarriesz.multiscale.op_norm2_estimate",
                    "haarriesz.multiscale.ring_projection_operator"):
         monkeypatch.setattr(target, broken)
@@ -291,7 +291,7 @@ def test_internal_error_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal")
 
-    monkeypatch.setattr("haarriesz.cli.tl_decay_norms", broken)
+    monkeypatch.setattr("haarriesz.cli.op_norm2_estimate", broken)
     with pytest.raises(ValueError, match="internal"):
         main(["tl-decay", "--J", "5", "--out", str(tmp_path / "x")])
 

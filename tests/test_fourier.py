@@ -1,9 +1,10 @@
-"""Riesz transforms, inverse modes, multiplier properties, resolving kernels."""
+"""Riesz transforms and their inverse, multiplier properties, resolving kernels."""
 
 import re
 
 import numpy as np
 import pytest
+from fields_oracle import white_noise
 from grid_oracle import coordinate_fields
 from kernel_oracle import (
     full_odd_multiplier,
@@ -13,12 +14,12 @@ from kernel_oracle import (
     lag_tensor,
     tensor_invariants,
 )
+from riesz_oracle import antiderivative, riesz_inverse_composite
 
 from haarriesz import experiments, fourier
 from haarriesz.fields import cone_band_field, random_field
 from haarriesz.fourier import (
     ResolvingKernel,
-    antiderivative,
     delta_conv,
     derivative,
     kernel_b_antiderivative2,
@@ -32,13 +33,13 @@ from haarriesz.haar import directional_project
 
 class TestRiesz:
     def test_single_mode_cos_to_sin(self):
-        u = embed(lambda x, y: np.cos(2 * np.pi * x), 2, 6, quad_order=5)
-        expect = embed(lambda x, y: np.sin(2 * np.pi * x), 2, 6, quad_order=5)
+        u = embed(lambda x, y: np.cos(2 * np.pi * x), 2, 6)
+        expect = embed(lambda x, y: np.sin(2 * np.pi * x), 2, 6)
         r = riesz(u, 1)
         assert np.abs(r.values - expect.values).max() <= 1e-12
 
     def test_transverse_mode_annihilated(self):
-        u = embed(lambda x, y: np.cos(2 * np.pi * y), 2, 5, quad_order=5)
+        u = embed(lambda x, y: np.cos(2 * np.pi * y), 2, 5)
         assert riesz(u, 1).lp_norm(2) <= 1e-12
 
     @pytest.mark.parametrize("n,J", [(1, 6), (2, 5), (3, 4)])
@@ -51,7 +52,7 @@ class TestRiesz:
 
     def test_contraction_with_equality_on_aligned_spectrum(self):
         # pure x1 oscillation: |xi_1| = |xi| on the support
-        u = embed(lambda x, y: np.sin(2 * np.pi * 3 * x), 2, 6, quad_order=5)
+        u = embed(lambda x, y: np.sin(2 * np.pi * 3 * x), 2, 6)
         assert riesz(u, 1).lp_norm(2) == pytest.approx(u.lp_norm(2), rel=1e-10)
         w = random_field(2, 6, seed=31)
         assert riesz(w, 1).lp_norm(2) <= w.lp_norm(2) * (1 + 1e-12)
@@ -71,33 +72,28 @@ class TestRiesz:
 
 class TestRieszInverse:
     def test_single_mode_cycle(self):
-        u = embed(lambda x, y: np.sin(2 * np.pi * x), 2, 6, quad_order=5)
+        u = embed(lambda x, y: np.sin(2 * np.pi * x), 2, 6)
         r = riesz(u, 1)
-        expect = embed(lambda x, y: -np.cos(2 * np.pi * x), 2, 6, quad_order=5)
+        expect = embed(lambda x, y: -np.cos(2 * np.pi * x), 2, 6)
         assert np.abs(r.values - expect.values).max() <= 1e-12
-        back = riesz_inverse(r, 1, "direct")
+        back = riesz_inverse(r, 1)
         assert np.abs(back.values - u.values).max() <= 1e-10
 
     def test_modes_agree_on_cone_fields(self):
         for i in range(20):
             w = cone_band_field(2, 6, seed=34, index=i, i0=1)
-            d = riesz_inverse(w, 1, "direct")
-            c = riesz_inverse(w, 1, "composite")
+            d = riesz_inverse(w, 1)
+            c = riesz_inverse_composite(w, 1)
             assert (d - c).lp_norm(2) <= 1e-8 * d.lp_norm(2)
             assert (riesz_inverse(riesz(w, 1), 1) - w).lp_norm(2) <= 1e-8
 
     def test_rejects_forbidden_hyperplane(self):
-        u = embed(lambda x, y: np.cos(2 * np.pi * 3 * y), 2, 4, quad_order=5)
+        u = embed(lambda x, y: np.cos(2 * np.pi * 3 * y), 2, 4)
         with pytest.raises(ValueError, match=r"\(0, -?3\)"):
             riesz_inverse(u, 1)
 
-    def test_rejects_unknown_mode(self):
-        w = cone_band_field(2, 4, seed=35, i0=1)
-        with pytest.raises(ValueError):
-            riesz_inverse(w, 1, mode="spectralish")
-
     def test_hyperplane_mass(self):
-        u = embed(lambda x, y: np.cos(2 * np.pi * 3 * y), 2, 4, quad_order=5)
+        u = embed(lambda x, y: np.cos(2 * np.pi * 3 * y), 2, 4)
         with pytest.raises(ValueError, match="xi_1=0"):
             riesz_inverse(u, 1)
         back = riesz(riesz_inverse(u, 2), 2)
@@ -132,9 +128,10 @@ def _full_fft_reference(u, i, symbol):
 
 
 def _nyquist_field(n, J, seed, i=None):
-    # white noise with Nyquist content; with i, its xi_i = 0 part (the mean
-    # along axis i) removed so that the inverse routes accept it
-    v = random_field(n, J, seed=seed, nyquist_free=False).values
+    # mean-free white noise with Nyquist content; with i, its xi_i = 0 part
+    # (the mean along axis i) removed so that the inverse routes accept it
+    v = white_noise(n, J, seed).values
+    v = v - v.mean()
     if i is not None:
         v = v - v.mean(axis=i - 1, keepdims=True)
     return GridFunction(n, J, v)
@@ -180,7 +177,7 @@ class TestInPlacePath:
 
     @pytest.mark.parametrize("n,J", [(1, 9), (2, 6), (3, 5)])
     def test_transforms_equal_rfftn_and_irfftn(self, n, J):
-        values = random_field(n, J, seed=71, nyquist_free=False).values
+        values = white_noise(n, J, seed=71).values
         axes = tuple(range(n))
         fu = fourier._forward(values, n)
         assert fu.tobytes() == np.fft.rfftn(values, axes=axes).tobytes()
@@ -214,7 +211,7 @@ class TestInPlacePath:
 
     @pytest.mark.parametrize("n,J", [(1, 9), (2, 6), (3, 5)])
     def test_even_multipliers_equal_the_full_symbol_path(self, n, J):
-        u = random_field(n, J, seed=73, nyquist_free=False)
+        u = white_noise(n, J, seed=73)
         for s in range(J - 1):
             got = delta_conv(u, s).values.tobytes()
             assert got == full_symbol_multiplier(u, fourier._delta_symbol(n, s, J)).values.tobytes()
@@ -225,7 +222,7 @@ class TestInPlacePath:
     def test_riesz_half_spectrum_is_the_riesz_step(self, n, J):
         # each of these half spectra spans 3 to 5 blocks of the symbol
         assert np.prod(fourier._forward(np.zeros((2**J,) * n), n).shape) > 2 * fourier._SYMBOL_BLOCK
-        u = random_field(n, J, seed=74, nyquist_free=False)
+        u = white_noise(n, J, seed=74)
         for i in range(1, n + 1):
             fu = fourier.riesz_half_spectrum(fourier._forward(u.values, n), J, i)
             want = full_odd_multiplier(u, i, lambda x, mag: -1j * x / mag)
@@ -239,8 +236,8 @@ class TestDerivativeAntiderivative:
         assert (v - w).lp_norm(2) <= 1e-10
 
     def test_derivative_single_mode(self):
-        u = embed(lambda x, y: np.sin(2 * np.pi * x), 2, 6, quad_order=5)
-        expect = embed(lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x), 2, 6, quad_order=5)
+        u = embed(lambda x, y: np.sin(2 * np.pi * x), 2, 6)
+        expect = embed(lambda x, y: 2 * np.pi * np.cos(2 * np.pi * x), 2, 6)
         d = derivative(u, 1)
         assert np.abs(d.values - expect.values).max() <= 1e-9
 

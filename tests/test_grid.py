@@ -130,13 +130,13 @@ class TestEmbed:
         assert np.abs(u.values - 1.0).max() <= 1e-15
 
     def test_haar_step_exact(self):
-        u = embed(lambda x: np.where(x < 0.5, 1.0, -1.0), 1, 1, quad_order=1)
+        u = embed(lambda x: np.where(x < 0.5, 1.0, -1.0), 1, 1)
         assert list(u.values) == [1.0, -1.0]
 
     def test_sin_cell_averages_match_closed_form(self):
         # closed form: N (cos(2 pi a) - cos(2 pi b)) / (2 pi)
         J = 6
-        u = embed(lambda x, y: np.sin(2 * np.pi * x), 2, J, quad_order=3)
+        u = embed(lambda x, y: np.sin(2 * np.pi * x), 2, J)
         N = 2**J
         edges = np.arange(N + 1) / N
         exact = (np.cos(2 * np.pi * edges[:-1]) - np.cos(2 * np.pi * edges[1:])) * N / (2 * np.pi)
@@ -145,10 +145,6 @@ class TestEmbed:
     def test_rejects_non_finite_sample(self):
         with pytest.raises(ValueError, match="non-finite"):
             embed(lambda x: np.where(x > 0.6, np.nan, 1.0), 1, 2)
-
-    def test_rejects_bad_quad_order(self):
-        with pytest.raises(ValueError):
-            embed(lambda x: x, 1, 2, quad_order=2)
 
     @pytest.mark.parametrize("order", sorted(_LEGENDRE))
     def test_gauss_table_is_leggauss_to_the_bit(self, order):

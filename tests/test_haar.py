@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from fields_oracle import white_noise
 from grid_oracle import cell_slices
 from projection_oracle import (
     level_field_by_merge,
@@ -54,7 +55,7 @@ class TestRoundTripAndParseval:
     @pytest.mark.parametrize("n,J", [(1, 6), (2, 5), (3, 4)])
     def test_roundtrip_and_parseval_random(self, n, J):
         for i in range(20):
-            u = random_field(n, J, seed=11, index=i, mean_zero=False, nyquist_free=False)
+            u = white_noise(n, J, seed=11, index=i)
             c = haar_analyze(u)
             v = haar_synthesize(c)
             assert np.abs(v.values - u.values).max() <= 1e-12
@@ -78,7 +79,7 @@ class TestRoundTripAndParseval:
 
     def test_analyze_matches_bruteforce_inner_products(self):
         n, J = 2, 2
-        u = random_field(n, J, seed=12, mean_zero=False, nyquist_free=False)
+        u = white_noise(n, J, seed=12)
         c = haar_analyze(u)
         vol = 2.0 ** (-n * J)
         for j in range(J):
@@ -105,7 +106,7 @@ class TestRoundTripAndParseval:
 class TestLevelPrimitives:
     @pytest.mark.parametrize("n,J", [(1, 7), (2, 6), (3, 5)])
     def test_match_full_transform(self, n, J):
-        u = random_field(n, J, seed=26, mean_zero=False)
+        u = white_noise(n, J, seed=26)
         c = haar_analyze(u)
         for j in range(J):
             for d in all_directions(n):
@@ -154,14 +155,13 @@ class TestOneSynthesis:
         # leading axes (2, 3) are a stack of six fields
         stack = np.random.default_rng(50 + n).standard_normal((2, 3) + (2**J,) * n)
         fields = stack.reshape((6,) + (2**J,) * n)
-        for lv in [None, *self.windows(J)]:
-            for d in all_directions(n):
-                projected = _project_stack(stack, n, J, d.index, lv).reshape(fields.shape)
-                for f, got in zip(fields, projected):
-                    u = GridFunction(n, J, f)
-                    want = project_by_pyramid(u, d, lv).values
-                    assert np.array_equal(got, want), (lv, d)
-                    assert np.array_equal(directional_project(u, d, lv).values, want), (lv, d)
+        for d in all_directions(n):
+            projected = _project_stack(stack, n, J, d.index).reshape(fields.shape)
+            for f, got in zip(fields, projected):
+                u = GridFunction(n, J, f)
+                want = project_by_pyramid(u, d).values
+                assert np.array_equal(got, want), d
+                assert np.array_equal(directional_project(u, d).values, want), d
 
 
 class TestDirectionalProjection:
@@ -176,7 +176,7 @@ class TestDirectionalProjection:
         assert np.abs(p.values - u.values).max() <= 1e-13
 
     def test_parseval_split(self):
-        u = random_field(2, 3, seed=14, mean_zero=True)
+        u = random_field(2, 3, seed=14)
         total = sum(
             directional_project(u, d).lp_norm(2) ** 2 for d in all_directions(2)
         )
@@ -191,8 +191,9 @@ class TestDirectionalProjection:
                 assert abs(parts[a].inner(parts[b])) <= 1e-10
 
     def test_level_restriction(self):
+        # the window form of the oracle, which the slice tests project with
         u = random_field(2, 4, seed=16)
-        p = directional_project(u, Direction((1, 0)), levels=[1, 2])
+        p = project_by_pyramid(u, Direction((1, 0)), levels=[1, 2])
         c = haar_analyze(p)
         for j, dirs in c.levels.items():
             for e, arr in dirs.items():
@@ -207,7 +208,7 @@ class TestVectorProjection:
         assert all(np.abs(c.values).max() == 0.0 for c in out)
 
     def test_pure_x1_strip_field_is_fixed(self):
-        v1 = embed(lambda x, y: np.sin(2 * np.pi * x), 2, 6, quad_order=5)
+        v1 = embed(lambda x, y: np.sin(2 * np.pi * x), 2, 6)
         v2 = GridFunction.zeros(2, 6)
         out = vector_project([v1, v2])
         assert np.abs(out[0].values - v1.values).max() <= 1e-10
@@ -231,7 +232,7 @@ class TestConditionalExpectation:
         assert np.array_equal(conditional_expectation(u, 4).values, u.values)
 
     def test_global_mean_at_zero(self):
-        u = random_field(2, 4, seed=18, mean_zero=False)
+        u = white_noise(2, 4, seed=18)
         e = conditional_expectation(u, 0)
         assert np.abs(e.values - u.mean()).max() <= 1e-12
 
@@ -269,7 +270,7 @@ class TestSquareFunction:
 
     def test_matches_bruteforce(self):
         n, J = 2, 2
-        u = random_field(n, J, seed=22, mean_zero=False)
+        u = white_noise(n, J, seed=22)
         c = haar_analyze(u)
         s = square_function(u)
         N = 2**J
@@ -282,7 +283,7 @@ class TestSquareFunction:
             assert s.values[cell] == pytest.approx(np.sqrt(total), abs=1e-12)
 
     def test_l2_norm_identity(self):
-        u = random_field(2, 5, seed=23, mean_zero=False)
+        u = white_noise(2, 5, seed=23)
         s = square_function(u)
         lhs = s.lp_norm(2) ** 2
         rhs = u.lp_norm(2) ** 2 - u.mean() ** 2
@@ -295,7 +296,7 @@ class TestSquareFunction:
         for p in (1.5, 2.0, 3.0):
             ratios = []
             for i in range(25):
-                u = random_field(n, J, seed=25, index=i, mean_zero=True)
+                u = random_field(n, J, seed=25, index=i)
                 ratios.append(square_function(u).lp_norm(p) / u.lp_norm(p))
             assert 1.0 / 8.0 <= min(ratios) and max(ratios) <= 8.0, (
                 f"window [{min(ratios):.3f}, {max(ratios):.3f}] at p={p}"
@@ -325,7 +326,7 @@ class TestBmo:
 
     @pytest.mark.parametrize("n,J", [(1, 4), (2, 2), (2, 3)])
     def test_matches_oscillation_form(self, n, J):
-        u = random_field(n, J, seed=24, mean_zero=False)
+        u = white_noise(n, J, seed=24)
         assert bmo_d_norm(u) == pytest.approx(bmo_oscillation_bruteforce(u), rel=1e-10)
 
 

@@ -49,16 +49,16 @@ class TestSeparateConvexity:
 
 class TestA0:
     def test_single_variable_components_vanish(self):
-        v1 = embed(lambda x, y: np.sin(2 * np.pi * x) + x * 0, 2, 5, quad_order=5)
-        v2 = embed(lambda x, y: np.cos(2 * np.pi * y) + y * 0, 2, 5, quad_order=5)
+        v1 = embed(lambda x, y: np.sin(2 * np.pi * x) + x * 0, 2, 5)
+        v2 = embed(lambda x, y: np.cos(2 * np.pi * y) + y * 0, 2, 5)
         v = VectorField([v1, v2])
         assert a0_max_entry(v) <= 1e-10
 
     def test_cross_entry_spectral_derivative(self):
-        v1 = embed(lambda x, y: np.sin(2 * np.pi * y), 2, 6, quad_order=5)
+        v1 = embed(lambda x, y: np.sin(2 * np.pi * y), 2, 6)
         v = VectorField([v1, GridFunction.zeros(2, 6)])
         entries = a0_apply(v)
-        expect = embed(lambda x, y: 2 * np.pi * np.cos(2 * np.pi * y), 2, 6, quad_order=5)
+        expect = embed(lambda x, y: 2 * np.pi * np.cos(2 * np.pi * y), 2, 6)
         assert np.abs(entries[(2, 1)].values - expect.values).max() <= 1e-8
         assert entries[(1, 2)].lp_norm(2) <= 1e-12
 
@@ -156,8 +156,8 @@ class TestJensen:
 
 class TestResidualRatio:
     def test_exact_zero_case(self):
-        v1 = embed(lambda x, y: np.sin(2 * np.pi * x) + 0 * x, 2, 6, quad_order=5)
-        v2 = embed(lambda x, y: np.sin(2 * np.pi * y) + 0 * y, 2, 6, quad_order=5)
+        v1 = embed(lambda x, y: np.sin(2 * np.pi * x) + 0 * x, 2, 6)
+        v2 = embed(lambda x, y: np.sin(2 * np.pi * y) + 0 * y, 2, 6)
         assert residual_ratio(VectorField([v1, v2]), 2.0) == 0.0
 
     def test_block_case_finite(self):
@@ -250,7 +250,7 @@ class TestSemicontinuity:
             )
 
     def test_nonconstant_test_function(self):
-        phi = embed(lambda x, y: 1.0 + 0.5 * np.cos(2 * np.pi * x), 2, 8, quad_order=3)
+        phi = embed(lambda x, y: 1.0 + 0.5 * np.cos(2 * np.pi * x), 2, 8)
         (rows,) = semicontinuity_experiment(
             [self.regs["quad_cross"]], phi, [2, 3, 4],
             lambda r: oscillation_sequence(2, 8, r),
