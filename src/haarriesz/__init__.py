@@ -51,8 +51,6 @@ from .sharpness import (
 )
 from .semiconvexity import (
     Integrand,
-    VectorField,
-    a0_apply,
     check_separately_convex,
     jensen_range_check,
     registry_integrands,

@@ -28,7 +28,6 @@ from . import __version__
 from .grid import Direction, DyadicCube, GridFunction, all_directions, axis_direction, embed
 from .fields import (
     cone_band_field,
-    haar_polynomial,
     haar_polynomials,
     random_field,
     single_haar_block,
@@ -52,7 +51,6 @@ from .multiscale import (
 )
 from .profiles import haar_pieces, profile_integral, profile_product_integral, sine_cell_averages
 from .semiconvexity import (
-    VectorField,
     contrast_sequence,
     jensen_range_check,
     oscillation_sequence,
@@ -104,9 +102,13 @@ def parse_dyadic(text: str) -> float:
 
 
 def parse_eps_list(text: str) -> list[float]:
+    """Strictly decreasing comma-separated dyadic rationals: the growth
+    checks compare consecutive values."""
     values = [parse_dyadic(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValidationError("empty list")
+    if any(b >= a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(f"{text!r} is not strictly decreasing")
     return values
 
 
@@ -242,9 +244,13 @@ def enforce_cap(bytes_needed: int, cap: int) -> None:
 # per-call Python objects (dicts, cube lists, 1D tables) that do not scale
 # with the grid: ring-decay at n = 1, J = 3 peaks at about 5.1 kB
 GRID_BUDGET_BASE = 1 << 13
+# what a whole interp-ratio, semicontinuity or selftest run holds whatever
+# its grid (integrand probes, profile tables, ring covers, the result rows):
+# the traced peak of a selftest at n = 2, J = 4 is 0.41 MB
+RUN_BASE = 1 << 19
 
 
-def grid_budget(n: int, J: int, copies: int = 96) -> int:
+def grid_budget(n: int, J: int, copies: int) -> int:
     """Working-set estimate: ``copies`` float64 grids of 2^(nJ) cells plus
     GRID_BUDGET_BASE.  Each subcommand charges the copies its run peaks at;
     tests/test_multiscale.py::TestWorkingSet measures them.  tl-decay
@@ -382,9 +388,16 @@ def cmd_rearrange(args, run: Run) -> None:
                    "rearrange growth")
 
 
+def interp_ratio_budget(n: int, J: int) -> int:
+    """cmd_interp_ratio's charge: 11 copies of the level-(J+1) grid whatever
+    --trials is, since it builds its family one member at a time (9.0-9.5
+    traced from 2^14 cells on), plus RUN_BASE."""
+    return grid_budget(n, J + 1, copies=11) + RUN_BASE
+
+
 def cmd_interp_ratio(args, run: Run) -> None:
     n, J, seed = args.n, args.J, args.seed
-    enforce_cap(grid_budget(n, J + 1), args.cap_bytes)
+    enforce_cap(interp_ratio_budget(n, J), args.cap_bytes)
     direction = axis_direction(n, 1)
     run.set_columns(SCALING_COLUMNS)
     sups_a = interp_ratio_sup(n, J, args.p_list, seed=seed, count=args.trials)
@@ -453,9 +466,9 @@ def cmd_sharpness(args, run: Run) -> None:
                       f"coef={c!r}")
 
 
-# jensen_range_check stacks every field it is given; cmd_jensen hands it at
-# most JENSEN_BATCH fields at a time, which peak at about 12 grid copies each
-# (tests/test_multiscale.py::TestWorkingSet)
+# jensen_range_check projects its whole batch at once; cmd_jensen hands it
+# at most JENSEN_BATCH fields at a time, which peak at about 12 grid copies
+# each (tests/test_multiscale.py::TestWorkingSet)
 JENSEN_BATCH = 64
 
 
@@ -470,9 +483,8 @@ def cmd_jensen(args, run: Run) -> None:
             batch = range(start, min(start + JENSEN_BATCH, trials))
             stack = haar_polynomials(n, J, seed, [1000 * M + 2 * i + c for i in batch
                                                   for c in range(n)], max_level=J - 1)
-            vs = [VectorField([GridFunction(n, J, comp) for comp in field])
-                  for field in stack.reshape((len(batch), n) + stack.shape[1:])]
-            defects = jensen_range_check(vs, regs, M)
+            defects = jensen_range_check(stack.reshape((len(batch), n) + stack.shape[1:]),
+                                         regs, M)
             worst[M] = [min(w, d) for w, d in zip(worst[M], defects)]
     for k, f in enumerate(regs):
         for M in worst:
@@ -482,9 +494,15 @@ def cmd_jensen(args, run: Run) -> None:
                       f"min defect={w:.3e} over {trials} fields")
 
 
+def semicontinuity_budget(n: int, J: int) -> int:
+    """cmd_semicontinuity's charge: 10 grid copies (traced: 7.1-7.3 at n = 2
+    from 2^16 cells on, 9.1-9.5 at n = 3 from 2^15) plus RUN_BASE."""
+    return grid_budget(n, J, copies=10) + RUN_BASE
+
+
 def cmd_semicontinuity(args, run: Run) -> None:
     n, J, seed = args.n, args.J, args.seed
-    enforce_cap(grid_budget(n, J), args.cap_bytes)
+    enforce_cap(semicontinuity_budget(n, J), args.cap_bytes)
     regs = registry_integrands()
     phi = GridFunction.constant(n, J, 1.0)
     r_list = list(range(1, min(J - 2, 6) + 1))
@@ -508,9 +526,17 @@ def cmd_semicontinuity(args, run: Run) -> None:
     run.check("contrast flagged non-compliant", not any(r.compliant for r in crows), "")
 
 
+def selftest_budget(n: int, J: int) -> int:
+    """cmd_selftest's charge: 32 grid copies (24-30 traced from 2^14 cells
+    on), the 1D lag tables and symbols it caches for every scale of the
+    telescoping check (16 J 2^J bytes, which set the peak at n = 1), plus
+    RUN_BASE."""
+    return grid_budget(n, J, copies=32) + 16 * J * 2**J + RUN_BASE
+
+
 def cmd_selftest(args, run: Run) -> None:
     n, J, seed = args.n, args.J, args.seed
-    enforce_cap(grid_budget(n, J), args.cap_bytes)
+    enforce_cap(selftest_budget(n, J), args.cap_bytes)
     run.set_columns(["check", "measured", "expected", "tol", "status"])
 
     def row(name: str, measured: float, expected: float, tol: float) -> None:
@@ -603,9 +629,8 @@ def cmd_selftest(args, run: Run) -> None:
     # jensen quick cases
     regs = registry_integrands()
     if n == 2:
-        v = VectorField([haar_polynomial(2, min(J, 4), seed, index=7, max_level=2),
-                         haar_polynomial(2, min(J, 4), seed, index=8, max_level=2)])
-        for f, defect in zip(regs[:3], jensen_range_check([v], regs[:3], 1)):
+        v = haar_polynomials(2, min(J, 4), seed, [7, 8], max_level=2)
+        for f, defect in zip(regs[:3], jensen_range_check(v[None], regs[:3], 1)):
             row(f"jensen[{f.name}]", min(defect, 0.0), 0.0, 1e-9)
     # serialization
     blob = u.to_bytes()

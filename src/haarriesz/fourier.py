@@ -77,13 +77,6 @@ def _inverse(fu: np.ndarray, N: int) -> np.ndarray:
     return np.fft.irfft(fu, n=N, axis=-1)
 
 
-def _apply_symbol(u: GridFunction, symbol: np.ndarray) -> GridFunction:
-    """Fourier multiplier given by a Hermitian symbol on the rfftn layout."""
-    fu = _forward(u.values, u.n)
-    fu *= symbol
-    return GridFunction(u.n, u.J, _inverse(fu, 2**u.J))
-
-
 def _check_axis(n: int, i: int) -> None:
     if not 1 <= i <= n:
         raise ValueError(f"axis {i} out of range for n={n}")
@@ -289,21 +282,31 @@ def beta_complement(s: int, J: int, k: np.ndarray) -> np.ndarray:
     return (terms.sum(axis=1) * 2.0 ** (1 - J))[where].reshape(np.shape(k))
 
 
-def _beta_symbol(n: int, s: int, J: int) -> np.ndarray:
-    """Symbol of beta_s in the rfftn layout (last axis: the N/2+1 nonnegative
-    frequencies): the tensor power of ``beta_factor``."""
-    h = beta_factor(s, J)
-    out = h[: h.size // 2 + 1]
-    for _ in range(n - 1):
-        out = np.multiply.outer(h, out)
-    return out
-
-
-@lru_cache(maxsize=256)
-def _delta_symbol(n: int, s: int, J: int) -> np.ndarray:
-    sym = _beta_symbol(n, s, J) - _beta_symbol(n, s + 1, J)
-    sym.setflags(write=False)
-    return sym
+def _even_multiplier(u: GridFunction, scales: tuple[int, ...]) -> GridFunction:
+    """The tensor power of ``beta_factor`` at the first of ``scales`` minus
+    those at the others, applied to u a block of first-axis rows at a
+    time.  Each block of a tensor power is h_s[rows] times its tail, the
+    product of the other axes' factors built once per call, so an entry is
+    h_a (h_b h_c) as in the full symbol."""
+    n, J = u.n, u.J
+    fu = _forward(u.values, n)
+    factors = []
+    for s in scales:
+        h = beta_factor(s, J)
+        # the rfftn layout: the last axis holds the N/2+1 nonnegative frequencies
+        axes = [h] * (n - 1) + [h[: h.size // 2 + 1]]
+        tail = np.ones(())
+        for f in reversed(axes[1:]):
+            tail = np.multiply.outer(f, tail)
+        factors.append((axes[0], tail))
+    rows = max(1, _SYMBOL_BLOCK * fu.shape[0] // fu.size)
+    for lo in range(0, fu.shape[0], rows):
+        first, tail = factors[0]
+        sym = np.multiply.outer(first[lo:lo + rows], tail)
+        for first, tail in factors[1:]:
+            sym -= np.multiply.outer(first[lo:lo + rows], tail)
+        fu[lo:lo + rows] *= sym
+    return GridFunction(n, J, _inverse(fu, 2**J))
 
 
 def resolvable(s: int, J: int) -> bool:
@@ -316,7 +319,7 @@ def delta_conv(u: GridFunction, s: int) -> GridFunction:
     ``resolvable`` s.  Delta_s is self-adjoint (its lag table is even)."""
     if not resolvable(s, u.J):
         raise ValueError(f"scale s={s} not resolvable at J={u.J} (need 0 <= s <= J-2)")
-    return _apply_symbol(u, _delta_symbol(u.n, s, u.J))
+    return _even_multiplier(u, (s, s + 1))
 
 
 def smoothing_conv(u: GridFunction, s: int) -> GridFunction:
@@ -325,4 +328,4 @@ def smoothing_conv(u: GridFunction, s: int) -> GridFunction:
     lag tables as delta_conv; used by the telescoping oracle."""
     if s < 0:
         raise ValueError("scale must be >= 0")
-    return _apply_symbol(u, _beta_symbol(u.n, s, u.J))
+    return _even_multiplier(u, (s,))

@@ -17,15 +17,13 @@ import numpy as np
 
 from .fourier import derivative
 from .grid import GridFunction, axis_direction
-from .haar import _block_mean, _project_stack, conditional_expectation
+from .haar import _block_mean, _project_stack
 from .profiles import sine_cell_averages
 
 __all__ = [
     "Integrand",
     "registry_integrands",
     "check_separately_convex",
-    "VectorField",
-    "a0_apply",
     "a0_max_entry",
     "jensen_range_check",
     "SemicontinuityRow",
@@ -85,72 +83,44 @@ def registry_integrands() -> list[Integrand]:
     ]
 
 
-@dataclass
-class VectorField:
-    """n grid fields sharing (n, J): a discrete map from the torus to R^n."""
-
-    components: list[GridFunction]
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise ValueError("empty vector field")
-        n = self.components[0].n
-        if len(self.components) != n:
-            raise ValueError(f"need {n} components, got {len(self.components)}")
-        for c in self.components[1:]:
-            self.components[0]._check_compatible(c)
-
-    @property
-    def n(self) -> int:
-        return self.components[0].n
-
-    @property
-    def J(self) -> int:
-        return self.components[0].J
-
-    def stacked(self) -> np.ndarray:
-        return np.stack([c.values for c in self.components], axis=-1)
+def _field_grid(v: np.ndarray) -> tuple[int, int]:
+    """(n, J) of a vector field: the n components' cell values stacked in
+    one array of shape (n, 2^J, .., 2^J)."""
+    n = v.shape[0] if v.ndim else 0
+    J = v.shape[-1].bit_length() - 1 if v.ndim else 0
+    if not 1 <= n <= 3 or v.shape != (n,) + (2**J,) * n:
+        raise ValueError(f"a vector field has shape (n, 2^J, .., 2^J), got {v.shape}")
+    return n, J
 
 
-def a0_apply(v: VectorField) -> dict[tuple[int, int], GridFunction]:
-    """Off-diagonal gradient: entries (i, j) = d v_j / d x_i for i != j,
-    by spectral differentiation."""
-    out: dict[tuple[int, int], GridFunction] = {}
-    for i in range(1, v.n + 1):
-        for j in range(1, v.n + 1):
-            if i == j:
-                continue
-            out[(i, j)] = derivative(v.components[j - 1], i)
-    return out
+def a0_max_entry(v: np.ndarray) -> float:
+    """max |d v_j / d x_i| over i != j: the largest entry of the
+    off-diagonal gradient of the vector field v, by spectral
+    differentiation."""
+    n, J = _field_grid(v)
+    comps = [GridFunction(n, J, c) for c in v]
+    return max(float(np.abs(derivative(comps[j], i + 1).values).max())
+               for i in range(n) for j in range(n) if i != j)
 
 
-def a0_max_entry(v: VectorField) -> float:
-    entries = a0_apply(v)
-    return max(float(np.abs(e.values).max()) for e in entries.values())
-
-
-def jensen_range_check(vs: Sequence[VectorField], fs: Sequence[Integrand], M: int) -> list[float]:
-    """Per integrand f of ``fs``, min over the fields v of ``vs`` and the
-    level-M cells of E_M(f(P(v))) - f(E_M(P(v))); separate convexity makes
-    this nonnegative up to rounding.  Component i of every field joins one
-    stack, so P^(e_i), E_M and each integrand run once for the whole family;
-    each integrand's separate-convexity probe runs once per Integrand."""
+def jensen_range_check(fields: np.ndarray, fs: Sequence[Integrand], M: int) -> list[float]:
+    """Per integrand f of ``fs``, min over the vector fields v of the batch
+    ``fields`` (shape (batch, n, 2^J, .., 2^J)) and the level-M cells of
+    E_M(f(P(v))) - f(E_M(P(v))); separate convexity makes this nonnegative
+    up to rounding.  P^(e_i), E_M and each integrand run once for the whole
+    batch; each integrand's separate-convexity probe runs once per
+    Integrand."""
     for f in fs:
         if not f.separately_convex:
             raise ValueError(f"integrand {f.name!r} failed the separate-convexity probe")
-    if not vs:
+    if not len(fields):
         raise ValueError("no vector fields")
-    n, J = vs[0].n, vs[0].J
-    if any((v.n, v.J) != (n, J) for v in vs):
-        raise ValueError("vector fields live on different grids")
+    n, J = _field_grid(fields[0])
     if not 0 <= M <= J:
         raise ValueError(f"M must be within 0..{J}")
     # pw[i, b] = P^(e_i) of component i of field b
-    pw = np.stack([
-        _project_stack(np.stack([v.components[i].values for v in vs]), n, J,
-                       axis_direction(n, i + 1).index)
-        for i in range(n)
-    ])
+    pw = np.stack([_project_stack(fields[:, i], n, J, axis_direction(n, i + 1).index)
+                   for i in range(n)])
     # both terms of the defect are constant on level-M cells: compare the
     # level-M averages, with the component axis last for the integrands
     ew = np.moveaxis(_block_mean(pw, M, n), 0, -1)
@@ -162,30 +132,25 @@ def jensen_range_check(vs: Sequence[VectorField], fs: Sequence[Integrand], M: in
 # semicontinuity experiment
 
 
-def oscillation_sequence(n: int, J: int, r: int) -> VectorField:
+def oscillation_sequence(n: int, J: int, r: int) -> np.ndarray:
     """Compliant sequence member: component i is a zero-mean profile
     oscillating at frequency 2^r in its own coordinate alone, embedded
     exactly (cell averages of sin)."""
     N = 2**J
-    comps = []
-    for ax in range(n):
-        vals1d = sine_cell_averages(N, 2.0 * np.pi * 2**r, 0.0, 0.0, 1.0)
-        shape = [1] * n
-        shape[ax] = N
-        arr = np.broadcast_to(vals1d.reshape(shape), (N,) * n).copy()
-        comps.append(GridFunction(n, J, arr))
-    return VectorField(comps)
+    wave = sine_cell_averages(N, 2.0 * np.pi * 2**r, 0.0, 0.0, 1.0)
+    return np.stack([np.broadcast_to(wave.reshape([N if k == ax else 1 for k in range(n)]),
+                                     (N,) * n) for ax in range(n)])
 
 
-def contrast_sequence(n: int, J: int, r: int) -> VectorField:
+def contrast_sequence(n: int, J: int, r: int) -> np.ndarray:
     """Deliberate violation: every component oscillates in x_1, so the
     off-diagonal gradient is large.  The amplitudes (1, -1, ...)
     anti-correlate the components, which drives product-type integrands
     strictly below their weak-limit value."""
     N = 2**J
-    vals1d = sine_cell_averages(N, 2.0 * np.pi * 2**r, 0.0, 0.0, 1.0)
-    arr = np.broadcast_to(vals1d.reshape([N] + [1] * (n - 1)), (N,) * n)
-    return VectorField([GridFunction(n, J, arr * (-1.0) ** i) for i in range(n)])
+    wave = sine_cell_averages(N, 2.0 * np.pi * 2**r, 0.0, 0.0, 1.0)
+    return np.multiply.outer((-1.0) ** np.arange(n),
+                             np.broadcast_to(wave.reshape([N] + [1] * (n - 1)), (N,) * n))
 
 
 @dataclass
@@ -202,12 +167,12 @@ def semicontinuity_experiment(
     fs: Sequence[Integrand],
     phi: GridFunction,
     r_list: Sequence[int],
-    sequence: Callable[[int], VectorField],
+    sequence: Callable[[int], np.ndarray],
 ) -> list[list[SemicontinuityRow]]:
     """Per integrand f of ``fs``, tabulate I_r = sum f(v_r) phi vol against
-    the weak-limit row I_inf = int f(v) phi, v the global means of v_r.  Each
-    v_r, its off-diagonal gradient and its weak limit are built once for all
-    of ``fs``.
+    the weak-limit row I_inf = int f(v) phi, v the global means of the
+    vector field v_r = sequence(r).  Each v_r, its off-diagonal gradient
+    and its weak limit are built once for all of ``fs``.
 
     Sequences whose off-diagonal gradient exceeds 1e-8 are flagged as
     contrast rows rather than rejected.
@@ -218,14 +183,16 @@ def semicontinuity_experiment(
     vol = phi.cell_volume()
     for r in r_list:
         v = sequence(r)
-        if (v.n, v.J) != (phi.n, phi.J):
+        if _field_grid(v) != (phi.n, phi.J):
             raise ValueError("sequence and test function live on different grids")
         a0 = a0_max_entry(v)
         compliant = a0 <= 1e-8
-        stacked = v.stacked()
-        limit = np.stack([conditional_expectation(c, 0).values for c in v.components], axis=-1)
+        # the component axis last for the integrands; the weak limit, the
+        # component means, broadcasts against phi as one constant cell
+        values = np.moveaxis(v, 0, -1)
+        limit = np.moveaxis(_block_mean(v, 0, phi.n), 0, -1)
         for f, f_rows in zip(fs, rows):
-            I_r = float((f(stacked) * phi.values).sum() * vol)
+            I_r = float((f(values) * phi.values).sum() * vol)
             I_inf = float((f(limit) * phi.values).sum() * vol)
             f_rows.append(SemicontinuityRow(f.name, r, I_r, I_inf, a0, compliant))
     return rows

@@ -9,12 +9,13 @@ Galerkin lag tables T_s and T_{s+1} (numpy FFT layout on every axis).
 Also the full-symbol multiplier path that ``fourier`` replaced with its
 in-place one: one ``rfftn``, the whole symbol built with its zeros, a
 product into a new array, one ``irfftn``.  It is the bit-for-bit oracle of
-every multiplier.
+every multiplier; ``beta_symbol`` and ``delta_symbol`` are the full symbols
+of the even ones, which ``fourier`` applies a block of rows at a time.
 """
 
 import numpy as np
 
-from haarriesz.fourier import _b_scaled_lag_table, _freqs
+from haarriesz.fourier import _b_scaled_lag_table, _freqs, beta_factor
 from haarriesz.grid import GridFunction
 
 
@@ -34,6 +35,21 @@ def full_odd_multiplier(u, i, symbol):
     with np.errstate(divide="ignore", invalid="ignore"):
         sym = np.where(live, symbol(x, np.sqrt(sum(k * k for k in xi))), 0.0)
     return full_symbol_multiplier(u, sym)
+
+
+def beta_symbol(n, s, J):
+    """Symbol of beta_s in the rfftn layout (last axis: the N/2+1 nonnegative
+    frequencies): the tensor power of ``beta_factor``."""
+    h = beta_factor(s, J)
+    out = h[: h.size // 2 + 1]
+    for _ in range(n - 1):
+        out = np.multiply.outer(h, out)
+    return out
+
+
+def delta_symbol(n, s, J):
+    """Symbol of Delta_s = beta_s - beta_{s+1} in the rfftn layout."""
+    return beta_symbol(n, s, J) - beta_symbol(n, s + 1, J)
 
 
 def kernel_b(t):

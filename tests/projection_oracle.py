@@ -4,17 +4,19 @@ one synthesis pyramid (``haar._synthesize``) that ``haar.level_field``,
 projection one component at a time, and the residual ratio built on it.
 ``vector_project`` runs one pyramid projection per component;
 ``jensen_range_check`` projects a whole family in one stacked Haar pass
-(``haar._project_stack``)."""
+(``haar._project_stack``).  A vector field is the array of shape
+(n, 2^J, .., 2^J) that stacks its components; ``a0_apply`` is its
+off-diagonal gradient entry by entry, the oracle of
+``semiconvexity.a0_max_entry``."""
 
 import math
 from typing import Optional, Sequence
 
 import numpy as np
 
-from haarriesz.fourier import riesz
+from haarriesz.fourier import derivative, riesz
 from haarriesz.grid import Direction, GridFunction, _upsample, axis_direction
 from haarriesz.haar import HaarCoefficients, _merge_block, haar_analyze, haar_synthesize
-from haarriesz.semiconvexity import VectorField
 
 
 def level_field_by_merge(coeffs: np.ndarray, direction: Direction, J: int) -> GridFunction:
@@ -61,26 +63,42 @@ def vector_project(v: Sequence[GridFunction]) -> list[GridFunction]:
     return [project_by_pyramid(comp, axis_direction(n, i + 1)) for i, comp in enumerate(v)]
 
 
-def vector_lp_norm(v: VectorField, p: float) -> float:
+def components(v: np.ndarray) -> list[GridFunction]:
+    """The components of the vector field v as grid fields."""
+    n = v.shape[0]
+    return [GridFunction(n, v.shape[1].bit_length() - 1, c) for c in v]
+
+
+def a0_apply(v: np.ndarray) -> dict[tuple[int, int], GridFunction]:
+    """Off-diagonal gradient: entries (i, j) = d v_j / d x_i for i != j,
+    by spectral differentiation."""
+    comps = components(v)
+    n = len(comps)
+    return {(i, j): derivative(comps[j - 1], i)
+            for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+
+
+def vector_lp_norm(v: np.ndarray, p: float) -> float:
     """L^p norm of the pointwise Euclidean length of v."""
-    mag = np.sqrt(sum(c.values**2 for c in v.components))
-    vol = v.components[0].cell_volume()
-    return float((mag**p).sum() * vol) ** (1.0 / p)
+    mag = np.sqrt(sum(c**2 for c in v))
+    return float((mag**p).sum() / mag.size) ** (1.0 / p)
 
 
-def residual_ratio(v: VectorField, p: float) -> float:
+def residual_ratio(v: np.ndarray, p: float) -> float:
     """||v - P(v)||_p / (||v||_p^{1/2} (sum_{i != j} ||R_i v_j||_p)^{1/2}),
     with 0/0 -> 0."""
     if p < 2:
         raise ValueError("the residual inequality is stated for p >= 2")
-    w = vector_project(v.components)
-    num = vector_lp_norm(VectorField([a - b for a, b in zip(v.components, w)]), p)
+    comps = components(v)
+    w = vector_project(comps)
+    num = vector_lp_norm(np.stack([(a - b).values for a, b in zip(comps, w)]), p)
+    n = len(comps)
     cross = 0.0
-    for i in range(1, v.n + 1):
-        for j in range(1, v.n + 1):
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
             if i == j:
                 continue
-            cross += riesz(v.components[j - 1], i).lp_norm(p)
+            cross += riesz(comps[j - 1], i).lp_norm(p)
     denom = vector_lp_norm(v, p) ** 0.5 * cross**0.5
     if denom == 0.0:
         return 0.0 if num <= 1e-12 else math.inf

@@ -234,6 +234,8 @@ OUT_OF_DOMAIN = [
     (["sharpness", "--eps", "3/8"], "--eps"),
     (["sharpness", "--regime", "ple2", "--eps", "1"], "--eps"),
     (["sharpness", "--eps", "1/16"], "--eps"),
+    (["sharpness", "--regime", "ple2", "--eps", "1/8,1/4,1/2", "--eta", "0.6"], "--eps"),
+    (["sharpness", "--regime", "ple2", "--eps", "1/4,1/4"], "--eps"),
     (["sharpness", "--p", "2.5"], "--p"),
     (["sharpness", "--p", "1"], "--p"),
     (["sharpness", "--sample", "9"], "--sample"),

@@ -7,6 +7,8 @@ import pytest
 from fields_oracle import white_noise
 from grid_oracle import coordinate_fields
 from kernel_oracle import (
+    beta_symbol,
+    delta_symbol,
     full_odd_multiplier,
     full_symbol_multiplier,
     kernel_b,
@@ -209,14 +211,15 @@ class TestInPlacePath:
         op(u, i)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("n,J", [(1, 9), (2, 6), (3, 5)])
+    # (2, 10) and (3, 7) span 16 and 32 blocks of first-axis rows
+    @pytest.mark.parametrize("n,J", [(1, 9), (2, 6), (3, 5), (2, 10), (3, 7)])
     def test_even_multipliers_equal_the_full_symbol_path(self, n, J):
         u = white_noise(n, J, seed=73)
         for s in range(J - 1):
             got = delta_conv(u, s).values.tobytes()
-            assert got == full_symbol_multiplier(u, fourier._delta_symbol(n, s, J)).values.tobytes()
+            assert got == full_symbol_multiplier(u, delta_symbol(n, s, J)).values.tobytes()
             got = smoothing_conv(u, s).values.tobytes()
-            assert got == full_symbol_multiplier(u, fourier._beta_symbol(n, s, J)).values.tobytes()
+            assert got == full_symbol_multiplier(u, beta_symbol(n, s, J)).values.tobytes()
 
     @pytest.mark.parametrize("n,J", [(1, 17), (2, 9), (3, 6)])
     def test_riesz_half_spectrum_is_the_riesz_step(self, n, J):

@@ -23,10 +23,13 @@ from haarriesz.cli import (
     EXIT_RESOURCE,
     JENSEN_BATCH,
     grid_budget,
+    interp_ratio_budget,
     main,
     parse_int_list,
     ple2_budget,
     rearrange_budget,
+    selftest_budget,
+    semicontinuity_budget,
     tl_decay_budget,
 )
 from haarriesz.experiments import decomposition_residuals, ring_decay_norms
@@ -54,7 +57,7 @@ from haarriesz.multiscale import (
     t_ell,
     t_ell_operator,
 )
-from haarriesz.semiconvexity import VectorField, jensen_range_check, registry_integrands
+from haarriesz.semiconvexity import jensen_range_check, registry_integrands
 from haarriesz.sharpness import (
     sharpness_experiment_pge2,
     single_block_experiment_ple2,
@@ -455,13 +458,12 @@ class TestWorkingSet:
         # separate-convexity probes, whose lattice does not scale with J,
         # and keep numpy's lazy import of its generators out of the trace
         regs = registry_integrands()
-        jensen_range_check([VectorField([GridFunction.zeros(n, 3) for _ in range(n)])], regs, 0)
+        jensen_range_check(np.zeros((1, n) + (8,) * n), regs, 0)
         haar_polynomials(n, 3, 1, [0])
         tracemalloc.start()
         try:
             stack = haar_polynomials(n, J, 1, range(n * batch)).reshape((batch, n) + (2**J,) * n)
-            vs = [VectorField([GridFunction(n, J, comp) for comp in field]) for field in stack]
-            jensen_range_check(vs, regs, 3)
+            jensen_range_check(stack, regs, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -497,14 +499,19 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert peak <= grid_budget(2, 7, copies=64)
 
-    # cmd_interp_ratio charges grid_budget(n, J + 1) whatever --trials is:
-    # the family is built one member at a time
-    @pytest.mark.parametrize("n,J,trials", [(2, 6, 8), (2, 6, 50), (2, 6, 100), (3, 4, 8)])
+    # cmd_interp_ratio charges interp_ratio_budget(n, J) whatever --trials
+    # is: the family is built one member at a time.  On the smallest grids
+    # RUN_BASE sets the charge; on the largest case the charge tracks the
+    # run: the traced peak is over half of it
+    @pytest.mark.parametrize("n,J,trials", [(2, 6, 8), (2, 6, 50), (2, 6, 100), (3, 4, 8),
+                                            (1, 4, 8)])
     def test_interp_ratio_fits_its_cap_budget(self, n, J, trials, tmp_path):
         peak = cli_peak(tmp_path, ["interp-ratio", "--n", str(n), "--J", str(J), "--p-list",
                                    "2,3,1.5", "--trials", str(trials), "--seed", "1"],
                         ["interp-ratio", "--n", str(n), "--J", "4", "--trials", "1"])
-        assert peak <= grid_budget(n, J + 1)
+        assert peak <= interp_ratio_budget(n, J)
+        if (n, J) == (3, 4):
+            assert interp_ratio_budget(n, J) / 2 <= peak
 
     # what cmd_rearrange runs after enforce_cap(rearrange_budget(n, J)):
     # --trials sets the iteration count and --lambda the number of
@@ -529,17 +536,21 @@ class TestWorkingSet:
         if n >= 2:
             assert rearrange_budget(n, J) / 2 <= peak
 
-    @pytest.mark.parametrize("n,J", [(2, 6), (2, 8), (3, 5), (3, 6)])
+    @pytest.mark.parametrize("n,J", [(2, 6), (2, 8), (3, 5), (3, 6), (2, 3)])
     def test_semicontinuity_fits_its_cap_budget(self, n, J, tmp_path):
         peak = cli_peak(tmp_path, ["semicontinuity", "--n", str(n), "--J", str(J), "--seed", "1"],
                         ["semicontinuity", "--n", str(n), "--J", "4"])
-        assert peak <= grid_budget(n, J)
+        assert peak <= semicontinuity_budget(n, J)
+        if (n, J) == (3, 6):
+            assert semicontinuity_budget(n, J) / 2 <= peak
 
-    @pytest.mark.parametrize("n,J", [(2, 5), (2, 7), (3, 5)])
+    @pytest.mark.parametrize("n,J", [(2, 5), (2, 7), (3, 5), (1, 8), (2, 4)])
     def test_selftest_fits_its_cap_budget(self, n, J, tmp_path):
         peak = cli_peak(tmp_path, ["selftest", "--n", str(n), "--J", str(J), "--seed", "1"],
                         ["selftest", "--n", str(n), "--J", "4"])
-        assert peak <= grid_budget(n, J)
+        assert peak <= selftest_budget(n, J)
+        if (n, J) == (3, 5):
+            assert selftest_budget(n, J) / 2 <= peak
 
 
 def self_adjoint_op(apply, n, J):

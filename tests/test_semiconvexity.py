@@ -3,14 +3,12 @@ semicontinuity experiment."""
 
 import numpy as np
 import pytest
-from projection_oracle import residual_ratio
+from projection_oracle import a0_apply, residual_ratio
 
-from haarriesz.fields import haar_polynomial
+from haarriesz.fields import haar_polynomial, haar_polynomials
 from haarriesz.grid import GridFunction, embed
 from haarriesz.semiconvexity import (
     Integrand,
-    VectorField,
-    a0_apply,
     a0_max_entry,
     check_separately_convex,
     contrast_sequence,
@@ -21,11 +19,15 @@ from haarriesz.semiconvexity import (
 )
 
 
-def random_haar_vector(J: int, seed: int, index: int, max_level=None) -> VectorField:
+def random_haar_vector(J: int, seed: int, index: int, max_level=None) -> np.ndarray:
     top = (J - 1) if max_level is None else max_level
-    return VectorField(
-        [haar_polynomial(2, J, seed, index=2 * index + c, max_level=top) for c in (0, 1)]
+    return np.stack(
+        [haar_polynomial(2, J, seed, index=2 * index + c, max_level=top).values for c in (0, 1)]
     )
+
+
+def vector(*comps: GridFunction) -> np.ndarray:
+    return np.stack([c.values for c in comps])
 
 
 class TestSeparateConvexity:
@@ -51,20 +53,33 @@ class TestA0:
     def test_single_variable_components_vanish(self):
         v1 = embed(lambda x, y: np.sin(2 * np.pi * x) + x * 0, 2, 5)
         v2 = embed(lambda x, y: np.cos(2 * np.pi * y) + y * 0, 2, 5)
-        v = VectorField([v1, v2])
-        assert a0_max_entry(v) <= 1e-10
+        assert a0_max_entry(vector(v1, v2)) <= 1e-10
 
     def test_cross_entry_spectral_derivative(self):
         v1 = embed(lambda x, y: np.sin(2 * np.pi * y), 2, 6)
-        v = VectorField([v1, GridFunction.zeros(2, 6)])
-        entries = a0_apply(v)
+        entries = a0_apply(vector(v1, GridFunction.zeros(2, 6)))
         expect = embed(lambda x, y: 2 * np.pi * np.cos(2 * np.pi * y), 2, 6)
         assert np.abs(entries[(2, 1)].values - expect.values).max() <= 1e-8
         assert entries[(1, 2)].lp_norm(2) <= 1e-12
 
     def test_constant_vanishes(self):
-        v = VectorField([GridFunction.constant(2, 4, 3.0), GridFunction.constant(2, 4, -1.0)])
+        v = vector(GridFunction.constant(2, 4, 3.0), GridFunction.constant(2, 4, -1.0))
         assert a0_max_entry(v) <= 1e-14
+
+    @pytest.mark.parametrize("n,J", [(2, 5), (3, 4)])
+    def test_max_entry_equals_the_per_pair_oracle(self, n, J):
+        for index in range(3):
+            v = haar_polynomials(n, J, seed=68, indices=range(n * index, n * index + n))
+            want = max(float(np.abs(e.values).max()) for e in a0_apply(v).values())
+            assert a0_max_entry(v) == want
+        v = contrast_sequence(n, J, 2)
+        assert a0_max_entry(v) == max(float(np.abs(e.values).max())
+                                      for e in a0_apply(v).values())
+
+    def test_rejects_misshapen_fields(self):
+        for shape in [(2, 16, 8), (3, 16, 16), (2, 12, 12), (4,) + (4,) * 4, ()]:
+            with pytest.raises(ValueError, match="shape"):
+                a0_max_entry(np.zeros(shape))
 
 
 class TestJensen:
@@ -72,31 +87,29 @@ class TestJensen:
         from haarriesz.fields import single_haar_block
 
         regs = {f.name: f for f in registry_integrands()}
-        v = VectorField(
-            [single_haar_block(2, 4, 0, (0, 0), (1, 0)),
-             single_haar_block(2, 4, 0, (0, 0), (0, 1))]
-        )
-        (defect,) = jensen_range_check([v], [regs["ab"]], 0)
+        v = vector(single_haar_block(2, 4, 0, (0, 0), (1, 0)),
+                   single_haar_block(2, 4, 0, (0, 0), (0, 1)))
+        (defect,) = jensen_range_check(v[None], [regs["ab"]], 0)
         assert defect == pytest.approx(0.0, abs=1e-12)
 
     def test_convex_quadratic(self):
         quad = Integrand("sq", lambda a: a[..., 0] ** 2 + a[..., 1] ** 2, 2)
         v = random_haar_vector(4, seed=60, index=0)
-        assert jensen_range_check([v], [quad], 1)[0] >= -1e-9
+        assert jensen_range_check(v[None], [quad], 1)[0] >= -1e-9
 
     @pytest.mark.parametrize("M", [0, 1, 2, 3])
     def test_registry_over_random_fields(self, M):
         regs = registry_integrands()
         for i in range(50):
             v = random_haar_vector(4, seed=61, index=i)
-            for defect in jensen_range_check([v], regs, M):
+            for defect in jensen_range_check(v[None], regs, M):
                 assert defect >= -1e-9
 
     def test_rejects_non_convex_integrand(self):
         bad = Integrand("neg_sq", lambda a: -(a[..., 0] ** 2), 2)
         v = random_haar_vector(4, seed=62, index=0)
         with pytest.raises(ValueError, match="convex"):
-            jensen_range_check([v], [bad], 1)
+            jensen_range_check(v[None], [bad], 1)
 
     def test_probes_each_integrand_once(self):
         probes = []
@@ -109,9 +122,9 @@ class TestJensen:
         bad = Integrand("neg_sq", lambda a: -(a[..., 0] ** 2), 2)
         for i in range(3):
             v = random_haar_vector(4, seed=64, index=i)
-            jensen_range_check([v], [f], 1)
+            jensen_range_check(v[None], [f], 1)
             with pytest.raises(ValueError, match="convex"):
-                jensen_range_check([v], [bad], 1)
+                jensen_range_check(v[None], [bad], 1)
         assert probes.count((61, 61, 2)) == 1
 
     @pytest.mark.parametrize("M", [0, 1, 2, 3])
@@ -119,26 +132,31 @@ class TestJensen:
         regs = registry_integrands()
         for i in range(5):
             v = random_haar_vector(4, seed=63, index=i)
-            assert jensen_range_check([v], regs, M) == [
-                jensen_range_check([v], [f], M)[0] for f in regs
+            assert jensen_range_check(v[None], regs, M) == [
+                jensen_range_check(v[None], [f], M)[0] for f in regs
             ]
 
     @pytest.mark.parametrize("n,J", [(2, 4), (3, 3), (3, 4)])
     @pytest.mark.parametrize("M", [0, 1, 2, 3])
     def test_family_equals_min_over_single_fields(self, n, J, M):
+        # the batch against one call per field, each field drawn on its own
         regs = registry_integrands()
-        vs = [VectorField([haar_polynomial(n, J, seed=66, index=n * i + c) for c in range(n)])
-              for i in range(7)]
-        singles = [jensen_range_check([v], regs, M) for v in vs]
+        vs = np.stack([
+            np.stack([haar_polynomial(n, J, seed=66, index=n * i + c).values for c in range(n)])
+            for i in range(7)])
+        singles = [jensen_range_check(v[None], regs, M) for v in vs]
         assert jensen_range_check(vs, regs, M) == [min(d) for d in zip(*singles)]
 
-    def test_rejects_empty_and_mixed_families(self):
+    def test_rejects_empty_and_misshapen_batches(self):
         regs = registry_integrands()
         with pytest.raises(ValueError, match="no vector fields"):
-            jensen_range_check([], regs, 0)
-        with pytest.raises(ValueError, match="different grids"):
-            jensen_range_check([random_haar_vector(4, 67, 0), random_haar_vector(3, 67, 0)],
-                               regs, 0)
+            jensen_range_check(np.zeros((0, 2, 16, 16)), regs, 0)
+        for shape in [(1, 2, 16, 8), (1, 3, 16, 16), (2, 2, 16), (1, 2, 12, 12)]:
+            with pytest.raises(ValueError, match="shape"):
+                jensen_range_check(np.zeros(shape), regs, 0)
+        for M in (-1, 5):
+            with pytest.raises(ValueError, match="M must be"):
+                jensen_range_check(np.zeros((1, 2, 16, 16)), regs, M)
 
     def test_three_component_integrand(self):
         f3 = Integrand(
@@ -147,25 +165,21 @@ class TestJensen:
             3,
         )
         assert check_separately_convex(f3)
-        v = VectorField(
-            [haar_polynomial(3, 3, seed=65, index=i, max_level=2) for i in range(3)]
-        )
+        v = haar_polynomials(3, 3, seed=65, indices=range(3), max_level=2)
         for M in (0, 1, 2):
-            assert jensen_range_check([v], [f3], M)[0] >= -1e-9
+            assert jensen_range_check(v[None], [f3], M)[0] >= -1e-9
 
 
 class TestResidualRatio:
     def test_exact_zero_case(self):
         v1 = embed(lambda x, y: np.sin(2 * np.pi * x) + 0 * x, 2, 6)
         v2 = embed(lambda x, y: np.sin(2 * np.pi * y) + 0 * y, 2, 6)
-        assert residual_ratio(VectorField([v1, v2]), 2.0) == 0.0
+        assert residual_ratio(vector(v1, v2), 2.0) == 0.0
 
     def test_block_case_finite(self):
         from haarriesz.fields import single_haar_block
 
-        v = VectorField(
-            [single_haar_block(2, 5, 0, (0, 0), (0, 1)), GridFunction.zeros(2, 5)]
-        )
+        v = vector(single_haar_block(2, 5, 0, (0, 0), (0, 1)), GridFunction.zeros(2, 5))
         r = residual_ratio(v, 2.0)
         assert np.isfinite(r) and r > 0
 
@@ -224,8 +238,8 @@ class TestSemicontinuity:
         # same-sign components: the product integrand converges to 1/2, not
         # to the weak-limit value 0
         def same_sign(r):
-            first = contrast_sequence(2, 8, r).components[0]
-            return VectorField([first, first])
+            first = contrast_sequence(2, 8, r)[0]
+            return np.stack([first, first])
 
         (rows,) = semicontinuity_experiment([self.regs["ab"]], self.phi, [3], same_sign)
         assert rows[0].I_r == pytest.approx(0.5, abs=5e-3)
