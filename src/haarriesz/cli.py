@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -73,6 +74,7 @@ EXIT_ASSERTION = 3
 EXIT_RESOURCE = 4
 
 DEFAULT_CAP_BYTES = 4 * 1024**3
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ValidationError(ValueError):
@@ -210,6 +212,10 @@ class Run:
             # CPU of every thread of the process (BLAS too); above the wall
             # time between the two stamps when threads run in parallel
             "cpu_s": time.process_time() - self.cpu_start,
+            # the CPU of every thread before the run began: start-up and imports
+            "startup_cpu_s": self.cpu_start,
+            # the BLAS thread-count variables of the environment; null when unset
+            "blas_thread_env": {k: os.environ.get(k) for k in BLAS_THREAD_VARS},
             "results_digest_sha256": digest,
             "assertions_total": len(self.assertions),
             "assertions_failed": [a.name for a in failed],
@@ -233,10 +239,21 @@ class Run:
         return EXIT_OK
 
 
-def enforce_cap(bytes_needed: int, cap: int) -> None:
-    if bytes_needed > cap:
+# what every run holds whatever its grid: the parser, the result rows,
+# Run.finish writing the CSV and manifest (a rearrange-scaling --n 2 --J 3
+# run peaks at 88 kB before it and 209 kB in it), integrand probes, profile
+# tables and ring covers; the traced peak of a selftest at n = 2, J = 4 is
+# 0.41 MB
+RUN_BASE = 1 << 19
+
+
+def enforce_cap(compute_bytes: int, cap: int) -> None:
+    """Refuse a run whose charge, its subcommand's ``compute_bytes`` plus
+    RUN_BASE, exceeds ``cap``."""
+    charge = compute_bytes + RUN_BASE
+    if charge > cap:
         raise ResourceRefusal(
-            f"estimated working set {bytes_needed} bytes exceeds cap {cap}; "
+            f"estimated working set {charge} bytes exceeds cap {cap}; "
             f"lower J or raise --cap-bytes"
         )
 
@@ -244,29 +261,26 @@ def enforce_cap(bytes_needed: int, cap: int) -> None:
 # per-call Python objects (dicts, cube lists, 1D tables) that do not scale
 # with the grid: ring-decay at n = 1, J = 3 peaks at about 5.1 kB
 GRID_BUDGET_BASE = 1 << 13
-# what a whole interp-ratio, semicontinuity or selftest run holds whatever
-# its grid (integrand probes, profile tables, ring covers, the result rows):
-# the traced peak of a selftest at n = 2, J = 4 is 0.41 MB
-RUN_BASE = 1 << 19
 
 
 def grid_budget(n: int, J: int, copies: int) -> int:
     """Working-set estimate: ``copies`` float64 grids of 2^(nJ) cells plus
-    GRID_BUDGET_BASE.  Each subcommand charges the copies its run peaks at;
-    tests/test_multiscale.py::TestWorkingSet measures them.  tl-decay
-    holds no level-J grid and is charged by tl_decay_budget instead."""
+    GRID_BUDGET_BASE.  Each subcommand's compute term counts the copies its
+    run peaks at (tests/test_multiscale.py::TestWorkingSet measures them),
+    and enforce_cap adds RUN_BASE to it.  tl-decay holds no level-J grid
+    and is charged by tl_decay_budget instead."""
     return 8 * 2 ** (n * J) * copies + GRID_BUDGET_BASE
 
 
 def tl_decay_budget(n: int, J: int) -> int:
-    """cmd_tl_decay's charge.  Its norms hold one slice's range form: the
-    dense complex blocks W_kj, k <= j, 2^(nj) entries each over the
-    default window, and up to 8 complex range vectors of sum_j 2^(nj)
+    """cmd_tl_decay's compute term.  Its norms hold one slice's range
+    form: the dense complex blocks W_kj, k <= j, 2^(nj) entries each over
+    the default window, and up to 8 complex range vectors of sum_j 2^(nj)
     entries (iterates, Gram output and scratch, the start's draw).  Its
     residuals, which run after the norms have let go of theirs, hold up to
     5 float64 copies of the level-(J-1) grid they take ||Pu|| on.  Both
     hold 1D tables of about 64 n J 2^J bytes, which set the peak at n = 1.
-    The traced peak of a run is 0.5-0.9 of the charge
+    The traced peak of its compute phase is 0.5-0.9 of it
     (tests/test_multiscale.py::TestWorkingSet)."""
     lv = default_levels(J)
     blocks = sum(2 ** (n * j) for k in lv for j in lv if k <= j)
@@ -366,7 +380,7 @@ def cmd_ring_decay(args, run: Run) -> None:
 
 
 def rearrange_budget(n: int, J: int) -> int:
-    """cmd_rearrange's charge: 10 grid copies (6.3-8.2 traced at n = 2, 3
+    """cmd_rearrange's compute term: 10 grid copies (6.3-8.2 traced at n = 2, 3
     from J = 7 on); one operator's float64 profile matrices A_j, 2^j x 2^J
     each and at most 2^(J-1) rows, which set the peak at n = 1; 16 arrays
     of 2^J while a row of A_j is built (12-14 traced); 64 KiB of fixed
@@ -389,10 +403,10 @@ def cmd_rearrange(args, run: Run) -> None:
 
 
 def interp_ratio_budget(n: int, J: int) -> int:
-    """cmd_interp_ratio's charge: 11 copies of the level-(J+1) grid whatever
-    --trials is, since it builds its family one member at a time (9.0-9.5
-    traced from 2^14 cells on), plus RUN_BASE."""
-    return grid_budget(n, J + 1, copies=11) + RUN_BASE
+    """cmd_interp_ratio's compute term: 11 copies of the level-(J+1) grid
+    whatever --trials is, since it builds its family one member at a time
+    (9.0-9.5 traced from 2^14 cells on)."""
+    return grid_budget(n, J + 1, copies=11)
 
 
 def cmd_interp_ratio(args, run: Run) -> None:
@@ -415,7 +429,7 @@ def cmd_interp_ratio(args, run: Run) -> None:
 
 
 def ple2_budget(J: int) -> int:
-    """The ple2 charge at grid level J = n0_max + 6.  The single block
+    """The ple2 compute term at grid level J = n0_max + 6.  The single block
     builds no grid: its one half spectrum is about a grid copy, and its row
     strips and symbol blocks stay below 1 MB at J <= 9 and about 0.05
     copies above (tests/test_multiscale.py::TestWorkingSet)."""
@@ -495,9 +509,9 @@ def cmd_jensen(args, run: Run) -> None:
 
 
 def semicontinuity_budget(n: int, J: int) -> int:
-    """cmd_semicontinuity's charge: 10 grid copies (traced: 7.1-7.3 at n = 2
-    from 2^16 cells on, 9.1-9.5 at n = 3 from 2^15) plus RUN_BASE."""
-    return grid_budget(n, J, copies=10) + RUN_BASE
+    """cmd_semicontinuity's compute term: 10 grid copies (traced: 7.1-7.3 at
+    n = 2 from 2^16 cells on, 9.1-9.5 at n = 3 from 2^15)."""
+    return grid_budget(n, J, copies=10)
 
 
 def cmd_semicontinuity(args, run: Run) -> None:
@@ -527,11 +541,10 @@ def cmd_semicontinuity(args, run: Run) -> None:
 
 
 def selftest_budget(n: int, J: int) -> int:
-    """cmd_selftest's charge: 32 grid copies (24-30 traced from 2^14 cells
-    on), the 1D lag tables and symbols it caches for every scale of the
-    telescoping check (16 J 2^J bytes, which set the peak at n = 1), plus
-    RUN_BASE."""
-    return grid_budget(n, J, copies=32) + 16 * J * 2**J + RUN_BASE
+    """cmd_selftest's compute term: 32 grid copies (24-30 traced from 2^14
+    cells on) and the 1D lag tables and symbols it caches for every scale
+    of the telescoping check (16 J 2^J bytes, which set the peak at n = 1)."""
+    return grid_budget(n, J, copies=32) + 16 * J * 2**J
 
 
 def cmd_selftest(args, run: Run) -> None:

@@ -160,6 +160,18 @@ class TestManifest:
         assert env["python"] == platform.python_version()
         assert env["platform"]
 
+    def test_records_start_up_cpu_and_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        out = tmp_path / "start"
+        main(["jensen", "--J", "3", "--trials", "1", "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        # the process CPU before the run: at least the imports of this test
+        assert manifest["startup_cpu_s"] > 0
+        assert manifest["blas_thread_env"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2"}
+
 
 class TestEffectiveParameters:
     """The manifest records the values a run used, and a run uses the values

@@ -22,6 +22,7 @@ from haarriesz import fourier, multiscale
 from haarriesz.cli import (
     EXIT_RESOURCE,
     JENSEN_BATCH,
+    RUN_BASE,
     grid_budget,
     interp_ratio_budget,
     main,
@@ -499,19 +500,20 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert peak <= grid_budget(2, 7, copies=64)
 
-    # cmd_interp_ratio charges interp_ratio_budget(n, J) whatever --trials
-    # is: the family is built one member at a time.  On the smallest grids
-    # RUN_BASE sets the charge; on the largest case the charge tracks the
-    # run: the traced peak is over half of it
+    # cmd_interp_ratio charges interp_ratio_budget(n, J) + RUN_BASE whatever
+    # --trials is: the family is built one member at a time.  On the
+    # smallest grids RUN_BASE sets the charge; on the largest case the
+    # charge tracks the run: the traced peak is over half of it
     @pytest.mark.parametrize("n,J,trials", [(2, 6, 8), (2, 6, 50), (2, 6, 100), (3, 4, 8),
                                             (1, 4, 8)])
     def test_interp_ratio_fits_its_cap_budget(self, n, J, trials, tmp_path):
         peak = cli_peak(tmp_path, ["interp-ratio", "--n", str(n), "--J", str(J), "--p-list",
                                    "2,3,1.5", "--trials", str(trials), "--seed", "1"],
                         ["interp-ratio", "--n", str(n), "--J", "4", "--trials", "1"])
-        assert peak <= interp_ratio_budget(n, J)
+        charge = interp_ratio_budget(n, J) + RUN_BASE
+        assert peak <= charge
         if (n, J) == (3, 4):
-            assert interp_ratio_budget(n, J) / 2 <= peak
+            assert charge / 2 <= peak
 
     # what cmd_rearrange runs after enforce_cap(rearrange_budget(n, J)):
     # --trials sets the iteration count and --lambda the number of
@@ -540,17 +542,34 @@ class TestWorkingSet:
     def test_semicontinuity_fits_its_cap_budget(self, n, J, tmp_path):
         peak = cli_peak(tmp_path, ["semicontinuity", "--n", str(n), "--J", str(J), "--seed", "1"],
                         ["semicontinuity", "--n", str(n), "--J", "4"])
-        assert peak <= semicontinuity_budget(n, J)
+        charge = semicontinuity_budget(n, J) + RUN_BASE
+        assert peak <= charge
         if (n, J) == (3, 6):
-            assert semicontinuity_budget(n, J) / 2 <= peak
+            assert charge / 2 <= peak
 
     @pytest.mark.parametrize("n,J", [(2, 5), (2, 7), (3, 5), (1, 8), (2, 4)])
     def test_selftest_fits_its_cap_budget(self, n, J, tmp_path):
         peak = cli_peak(tmp_path, ["selftest", "--n", str(n), "--J", str(J), "--seed", "1"],
                         ["selftest", "--n", str(n), "--J", "4"])
-        assert peak <= selftest_budget(n, J)
+        charge = selftest_budget(n, J) + RUN_BASE
+        assert peak <= charge
         if (n, J) == (3, 5):
-            assert selftest_budget(n, J) / 2 <= peak
+            assert charge / 2 <= peak
+
+    # the whole run, Run.finish writing the CSV and manifest included, at
+    # each subcommand's smallest grid, where the fixed per-run bytes set
+    # the peak: a cap one byte under the traced peak refuses the run, so
+    # its charge (compute term plus RUN_BASE) covers the peak
+    @pytest.mark.parametrize("argv", [
+        "tl-decay --n 1 --J 4 --ell=0", "ring-decay --n 1 --J 2 --lambda 0",
+        "rearrange-scaling --n 1 --J 2 --lambda 0,1", "interp-ratio --n 1 --J 4 --trials 1",
+        "sharpness --eps 1/2 --sample 10", "jensen --n 2 --J 3 --trials 1",
+        "semicontinuity --n 2 --J 3", "selftest --n 1 --J 3"])
+    def test_whole_run_fits_its_charge(self, argv, tmp_path):
+        argv = [*argv.split(), "--seed", "1"]
+        peak = cli_peak(tmp_path, argv, argv)
+        capped = main([*argv, "--cap-bytes", str(peak - 1), "--out", str(tmp_path / "capped")])
+        assert capped == EXIT_RESOURCE
 
 
 def self_adjoint_op(apply, n, J):
