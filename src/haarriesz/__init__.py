@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 # every public name of the package root -> the submodule that defines it
 _SOURCE = {
     **dict.fromkeys(("Direction", "DyadicCube", "GridFunction", "all_directions",
-                     "axis_direction", "embed", "lp_norm"), "grid"),
-    **dict.fromkeys(("HaarCoefficients", "bmo_d_norm", "conditional_expectation",
-                     "directional_project", "haar_analyze", "haar_synthesize",
-                     "square_function"), "haar"),
+                     "axis_direction", "lp_norm"), "grid"),
+    **dict.fromkeys(("HaarCoefficients", "conditional_expectation", "directional_project",
+                     "haar_analyze", "haar_synthesize"), "haar"),
     **dict.fromkeys(("ResolvingKernel", "delta_conv", "derivative", "riesz",
-                     "riesz_inverse", "smoothing_conv"), "fourier"),
+                     "smoothing_conv"), "fourier"),
     **dict.fromkeys(("LinearFieldOp", "OpNormResult", "default_even_family",
                      "op_norm2_estimate", "rearrangement_operator", "ring_cover", "ring_norm",
                      "ring_projection_operator", "t_ell", "t_ell_operator"), "multiscale"),

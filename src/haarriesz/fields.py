@@ -21,7 +21,6 @@ __all__ = [
     "standard_random_spectrum",
     "haar_polynomial",
     "haar_polynomials",
-    "cone_band_field",
     "single_haar_block",
     "trig_band_field",
 ]
@@ -144,39 +143,6 @@ def haar_polynomial(
     Draws are keyed by (seed, index, max_level) only, so the same function
     is produced at every resolution J > max_level."""
     return GridFunction(n, J, haar_polynomials(n, J, seed, [index], max_level)[0])
-
-
-def cone_band_field(
-    n: int,
-    J: int,
-    seed: int,
-    index: int = 0,
-    i0: int = 1,
-) -> GridFunction:
-    """Random real field whose spectrum lies in the cone
-    |xi_{i0}| >= max_{i != i0} |xi_i| / 2, off the hyperplane
-    xi_{i0} = 0 and below Nyquist.  Admissible for riesz_inverse."""
-    N = 2**J
-    k = np.fft.fftfreq(N, d=1.0 / N)
-    freqs = []
-    for ax in range(n):
-        shape = [1] * n
-        shape[ax] = N
-        freqs.append(np.broadcast_to(k.reshape(shape), (N,) * n))
-    others = [np.abs(freqs[ax]) for ax in range(n) if ax != i0 - 1]
-    other_max = np.maximum.reduce(others) if others else np.zeros((N,) * n)
-    keep = np.abs(freqs[i0 - 1]) >= np.maximum(0.5 * other_max, 1.0)
-    for ax in range(n):
-        keep &= np.abs(freqs[ax]) < N // 2  # strictly below Nyquist
-    rng = stream(seed, 3, n, J, index)
-    vals = rng.standard_normal((N,) * n)
-    spec = np.fft.fftn(vals)
-    spec[~keep] = 0.0
-    out = np.fft.ifftn(spec).real
-    norm = float(np.sqrt(np.mean(out**2)))
-    if norm > 0:
-        out = out / norm
-    return GridFunction(n, J, out)
 
 
 def single_haar_block(n: int, J: int, j: int, k: Sequence[int], eps_bits: Sequence[int]) -> GridFunction:

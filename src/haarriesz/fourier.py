@@ -1,5 +1,5 @@
-"""Discrete Fourier multipliers on the torus: Riesz transforms and their
-inverse, the derivative multiplier, and the scale-resolving convolutions
+"""Discrete Fourier multipliers on the torus: Riesz transforms, the
+derivative multiplier, and the scale-resolving convolutions
 built from the compactly supported bump kernel.
 
 Every multiplier takes one path: the ``rfftn`` of the real cell values, a
@@ -27,7 +27,6 @@ from .grid import GridFunction
 __all__ = [
     "riesz",
     "riesz_half_spectrum",
-    "riesz_inverse",
     "derivative",
     "ResolvingKernel",
     "resolvable",
@@ -139,34 +138,6 @@ def riesz_half_spectrum(fu: np.ndarray, J: int, i: int) -> np.ndarray:
 def derivative(u: GridFunction, i: int) -> GridFunction:
     """Spectral partial derivative along axis i (period-1 torus)."""
     return _odd_multiplier(u, i, lambda x, mag: 1j * TWO_PI * x)
-
-
-def _admissible_spectrum(u: GridFunction, i0: int) -> np.ndarray:
-    """The half spectrum of u, once its N^-n-normalised values are checked
-    to be below 1e-12 on the hyperplane xi_{i0} = 0; otherwise raise, naming
-    the frequency that carries the most."""
-    _check_axis(u.n, i0)
-    fu = _forward(u.values, u.n)
-    # index 0 of every rfftn axis is the zero frequency
-    plane = np.abs(fu.take(0, axis=i0 - 1)) * 2.0 ** (-u.n * u.J)
-    worst = float(plane.max())
-    if worst > 1e-12:
-        where = list(np.unravel_index(int(plane.argmax()), plane.shape))
-        where.insert(i0 - 1, 0)
-        freq = tuple(int(k.ravel()[idx]) for k, idx in zip(_freqs(u.n, u.J), where))
-        raise ValueError(
-            f"spectral mass {worst:.3e} on the hyperplane xi_{i0}=0 "
-            f"(offending frequency {freq}); input not in the range of R_{i0}"
-        )
-    return fu
-
-
-def riesz_inverse(u: GridFunction, i0: int) -> GridFunction:
-    """Inverse Riesz transform along axis i0: the multiplier
-    |xi| / (-i xi_{i0}), applied in one pass to the half spectrum the
-    hyperplane check takes.  The spectrum must avoid xi_{i0} = 0."""
-    fu = _odd_step(_admissible_spectrum(u, i0), u.J, i0, lambda x, mag: mag / (-1j * x))
-    return GridFunction(u.n, u.J, _inverse(fu, 2**u.J))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,8 @@ quadrature error.
 
 from __future__ import annotations
 
-import itertools
-import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -19,14 +17,11 @@ __all__ = [
     "DyadicCube",
     "Direction",
     "GridFunction",
-    "embed",
     "lp_norm",
     "dot",
     "all_directions",
     "axis_direction",
 ]
-
-_MAGIC = b"HRL1"
 
 
 def _upsample(arr: np.ndarray, J: int, n: int) -> np.ndarray:
@@ -207,23 +202,6 @@ class GridFunction:
         self._check_compatible(other)
         return dot(self.values, other.values) * self.cell_volume()
 
-    # -- serialization: 16-byte header (magic, n, J, reserved) + LE float64 --
-
-    def to_bytes(self) -> bytes:
-        header = struct.pack("<4sIII", _MAGIC, self.n, self.J, 0)
-        return header + self.values.astype("<f8").tobytes(order="C")
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "GridFunction":
-        if len(blob) < 16:
-            raise ValueError("truncated header")
-        magic, n, J, _ = struct.unpack("<4sIII", blob[:16])
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        count = 2 ** (n * J)
-        body = np.frombuffer(blob, dtype="<f8", offset=16, count=count)
-        return cls(int(n), int(J), body.copy())
-
 
 def dot(x: np.ndarray, y: np.ndarray) -> float:
     """sum of x*y over all entries of two real arrays of one shape.  numpy's
@@ -242,36 +220,3 @@ def lp_norm(parts: Iterable[np.ndarray], volume: float, p: float) -> float:
     if p == 2.0:
         return float(np.sqrt(sum(dot(v, v) for v in parts) * volume))
     return (sum(float((np.abs(v) ** p).sum()) for v in parts) * volume) ** (1.0 / p)
-
-
-def embed(fn: Callable[..., np.ndarray], n: int, J: int) -> GridFunction:
-    """Project a pointwise function on [0,1)^n to per-cell averages by the
-    tensor 5-point Gauss-Legendre rule on each cell.
-
-    ``fn`` must accept n broadcastable coordinate arrays and return values of
-    the broadcast shape.
-    """
-    x, w = (np.array(a) for a in _LEGENDRE[5])
-    nodes, weights = (x + 1.0) / 2.0, w / w.sum()
-    N = 2**J
-    h = 1.0 / N
-    # coordinates per axis: (N, q) -> flattened N*q points
-    coord = (np.arange(N)[:, None] + nodes[None, :]) * h  # (N, q)
-    acc = np.zeros((N,) * n)
-    # iterate over tensor quad-point combinations; n <= 3 keeps this small
-    idx_ranges = [range(len(nodes))] * n
-    for combo in itertools.product(*idx_ranges):
-        w = 1.0
-        pts = []
-        for ax, qi in enumerate(combo):
-            w *= weights[qi]
-            shape = [1] * n
-            shape[ax] = N
-            pts.append(coord[:, qi].reshape(shape))
-        vals = np.asarray(fn(*pts), dtype=np.float64)
-        vals = np.broadcast_to(vals, (N,) * n)
-        if not np.all(np.isfinite(vals)):
-            bad = np.argwhere(~np.isfinite(np.broadcast_to(vals, (N,) * n)))[0]
-            raise ValueError(f"non-finite sample in cell {tuple(bad)}")
-        acc = acc + w * vals
-    return GridFunction(n, J, acc)

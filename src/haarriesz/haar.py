@@ -1,5 +1,5 @@
-"""Haar analysis on the dyadic grid: coefficients, directional projections,
-conditional expectations, square function and the dyadic BMO norm.
+"""Haar analysis on the dyadic grid: coefficients, directional projections
+and conditional expectations.
 
 Coefficients are normalized as c_Q = <u, h_Q> / |Q|, so a unit Haar block has
 coefficient exactly 1 and synthesis is plain multiplication by h_Q.  Because
@@ -23,8 +23,6 @@ __all__ = [
     "level_field",
     "directional_project",
     "conditional_expectation",
-    "square_function",
-    "bmo_d_norm",
 ]
 
 
@@ -184,46 +182,3 @@ def conditional_expectation(u: GridFunction, M: int) -> GridFunction:
     if not 0 <= M <= u.J:
         raise ValueError(f"M must be within 0..{u.J}, got {M}")
     return GridFunction(u.n, u.J, _upsample(_block_mean(u.values, M, u.n), u.J, u.n))
-
-
-def square_function(u: GridFunction) -> GridFunction:
-    """Pointwise square function: S(u)(x) = sqrt(sum over Q containing x and
-    all eps of c_Q^2)."""
-    c = haar_analyze(u)
-    acc = np.zeros((2**u.J,) * u.n)
-    for j, dirs in c.levels.items():
-        lvl = np.zeros((2**j,) * u.n)
-        for arr in dirs.values():
-            lvl += arr * arr
-        acc += _upsample(lvl, u.J, u.n)
-    return GridFunction(u.n, u.J, np.sqrt(acc))
-
-
-def bmo_d_norm(u: GridFunction) -> float:
-    """Dyadic BMO norm:
-    sqrt(|mean|^2 + sup_Q |Q|^{-1} sum_{W subset Q} <u,h_W>^2 |W|^{-1}).
-
-    Enumerates every dyadic cube via one bottom-up prefix-sum pass.
-    """
-    c = haar_analyze(u)
-    n, J = u.n, u.J
-    best = 0.0
-    # tail[k] = sum over W inside cube of c_W^2 |W|, cube at current level
-    tail: np.ndarray | None = None
-    for j in range(J - 1, -1, -1):
-        vol = 2.0 ** (-n * j)
-        own = np.zeros((2**j,) * n)
-        for arr in c.levels[j].values():
-            own += arr * arr
-        own *= vol
-        if tail is not None:
-            # pool children sums (2-blocks along each axis)
-            pooled = tail
-            for ax in range(n):
-                lo, hi = _halve(pooled, ax)
-                pooled = lo + hi
-            own += pooled
-        tail = own
-        best = max(best, float(own.max()) / vol)
-    mean = float(u.values.mean())
-    return float(np.sqrt(mean**2 + best))

@@ -40,6 +40,7 @@ __all__ = [
     "LinearFieldOp",
     "t_ell",
     "t_ell_operator",
+    "slice_window",
     "slice_sum_residuals",
     "OpNormResult",
     "op_norm2_estimate",
@@ -123,6 +124,14 @@ def _window(J: int, levels: Iterable[int]) -> list[int]:
     return lv
 
 
+def slice_window(J: int, ell: int, levels: Optional[Sequence[int]] = None) -> list[int]:
+    """The levels t_ell_operator keeps: the distinct levels of the window
+    (default ``default_levels(J)``) whose scale j+ell is resolvable.  A
+    kept level outside 0..J-1 raises."""
+    window = default_levels(J) if levels is None else levels
+    return _window(J, [j for j in window if resolvable(j + ell, J)])
+
+
 def t_ell(
     u: GridFunction,
     direction: Direction,
@@ -160,14 +169,12 @@ def t_ell_operator(
     ell: int,
     levels: Optional[Sequence[int]] = None,
 ) -> LinearFieldOp:
-    """T_ell on the distinct levels of the window whose scale j+ell is
-    resolvable, with its exact adjoint -sum_j Delta_{j+ell} P_j^(eps)
-    (Delta_s is self-adjoint), and its range as level-coset spectra
-    (_slice_gram).  A kept level outside 0..J-1 raises here."""
+    """T_ell on the levels ``slice_window`` keeps, with its exact adjoint
+    -sum_j Delta_{j+ell} P_j^(eps) (Delta_s is self-adjoint), and its range
+    as level-coset spectra (_slice_gram)."""
     if direction.n != n:
         raise ValueError("dimension mismatch")
-    window = default_levels(J) if levels is None else levels
-    lv = _window(J, [j for j in window if resolvable(j + ell, J)])
+    lv = slice_window(J, ell, levels)
 
     def adjoint(v: GridFunction) -> GridFunction:
         acc = GridFunction.zeros(n, J)

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "SinePiece",
     "scale_pieces",
-    "profile_integral",
     "profile_product_integral",
     "pieces_values",
     "pieces_cell_averages",
@@ -144,15 +143,6 @@ def integrate_product(p: SinePiece, q: SinePiece) -> float | np.ndarray:
         total = np.where(p_osc & q_osc, total + p.amp * q.amp * cross, total)
     out = np.where(b <= a, 0.0, total * scale)
     return out if out.ndim else float(out)
-
-
-def profile_integral(pieces: Sequence[SinePiece]) -> float:
-    total = 0.0
-    for p in pieces:
-        ua = (p.lo - p.anchor) / p.scale
-        ub = (p.hi - p.anchor) / p.scale
-        total += (p.const * (ub - ua) + p.amp * _int_sin(p.freq, p.phase, ua, ub)) * p.scale
-    return float(total)
 
 
 def profile_product_integral(

@@ -2,8 +2,9 @@
 ``fields.trig_band_field`` (one full-grid cosine per frequency),
 ``fields.standard_random_field`` (one Python step per annulus mode) and
 ``fields.haar_polynomials`` (one HaarCoefficients synthesis per field);
-and the raw white noise ``fields.random_field`` draws, for tests that need
-a field with a mean or Nyquist modes."""
+the raw white noise ``fields.random_field`` draws, for tests that need
+a field with a mean or Nyquist modes; and the cone-band fields in the
+range of a Riesz transform, for the inverse Riesz tests."""
 
 import itertools
 
@@ -82,3 +83,37 @@ def haar_polynomial_per_field(n, J, seed, index, max_level):
             dirs[eps_idx] = np.where(mask, coeff, 0.0)
         c.levels[j] = dirs
     return haar_synthesize(c).values
+
+
+def cone_band_field(
+    n: int,
+    J: int,
+    seed: int,
+    index: int = 0,
+    i0: int = 1,
+) -> GridFunction:
+    """Random real field whose spectrum lies in the cone
+    |xi_{i0}| >= max_{i != i0} |xi_i| / 2, off the hyperplane
+    xi_{i0} = 0 and below Nyquist.  Admissible for
+    ``riesz_oracle.riesz_inverse``."""
+    N = 2**J
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    freqs = []
+    for ax in range(n):
+        shape = [1] * n
+        shape[ax] = N
+        freqs.append(np.broadcast_to(k.reshape(shape), (N,) * n))
+    others = [np.abs(freqs[ax]) for ax in range(n) if ax != i0 - 1]
+    other_max = np.maximum.reduce(others) if others else np.zeros((N,) * n)
+    keep = np.abs(freqs[i0 - 1]) >= np.maximum(0.5 * other_max, 1.0)
+    for ax in range(n):
+        keep &= np.abs(freqs[ax]) < N // 2  # strictly below Nyquist
+    rng = stream(seed, 3, n, J, index)
+    vals = rng.standard_normal((N,) * n)
+    spec = np.fft.fftn(vals)
+    spec[~keep] = 0.0
+    out = np.fft.ifftn(spec).real
+    norm = float(np.sqrt(np.mean(out**2)))
+    if norm > 0:
+        out = out / norm
+    return GridFunction(n, J, out)

@@ -1,10 +1,14 @@
-"""Cube-by-cube dyadic index arithmetic and the coordinate fields, which
-only the tests and their oracles use: the package does the same index
-arithmetic on whole arrays of cubes."""
+"""Cube-by-cube dyadic index arithmetic, the coordinate fields and the
+quadrature embedding of pointwise functions, which only the tests and their
+oracles use: the package does the same index arithmetic on whole arrays of
+cubes."""
+
+import itertools
+from typing import Callable
 
 import numpy as np
 
-from haarriesz.grid import DyadicCube, GridFunction
+from haarriesz.grid import _LEGENDRE, DyadicCube, GridFunction
 
 
 def predecessor(Q: DyadicCube, lam: int) -> DyadicCube:
@@ -48,3 +52,36 @@ def coordinate_fields(n: int, J: int) -> list[GridFunction]:
         arr = np.broadcast_to(centers.reshape(shape), (N,) * n).copy()
         out.append(GridFunction(n, J, arr))
     return out
+
+
+def embed(fn: Callable[..., np.ndarray], n: int, J: int) -> GridFunction:
+    """Project a pointwise function on [0,1)^n to per-cell averages by the
+    tensor 5-point Gauss-Legendre rule on each cell.
+
+    ``fn`` must accept n broadcastable coordinate arrays and return values of
+    the broadcast shape.
+    """
+    x, w = (np.array(a) for a in _LEGENDRE[5])
+    nodes, weights = (x + 1.0) / 2.0, w / w.sum()
+    N = 2**J
+    h = 1.0 / N
+    # coordinates per axis: (N, q) -> flattened N*q points
+    coord = (np.arange(N)[:, None] + nodes[None, :]) * h  # (N, q)
+    acc = np.zeros((N,) * n)
+    # iterate over tensor quad-point combinations; n <= 3 keeps this small
+    idx_ranges = [range(len(nodes))] * n
+    for combo in itertools.product(*idx_ranges):
+        w = 1.0
+        pts = []
+        for ax, qi in enumerate(combo):
+            w *= weights[qi]
+            shape = [1] * n
+            shape[ax] = N
+            pts.append(coord[:, qi].reshape(shape))
+        vals = np.asarray(fn(*pts), dtype=np.float64)
+        vals = np.broadcast_to(vals, (N,) * n)
+        if not np.all(np.isfinite(vals)):
+            bad = np.argwhere(~np.isfinite(np.broadcast_to(vals, (N,) * n)))[0]
+            raise ValueError(f"non-finite sample in cell {tuple(bad)}")
+        acc = acc + w * vals
+    return GridFunction(n, J, acc)

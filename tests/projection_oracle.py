@@ -7,7 +7,9 @@ projection one component at a time, and the residual ratio built on it.
 (``haar._project_stack``).  A vector field is the array of shape
 (n, 2^J, .., 2^J) that stacks its components; ``a0_apply`` is its
 off-diagonal gradient entry by entry, the oracle of
-``semiconvexity.a0_max_entry``."""
+``semiconvexity.a0_max_entry``.  Also the Haar square function and the
+dyadic BMO norm, which the tests check against their closed forms and a
+brute-force sup over cubes."""
 
 import math
 from typing import Optional, Sequence
@@ -16,7 +18,7 @@ import numpy as np
 
 from haarriesz.fourier import derivative, riesz
 from haarriesz.grid import Direction, GridFunction, _upsample, axis_direction
-from haarriesz.haar import HaarCoefficients, _merge_block, haar_analyze, haar_synthesize
+from haarriesz.haar import HaarCoefficients, _halve, _merge_block, haar_analyze, haar_synthesize
 
 
 def level_field_by_merge(coeffs: np.ndarray, direction: Direction, J: int) -> GridFunction:
@@ -103,3 +105,46 @@ def residual_ratio(v: np.ndarray, p: float) -> float:
     if denom == 0.0:
         return 0.0 if num <= 1e-12 else math.inf
     return num / denom
+
+
+def square_function(u: GridFunction) -> GridFunction:
+    """Pointwise square function: S(u)(x) = sqrt(sum over Q containing x and
+    all eps of c_Q^2)."""
+    c = haar_analyze(u)
+    acc = np.zeros((2**u.J,) * u.n)
+    for j, dirs in c.levels.items():
+        lvl = np.zeros((2**j,) * u.n)
+        for arr in dirs.values():
+            lvl += arr * arr
+        acc += _upsample(lvl, u.J, u.n)
+    return GridFunction(u.n, u.J, np.sqrt(acc))
+
+
+def bmo_d_norm(u: GridFunction) -> float:
+    """Dyadic BMO norm:
+    sqrt(|mean|^2 + sup_Q |Q|^{-1} sum_{W subset Q} <u,h_W>^2 |W|^{-1}).
+
+    Enumerates every dyadic cube via one bottom-up prefix-sum pass.
+    """
+    c = haar_analyze(u)
+    n, J = u.n, u.J
+    best = 0.0
+    # tail[k] = sum over W inside cube of c_W^2 |W|, cube at current level
+    tail: np.ndarray | None = None
+    for j in range(J - 1, -1, -1):
+        vol = 2.0 ** (-n * j)
+        own = np.zeros((2**j,) * n)
+        for arr in c.levels[j].values():
+            own += arr * arr
+        own *= vol
+        if tail is not None:
+            # pool children sums (2-blocks along each axis)
+            pooled = tail
+            for ax in range(n):
+                lo, hi = _halve(pooled, ax)
+                pooled = lo + hi
+            own += pooled
+        tail = own
+        best = max(best, float(own.max()) / vol)
+    mean = float(u.values.mean())
+    return float(np.sqrt(mean**2 + best))

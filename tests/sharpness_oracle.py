@@ -6,6 +6,8 @@ must reproduce bit for bit: squares of a layer in ``iter_layer`` order (or
 the ``sample_layer`` draws), partners by coarser layer and then by
 increasing i2'.  The walks over a collection's squares as DyadicCubes live
 here too: the engine works on the int64 index arrays of a whole layer.
+And the integral of a profile, which the tests read off the mother
+profiles.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from haarriesz import sharpness
 from haarriesz.fourier import riesz
 from haarriesz.grid import DyadicCube
 from haarriesz.haar import directional_project
-from haarriesz.profiles import SinePiece, haar_pieces, indicator_pieces
+from haarriesz.profiles import SinePiece, _int_sin, haar_pieces, indicator_pieces
 from haarriesz.sharpness import BlockSpec, SquareCollection, build_collection
 
 
@@ -223,3 +225,13 @@ def grid_ple2_norms(eps_param: float, p: float) -> tuple[float, float]:
     J = round(-math.log2(eps_param)) + 6
     g = sharpness.block_field(BlockSpec(sharpness.single_block_square(), eps_param), J)
     return riesz(g, 1).lp_norm(p), directional_project(g, sharpness.DIRECTION_10).lp_norm(p)
+
+
+def profile_integral(pieces: Sequence[SinePiece]) -> float:
+    """integral over t of the profile, piece by piece in closed form."""
+    total = 0.0
+    for p in pieces:
+        ua = (p.lo - p.anchor) / p.scale
+        ub = (p.hi - p.anchor) / p.scale
+        total += (p.const * (ub - ua) + p.amp * _int_sin(p.freq, p.phase, ua, ub)) * p.scale
+    return float(total)

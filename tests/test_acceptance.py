@@ -9,13 +9,13 @@ import time
 
 import numpy as np
 import pytest
-from fields_oracle import white_noise
-from riesz_oracle import riesz_inverse_composite
+from fields_oracle import cone_band_field, white_noise
+from riesz_oracle import riesz_inverse, riesz_inverse_composite
 from sharpness_oracle import engine_coefficient, iter_all
 
 from haarriesz.experiments import decomposition_residuals, interp_ratio_sup, ring_decay_norms
-from haarriesz.fields import cone_band_field, haar_polynomial, random_field
-from haarriesz.fourier import riesz, riesz_inverse
+from haarriesz.fields import haar_polynomial, random_field
+from haarriesz.fourier import riesz
 from haarriesz.grid import Direction, GridFunction
 from haarriesz.haar import directional_project, haar_analyze, haar_synthesize
 from haarriesz.multiscale import op_norm2_estimate, rearrangement_operator, t_ell_operator

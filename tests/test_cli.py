@@ -41,6 +41,29 @@ class TestSelftest:
         assert manifest["parameters"]["seed"] == 7
         assert manifest["cpu_s"] > 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_row_names(self, n, tmp_path):
+        # every row checks a layer that another subcommand calls
+        out = tmp_path / "st"
+        assert main(["selftest", "--n", str(n), "--J", "5", "--seed", "1", "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            names = [r["check"] for r in csv.DictReader(fh)]
+        want = [f"{c}[{i}]" for i in range(10) for c in ("roundtrip", "parseval")]
+        want += ["projection-reconstruction"]
+        want += [f"projection-orthogonality[{a},{b}]" for a, b in ((0, 1), (0, 2), (1, 2)) if n > 1]
+        want += ["projection-idempotent", "E0-global-mean", "EJ-identity", "EM-tower",
+                 "lp-const-1", "riesz-energy"]
+        for s in (1, 2, 3):
+            want += [f"kernel-integral[s={s}]"]
+            want += [f"kernel-moment[s={s},axis={ax}]" for ax in range(1, n + 1)]
+        want += ["delta-const", "delta-telescoping", "t-ell-range"]
+        if n == 2:
+            want += ["ring-cover-40cells", "ring-cover-measure", "profile-A-vs-haar",
+                     "profile-A-energy", "profile-B-energy", "block-coefficient[eps=0.5]",
+                     "block-coefficient[eps=0.25]", "jensen[ab]", "jensen[abs_sum]",
+                     "jensen[quad_cross]"]
+        assert names == want
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["selftest", "--J", "5", "--seed", "3", "--out", str(a)]) == 0
@@ -227,6 +250,7 @@ OUT_OF_DOMAIN = [
     (["tl-decay", "--ell="], "--ell"),
     (["tl-decay", "--J", "5", "--ell=1,0,0"], "--ell"),
     (["tl-decay", "--ell=0,0"], "--ell"),
+    (["tl-decay", "--n", "2", "--J", "6", "--ell=-4..4"], "--ell"),
     (["tl-decay", "--slack", "nan"], "--slack"),
     (["tl-decay", "--slack", "-3"], "--slack"),
     (["tl-decay", "--slack", "0"], "--slack"),
@@ -307,7 +331,7 @@ def test_internal_error_propagates(tmp_path, monkeypatch):
 
     monkeypatch.setattr("haarriesz.cli.op_norm2_estimate", broken)
     with pytest.raises(ValueError, match="internal"):
-        main(["tl-decay", "--J", "5", "--out", str(tmp_path / "x")])
+        main(["tl-decay", "--J", "5", "--ell=-1..1", "--out", str(tmp_path / "x")])
 
 
 FLAG_TABLE = {
@@ -357,3 +381,24 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
                        env=env, check=True, capture_output=True, timeout=300)
         outputs.append((out / "results.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_digest_tool_lists_every_checked_in_invocation():
+    # the CI steps (22), the README usage lines (8) and the benchmark's
+    # jobs at seeds 1 and 2 (16); none is run here
+    import sys
+    from pathlib import Path
+
+    from haarriesz.cli import build_parser
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+    try:
+        import csv_digests
+    finally:
+        sys.path.pop(0)
+    runs = csv_digests.invocations()
+    assert len(runs) == 46
+    parser = build_parser()
+    for args in runs:
+        assert "--out" not in args
+        parser.parse_args(args)

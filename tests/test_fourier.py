@@ -4,8 +4,8 @@ import re
 
 import numpy as np
 import pytest
-from fields_oracle import white_noise
-from grid_oracle import coordinate_fields
+from fields_oracle import cone_band_field, white_noise
+from grid_oracle import coordinate_fields, embed
 from kernel_oracle import (
     beta_symbol,
     delta_symbol,
@@ -16,20 +16,19 @@ from kernel_oracle import (
     lag_tensor,
     tensor_invariants,
 )
-from riesz_oracle import antiderivative, riesz_inverse_composite
+from riesz_oracle import antiderivative, riesz_inverse, riesz_inverse_composite
 
 from haarriesz import experiments, fourier
-from haarriesz.fields import cone_band_field, random_field
+from haarriesz.fields import random_field
 from haarriesz.fourier import (
     ResolvingKernel,
     delta_conv,
     derivative,
     kernel_b_antiderivative2,
     riesz,
-    riesz_inverse,
     smoothing_conv,
 )
-from haarriesz.grid import Direction, GridFunction, embed
+from haarriesz.grid import Direction, GridFunction
 from haarriesz.haar import directional_project
 
 
@@ -87,6 +86,12 @@ class TestRieszInverse:
             d = riesz_inverse(w, 1)
             c = riesz_inverse_composite(w, 1)
             assert (d - c).lp_norm(2) <= 1e-8 * d.lp_norm(2)
+            assert (riesz_inverse(riesz(w, 1), 1) - w).lp_norm(2) <= 1e-8
+
+    @pytest.mark.parametrize("n,J", [(1, 8), (2, 5), (3, 5)])
+    def test_identity_in_every_dimension(self, n, J):
+        for i in range(5):
+            w = cone_band_field(n, J, seed=1, index=i, i0=1)
             assert (riesz_inverse(riesz(w, 1), 1) - w).lp_norm(2) <= 1e-8
 
     def test_rejects_forbidden_hyperplane(self):

@@ -1,4 +1,4 @@
-"""Dyadic geometry, grid fields, embedding and serialization."""
+"""Dyadic geometry, grid fields, L^p norms and the quadrature embedding."""
 
 import os
 import subprocess
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from grid_oracle import cell_slices, child_rank, coordinate_fields, predecessor
+from grid_oracle import cell_slices, child_rank, coordinate_fields, embed, predecessor
 
 from haarriesz.grid import (
     _LEGENDRE,
@@ -16,9 +16,9 @@ from haarriesz.grid import (
     GridFunction,
     all_directions,
     axis_direction,
-    embed,
     lp_norm,
 )
+from haarriesz.profiles import sine_cell_averages
 
 
 class TestDyadicCube:
@@ -142,6 +142,12 @@ class TestEmbed:
         exact = (np.cos(2 * np.pi * edges[:-1]) - np.cos(2 * np.pi * edges[1:])) * N / (2 * np.pi)
         assert np.abs(u.values - exact[:, None]).max() < 1e-10
 
+    @pytest.mark.parametrize("n,J", [(1, 8), (2, 5), (3, 5)])
+    def test_sin_matches_exact_cell_averages_in_every_dimension(self, n, J):
+        u = embed(lambda *xs: np.sin(2 * np.pi * xs[0]), n, J)
+        exact = sine_cell_averages(2**J, 2 * np.pi, 0.0, 0.0, 1.0)
+        assert np.abs(u.values - exact.reshape((2**J,) + (1,) * (n - 1))).max() <= 1e-10
+
     def test_rejects_non_finite_sample(self):
         with pytest.raises(ValueError, match="non-finite"):
             embed(lambda x: np.where(x > 0.6, np.nan, 1.0), 1, 2)
@@ -160,27 +166,6 @@ class TestEmbed:
         out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
                              check=True, capture_output=True, text=True, timeout=120)
         assert out.stdout.strip() == "False"
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(0)
-        u = GridFunction(2, 4, rng.standard_normal((16, 16)))
-        v = GridFunction.from_bytes(u.to_bytes())
-        assert (v.n, v.J) == (2, 4)
-        assert np.array_equal(v.values, u.values)
-
-    def test_header(self):
-        u = GridFunction.zeros(1, 2)
-        blob = u.to_bytes()
-        assert blob[:4] == b"HRL1"
-        assert len(blob) == 16 + 4 * 8
-
-    def test_bad_magic_rejected(self):
-        u = GridFunction.zeros(1, 2)
-        blob = b"XXXX" + u.to_bytes()[4:]
-        with pytest.raises(ValueError, match="magic"):
-            GridFunction.from_bytes(blob)
 
 
 def test_coordinate_fields_are_cell_centers():

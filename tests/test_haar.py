@@ -5,31 +5,31 @@ import itertools
 import numpy as np
 import pytest
 from fields_oracle import white_noise
-from grid_oracle import cell_slices
+from grid_oracle import cell_slices, embed
 from projection_oracle import (
+    bmo_d_norm,
     level_field_by_merge,
     level_sum_by_fields,
     project_by_pyramid,
+    square_function,
     vector_project,
 )
 
 from haarriesz import multiscale
 from haarriesz.fields import random_field, single_haar_block
-from haarriesz.grid import Direction, DyadicCube, GridFunction, _upsample, all_directions, embed
+from haarriesz.grid import Direction, DyadicCube, GridFunction, _upsample, all_directions
 from haarriesz.haar import (
     HaarCoefficients,
     _block_mean,
     _merge_block,
     _project_stack,
     _split_block,
-    bmo_d_norm,
     conditional_expectation,
     directional_project,
     haar_analyze,
     haar_synthesize,
     level_coefficients,
     level_field,
-    square_function,
 )
 
 
@@ -289,6 +289,13 @@ class TestSquareFunction:
         rhs = u.lp_norm(2) ** 2 - u.mean() ** 2
         assert abs(lhs - rhs) <= 1e-10 * max(rhs, 1.0)
 
+    @pytest.mark.parametrize("n,J", [(1, 8), (2, 5), (3, 5)])
+    def test_identities_in_every_dimension(self, n, J):
+        u = random_field(n, J, seed=1, index=100)
+        lhs = square_function(u).lp_norm(2) ** 2
+        assert abs(lhs - (u.lp_norm(2) ** 2 - u.mean() ** 2)) <= 1e-10
+        assert square_function(GridFunction.constant(n, J, 3.25)).lp_norm(2) <= 1e-12
+
     @pytest.mark.parametrize("n,J", [(1, 6), (2, 5)])
     def test_lp_equivalence_window(self, n, J):
         # monitored window for ||S(u)||_p / ||u||_p on mean-zero fields; the
@@ -323,6 +330,12 @@ class TestBmo:
     def test_haar_block_1d(self):
         u = single_haar_block(1, 4, 0, (0,), (1,))
         assert bmo_d_norm(u) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n,J", [(1, 8), (2, 5), (3, 5)])
+    def test_constant_and_block_in_every_dimension(self, n, J):
+        assert abs(bmo_d_norm(GridFunction.constant(n, J, -2.0)) - 2.0) <= 1e-12
+        block = single_haar_block(n, J, 0, (0,) * n, (1,) + (0,) * (n - 1))
+        assert abs(bmo_d_norm(block) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n,J", [(1, 4), (2, 2), (2, 3)])
     def test_matches_oscillation_form(self, n, J):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from sharpness_oracle import integrate_product as scalar_integrate_product
+from sharpness_oracle import profile_integral
 
 from haarriesz.profiles import (
     SinePiece,
@@ -11,7 +12,6 @@ from haarriesz.profiles import (
     integrate_product,
     pieces_cell_averages,
     pieces_values,
-    profile_integral,
     profile_product_integral,
     scale_pieces,
     sine_cell_averages,

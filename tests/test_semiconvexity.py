@@ -3,10 +3,11 @@ semicontinuity experiment."""
 
 import numpy as np
 import pytest
+from grid_oracle import embed
 from projection_oracle import a0_apply, residual_ratio
 
 from haarriesz.fields import haar_polynomial, haar_polynomials
-from haarriesz.grid import GridFunction, embed
+from haarriesz.grid import GridFunction
 from haarriesz.semiconvexity import (
     Integrand,
     a0_max_entry,

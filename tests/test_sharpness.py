@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 import sharpness_oracle as oracle
+from projection_oracle import bmo_d_norm
+from sharpness_oracle import profile_integral
 
 from haarriesz import sharpness
 from haarriesz.fourier import riesz
 from haarriesz.grid import DyadicCube
-from haarriesz.haar import bmo_d_norm, directional_project, haar_analyze
-from haarriesz.profiles import haar_pieces, profile_integral, profile_product_integral
+from haarriesz.haar import directional_project, haar_analyze
+from haarriesz.profiles import haar_pieces, profile_product_integral
 from haarriesz.sharpness import (
     A_PROFILE,
     A_TILDE_PROFILE,
