@@ -59,15 +59,15 @@ def decomposition_residuals(
     n: int,
     J: int,
     direction: Direction,
-    L_max: int,
+    orders: Sequence[float],
     levels: Optional[Sequence[int]] = None,
     seed: int = 0,
 ) -> tuple[list[float], float]:
-    """Residuals ||P u - sum_{|ell| <= L} T_ell u||_2 for L = 0..L_max on the
-    standard random field, in closed form from its mode list
-    (multiscale.slice_sum_residuals), plus ||P u||_2 for normalization,
-    from the Haar side.  From L = J-1 on the residual is the truncation
-    floor.
+    """Residuals ||P u - sum_{|ell| <= L} T_ell u||_2 for each L in
+    ``orders`` on the standard random field, in closed form from its mode
+    list (multiscale.slice_sum_residuals), plus ||P u||_2 for
+    normalization, from the Haar side.  The order L = math.inf is the
+    floor ||P beta_0 u||, the limit of the residuals.
 
     The Haar coefficients on the window's levels, all below
     L = top + 1, read u through its level-L cell averages alone, so they
@@ -76,7 +76,7 @@ def decomposition_residuals(
     the cells."""
     lv = default_levels(J) if levels is None else list(levels)
     modes, spectrum = standard_random_spectrum(n, J, seed)
-    residuals = slice_sum_residuals(J, modes, spectrum, direction, range(L_max + 1), lv)
+    residuals = slice_sum_residuals(J, modes, spectrum, direction, orders, lv)
     c = haar_analyze(_cell_averages(J, modes, spectrum, max(lv, default=-1) + 1))
     kept = HaarCoefficients(n, c.J, 0.0, {j: {direction.index: c.levels[j][direction.index]}
                                           for j in lv})

@@ -62,7 +62,7 @@ def _annulus_modes(n: int, J: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     amplitudes c, then conj(c), unnormalised.  The draw is keyed by the
     seed only; J is checked to resolve the band."""
     if J < 4:
-        raise ValueError(f"band 2 <= |xi| <= 5 not resolvable at J={J}")
+        raise ValueError(f"band 2 <= |xi| <= 5 needs J >= 4, got J={J}")
     xi = np.indices((11,) * n).reshape(n, -1).T - 5
     mag2 = (xi * xi).sum(axis=1)
     first = xi[np.arange(len(xi)), np.argmax(xi != 0, axis=1)]
@@ -76,9 +76,9 @@ def _annulus_modes(n: int, J: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def standard_random_field(n: int, J: int, seed: int = 0) -> GridFunction:
     """The reference field of the decomposition and decay experiments:
     Gaussian Fourier amplitudes on the annulus 2 <= |xi| <= 5, mean-zero,
-    unit L2 norm.  The band keeps the field away from both truncation edges
-    of the scale ladder: the coarsest smoothing retains under 0.5 percent of
-    it and the finest resolvable scale separates it cleanly.
+    unit L2 norm.  The band keeps the field away from the coarse end of the
+    scale ladder: the coarsest smoothing beta_0 retains under 0.5 percent
+    of it.
 
     The draw is keyed by the seed only, so the same function is produced at
     every J >= 4, where the band sits below Nyquist."""

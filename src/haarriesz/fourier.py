@@ -29,7 +29,6 @@ __all__ = [
     "riesz_half_spectrum",
     "derivative",
     "ResolvingKernel",
-    "resolvable",
     "beta_factor",
     "beta_complement",
     "delta_conv",
@@ -280,16 +279,12 @@ def _even_multiplier(u: GridFunction, scales: tuple[int, ...]) -> GridFunction:
     return GridFunction(n, J, _inverse(fu, 2**J))
 
 
-def resolvable(s: int, J: int) -> bool:
-    """Delta_s is resolved at level J iff 0 <= s <= J-2 (inner lobe >= 4 cells per axis)."""
-    return 0 <= s <= J - 2
-
-
 def delta_conv(u: GridFunction, s: int) -> GridFunction:
     """Scale-s resolving convolution Delta_s u = u * d_s on the torus, for
-    ``resolvable`` s.  Delta_s is self-adjoint (its lag table is even)."""
-    if not resolvable(s, u.J):
-        raise ValueError(f"scale s={s} not resolvable at J={u.J} (need 0 <= s <= J-2)")
+    any s >= 0: the Galerkin lag tables are exact at every scale.  Delta_s
+    is self-adjoint (its lag table is even)."""
+    if s < 0:
+        raise ValueError(f"scale must be >= 0, got s={s}")
     return _even_multiplier(u, (s, s + 1))
 
 

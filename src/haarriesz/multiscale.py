@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .fields import stream
-from .fourier import beta_complement, beta_factor, delta_conv, resolvable
+from .fourier import beta_complement, beta_factor, delta_conv
 from .grid import Direction, DyadicCube, GridFunction, dot
 from .haar import _synthesize, haar_analyze, level_coefficients, level_field
 from .profiles import sine_cell_averages
@@ -126,10 +126,10 @@ def _window(J: int, levels: Iterable[int]) -> list[int]:
 
 def slice_window(J: int, ell: int, levels: Optional[Sequence[int]] = None) -> list[int]:
     """The levels t_ell_operator keeps: the distinct levels of the window
-    (default ``default_levels(J)``) whose scale j+ell is resolvable.  A
-    kept level outside 0..J-1 raises."""
+    (default ``default_levels(J)``) whose scale j+ell is >= 0.  A kept level
+    outside 0..J-1 raises."""
     window = default_levels(J) if levels is None else levels
-    return _window(J, [j for j in window if resolvable(j + ell, J)])
+    return _window(J, [j for j in window if j + ell >= 0])
 
 
 def t_ell(
@@ -146,18 +146,12 @@ def t_ell(
     carry a compensating sign; with it, summing t_ell over ell converges to
     the directional projection on the level window.
 
-    Any (j, ell) whose scale j+ell is not ``resolvable`` raises;
+    A level whose scale j+ell is negative raises (delta_conv);
     t_ell_operator drops those levels instead.
     """
     if direction.n != u.n:
         raise ValueError("dimension mismatch")
-    lv = default_levels(u.J) if levels is None else list(levels)
-    bad = [j for j in lv if not resolvable(j + ell, u.J)]
-    if bad:
-        raise ValueError(
-            f"unresolvable (level, ell) pairs at J={u.J}: "
-            + ", ".join(f"({j},{ell})" for j in bad)
-        )
+    lv = default_levels(u.J) if levels is None else levels
     coeffs = {j: level_coefficients(delta_conv(u, j + ell), j, direction) for j in _window(u.J, lv)}
     return -_level_sum(coeffs, direction, u.J)
 
@@ -357,19 +351,19 @@ def slice_sum_residuals(
     (fields.standard_random_spectrum), by Parseval on the level-coset
     spectra: no grid and no transform.
 
-    On level j t_ell_operator keeps the scales s = j + ell with
-    0 <= s <= J-2, and Delta_s = beta_s - beta_{s+1} telescopes: the level-j
-    part of sum_{|ell| <= L} T_ell is P_j (beta_{b+1} - beta_a), with
-    a = max(0, j-L) and b+1 = min(J-1, j+L+1).  So the level-j part of the
-    residual is P_j (I - beta_{b+1} + beta_a) u, whose coset spectrum (as
-    in _slice_gram) is 2^(-n(2J-j)) fold(conj(g_j) r u^) on Z_M^n, M = 2^j,
+    On level j t_ell_operator keeps the scales s = j + ell >= 0, and
+    Delta_s = beta_s - beta_{s+1} telescopes: the level-j part of
+    sum_{|ell| <= L} T_ell is P_j (beta_{b+1} - beta_a), with
+    a = max(0, j-L) and b+1 = j+L+1.  So the level-j part of the residual
+    is P_j (I - beta_{b+1} + beta_a) u, whose coset spectrum (as in
+    _slice_gram) is 2^(-n(2J-j)) fold(conj(g_j) r u^) on Z_M^n, M = 2^j,
     with the per-mode weight r = (1 - prod_i h_{b+1}) + prod_i h_a, and
     distinct levels are orthogonal.  Each weight is folded once, and
     1 - prod_i h_s is built from the 1 - h_s of fourier.beta_complement,
     so a small residual keeps its digits: folding 1, h_{b+1} and h_a apart
-    would cancel down to it.  From L = J-1 on, every level reaches both
-    ends of the ladder, a = 0 and b+1 = J-1: that residual is the
-    truncation floor ||P (I - beta_{J-1} + beta_0) u||."""
+    would cancel down to it.  As s grows, 1 - h_s -> 0 (it is
+    (5/8) 2^(J-s) sin^2(pi k/N) from s = J on), so the order L = math.inf
+    is the limit r = prod_i h_0: the floor ||P beta_0 u||."""
     n = direction.n
     if modes.shape[1] != n:
         raise ValueError("dimension mismatch")
@@ -392,8 +386,8 @@ def slice_sum_residuals(
     for j in _window(J, levels):
         coset, w = _level_modes(J, j, direction, modes, spectrum)
         for k, L in enumerate(orders):
-            # r = (1 - prod h_{b+1}) + prod h_a
-            r = end(min(J - 1, j + L + 1))[1] + end(max(0, j - L))[0]
+            # r = (1 - prod h_{b+1}) + prod h_a, without the top term at L = inf
+            r = (0.0 if L == math.inf else end(j + L + 1)[1]) + end(max(0, j - L))[0]
             y = _coset_fold(coset, w * r)
             squares[k] += dot(y.view(np.float64), y.view(np.float64))
     return [math.sqrt(x) for x in squares]

@@ -16,7 +16,7 @@ import numpy as np
 from projection_oracle import level_sum_by_fields, project_by_pyramid
 
 from haarriesz.fields import standard_random_field
-from haarriesz.fourier import beta_complement, beta_factor, resolvable
+from haarriesz.fourier import beta_complement, beta_factor
 from haarriesz.grid import GridFunction, dot
 from haarriesz.multiscale import (
     OpNormResult,
@@ -112,10 +112,10 @@ def range_image(v, direction, ell, levels=None):
     """T_ell v in the range coordinates of its range form, by Poisson
     summation from the rfftn of v: block j is 2^(-nJ) sqrt(c_j)
     fold(a_j v^) (multiscale._slice_gram), for the levels of ``levels``
-    (default window) that t_ell_operator keeps."""
+    (default window) that t_ell_operator keeps: those with j + ell >= 0."""
     n, J = v.n, v.J
     window = default_levels(J) if levels is None else levels
-    lv = _window(J, [j for j in window if resolvable(j + ell, J)])
+    lv = _window(J, [j for j in window if j + ell >= 0])
     spec = np.fft.rfftn(v.values, axes=tuple(range(n)))
     blocks = [fold(spec, a, M) * (2.0 ** (-n * J) * math.sqrt(c))
               for M, c, a in _slice_levels(J, direction, ell, lv)]
@@ -125,7 +125,8 @@ def range_image(v, direction, ell, levels=None):
 def grid_slice_sum_residuals(u, direction, orders, levels):
     """multiscale.slice_sum_residuals for a grid field u: the same Parseval
     sums, with every level-j fold taken over the rfftn half spectrum of the
-    whole grid (fold) as a full (2^j,)*n array."""
+    whole grid (fold) as a full (2^j,)*n array.  The order L = math.inf
+    is the floor fold(0), with no top end."""
     n, J = u.n, u.J
     spec = np.fft.rfftn(u.values, axes=tuple(range(n)))
     squares = [0.0] * len(orders)
@@ -140,7 +141,10 @@ def grid_slice_sum_residuals(u, direction, orders, levels):
             return folds[s]
 
         for k, L in enumerate(orders):
-            y = scale_fold(None) - scale_fold(min(J - 1, j + L + 1)) + scale_fold(max(0, j - L))
+            if L == math.inf:
+                y = scale_fold(0)
+            else:
+                y = scale_fold(None) - scale_fold(j + L + 1) + scale_fold(max(0, j - L))
             squares[k] += dot(y.view(np.float64), y.view(np.float64))
     return [math.sqrt(x) for x in squares]
 
@@ -165,7 +169,7 @@ def longdouble_slice_sum_residuals(J, modes, spectrum, direction, orders, levels
         coset, w = _level_modes(J, j, direction, modes, spectrum)
         wr, wi = w.real.astype(ld), w.imag.astype(ld)
         for k, L in enumerate(orders):
-            r = end(min(J - 1, j + L + 1))[1] + end(max(0, j - L))[0]
+            r = (0.0 if L == math.inf else end(j + L + 1)[1]) + end(max(0, j - L))[0]
             yr, yi = np.zeros(coset.max() + 1, ld), np.zeros(coset.max() + 1, ld)
             np.add.at(yr, coset, wr * r)
             np.add.at(yi, coset, wi * r)

@@ -87,7 +87,7 @@ def test_criterion_2_riesz_identities():
 
 def test_criterion_3_decomposition():
     t0 = time.monotonic()
-    res, base = decomposition_residuals(2, 7, D10, L_max=4, levels=range(1, 6), seed=0)
+    res, base = decomposition_residuals(2, 7, D10, range(5), levels=range(1, 6), seed=0)
     mono = all(res[i + 1] <= res[i] + 1e-12 for i in range(len(res) - 1))
     rel = res[-1] / base
     elapsed = time.monotonic() - t0

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -64,6 +65,16 @@ class TestSelftest:
                      "jensen[quad_cross]"]
         assert names == want
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("J", [3, 4])
+    def test_row_names_are_unique(self, n, J, tmp_path):
+        out = tmp_path / "st"
+        assert main(["selftest", "--n", str(n), "--J", str(J), "--seed", "1",
+                     "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            names = [r["check"] for r in csv.DictReader(fh)]
+        assert len(names) == len(set(names))
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["selftest", "--J", "5", "--seed", "3", "--out", str(a)]) == 0
@@ -90,18 +101,30 @@ class TestTlDecay:
                 assert float(r["slack"]) <= 2.0
 
     def test_floor_row(self, tmp_path):
-        # at J = 5 the order L = 4 = J-1 of the decomposition row already
-        # reaches the truncation floor
+        # the floor row is the order L = inf, ||P beta_0 u|| / ||P u||
+        from haarriesz.experiments import decomposition_residuals
+        from haarriesz.grid import axis_direction
+
         out = tmp_path / "tl"
         main(["tl-decay", "--J", "5", "--ell=0..1", "--trials", "4", "--seed", "1",
               "--out", str(out)])
         with open(out / "results.csv", newline="") as fh:
             rows = {r["experiment"]: r for r in csv.DictReader(fh)}
         floor = rows["tl-decomposition-floor"]
-        assert floor["ell_or_lambda"] == "4"
-        assert floor["measured"] == rows["tl-decomposition"]["measured"]
+        (want,), base = decomposition_residuals(2, 5, axis_direction(2, 1), [math.inf], seed=1)
+        assert floor["ell_or_lambda"] == "inf"
+        assert float(floor["measured"]) == want / base
+        assert float(floor["measured"]) < float(rows["tl-decomposition"]["measured"])
         assert float(floor["slack"]) == float(floor["measured"]) / 0.05
         assert [floor[c] for c in ("iterations", "residual", "converged")] == ["0", "0.0", ""]
+
+    @pytest.mark.parametrize("n,J", [(1, 4), (2, 4), (3, 5)])
+    def test_smallest_grids_pass(self, n, J, tmp_path):
+        # every scale j+ell >= 0 is kept, so the decomposition check holds
+        # on the smallest grids the flags admit
+        out = tmp_path / "tl"
+        assert main(["tl-decay", "--n", str(n), "--J", str(J), "--ell=-1..1", "--trials", "4",
+                     "--seed", "1", "--out", str(out)]) == 0
 
 
 class TestSharpness:
@@ -250,7 +273,7 @@ OUT_OF_DOMAIN = [
     (["tl-decay", "--ell="], "--ell"),
     (["tl-decay", "--J", "5", "--ell=1,0,0"], "--ell"),
     (["tl-decay", "--ell=0,0"], "--ell"),
-    (["tl-decay", "--n", "2", "--J", "6", "--ell=-4..4"], "--ell"),
+    (["tl-decay", "--n", "2", "--J", "6", "--ell=-5..0"], "--ell"),
     (["tl-decay", "--slack", "nan"], "--slack"),
     (["tl-decay", "--slack", "-3"], "--slack"),
     (["tl-decay", "--slack", "0"], "--slack"),
@@ -384,7 +407,7 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_digest_tool_lists_every_checked_in_invocation():
-    # the CI steps (22), the README usage lines (8) and the benchmark's
+    # the CI steps (23), the README usage lines (8) and the benchmark's
     # jobs at seeds 1 and 2 (16); none is run here
     import sys
     from pathlib import Path
@@ -397,7 +420,7 @@ def test_digest_tool_lists_every_checked_in_invocation():
     finally:
         sys.path.pop(0)
     runs = csv_digests.invocations()
-    assert len(runs) == 46
+    assert len(runs) == 47
     parser = build_parser()
     for args in runs:
         assert "--out" not in args

@@ -22,6 +22,8 @@ from haarriesz import experiments, fourier
 from haarriesz.fields import random_field
 from haarriesz.fourier import (
     ResolvingKernel,
+    beta_complement,
+    beta_factor,
     delta_conv,
     derivative,
     kernel_b_antiderivative2,
@@ -313,11 +315,14 @@ class TestDeltaConv:
         assert (lhs - rhs).lp_norm(2) <= 1e-12
 
     def test_scale_range_rejected(self):
+        # only a negative scale raises: the lag tables are exact at every
+        # s >= 0, past the grid's own level J = 6 too
         u = random_field(2, 6, seed=38)
-        with pytest.raises(ValueError, match="J"):
-            delta_conv(u, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="s=-1"):
             delta_conv(u, -1)
+        for s in (5, 6, 9):
+            tele = smoothing_conv(u, s) - smoothing_conv(u, s + 1)
+            assert (delta_conv(u, s) - tele).lp_norm(2) <= 1e-14
 
     def test_partial_telescoping_vs_smoothing(self):
         u = random_field(2, 6, seed=39)
@@ -365,6 +370,20 @@ class TestDeltaConv:
     def test_maps_real_to_real(self):
         u = random_field(2, 5, seed=42)
         assert np.isrealobj(delta_conv(u, 2).values)
+
+
+class TestFinestScales:
+    """From s = J on the lag table of beta_s has only the lags 0 and +-1,
+    and 1 - h_s(k) = (5/8) 2^(J-s) sin^2(pi k / N) in closed form."""
+
+    @pytest.mark.parametrize("J", [4, 8])
+    @pytest.mark.parametrize("ds", [0, 1, 3])
+    def test_closed_form(self, J, ds):
+        s, N = J + ds, 2**J
+        k = np.fft.fftfreq(N, d=1.0 / N)
+        want = 0.625 * 2.0 ** (-ds) * np.sin(np.pi * k / N) ** 2
+        assert np.abs(1.0 - beta_factor(s, J) - want).max() <= 1e-15
+        assert np.abs(beta_complement(s, J, k) - want).max() <= 1e-15
 
 
 class TestInterpRatioNyquist:

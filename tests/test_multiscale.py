@@ -41,7 +41,7 @@ from haarriesz.fields import (
     standard_random_field,
     standard_random_spectrum,
 )
-from haarriesz.fourier import resolvable, smoothing_conv
+from haarriesz.fourier import smoothing_conv
 from haarriesz.grid import Direction, DyadicCube, GridFunction, axis_direction
 from haarriesz.haar import directional_project, haar_analyze, level_coefficients, level_field
 from haarriesz.multiscale import (
@@ -67,6 +67,8 @@ from haarriesz.sharpness import (
 
 D10 = Direction((1, 0))
 D1 = Direction((1,))
+# the orders cmd_tl_decay folds: L = 0..4 and the floor
+TL_DECAY_ORDERS = (*range(5), math.inf)
 
 
 def count_level_transforms(monkeypatch, n, J) -> dict[str, int]:
@@ -122,16 +124,21 @@ class TestTEll:
                 if e != D10.index:
                     assert np.abs(arr).max() <= 1e-13
 
-    def test_rejects_unresolvable_pairs(self):
+    def test_rejects_negative_scales(self):
+        # level 1 at ell = -2 has the negative scale -1
         u = random_field(2, 6, seed=51)
-        with pytest.raises(ValueError, match=r"\(1,-2\)|\(1, *-2\)"):
+        with pytest.raises(ValueError, match=r"s=-1"):
             t_ell(u, D10, -2, levels=[1, 2, 3])
 
-    def test_operator_drops_unresolvable_levels(self):
+    def test_operator_drops_negative_scales(self):
+        # it drops the levels whose scale j+ell is negative and keeps those
+        # at every scale s >= 0, the finest (level 5 at ell = 2: s = 7 > J)
+        # included
         u = random_field(2, 6, seed=51)
-        got = t_ell_operator(2, 6, D10, -2, levels=[1, 2, 3]).apply(u)
-        expect = t_ell(u, D10, -2, levels=[2, 3])
-        assert (got - expect).lp_norm(2) <= 1e-14 * expect.lp_norm(2)
+        for ell, window, kept in ((-2, [1, 2, 3], [2, 3]), (2, [0, 3, 5], [0, 3, 5])):
+            got = t_ell_operator(2, 6, D10, ell, levels=window).apply(u)
+            expect = t_ell(u, D10, ell, levels=kept)
+            assert (got - expect).lp_norm(2) <= 1e-14 * expect.lp_norm(2)
 
     def test_linearity(self):
         lv = [1, 2, 3]
@@ -177,7 +184,7 @@ class TestTEll:
                 g.values.reshape((-1,) + (1,) * (n - 1)), (2**J,) * n).copy())
 
         for ell in range(-3, 4):
-            kept = [j for j in default_levels(J) if resolvable(j + ell, J)]
+            kept = [j for j in default_levels(J) if j + ell >= 0]
             ops = {m: t_ell_operator(m, J, axis_direction(m, 1), ell) for m in (1, n)}
             pairs = {
                 "t_ell": (t_ell(spread(f), axis_direction(n, 1), ell, kept),
@@ -188,22 +195,24 @@ class TestTEll:
                 assert _rel(got, spread(want)) <= 1e-12, (ell, name)
 
     def test_decomposition_converges_monotonically(self):
-        res, base = decomposition_residuals(2, 7, D10, L_max=4, seed=0)
+        res, base = decomposition_residuals(2, 7, D10, range(5), seed=0)
         for a, b in zip(res, res[1:]):
             assert b <= a + 1e-12
         assert res[-1] <= 0.05 * base
 
     @pytest.mark.parametrize("n,J", [(3, 6), (2, 4), (1, 5)])
     def test_full_ladder_residual_is_the_truncation(self, n, J):
-        # |ell| <= 4 reaches every scale 0..J-2 from every level of the
-        # window, so sum_ell T_ell = P (beta_{J-1} - beta_0) by telescoping
-        # and the residual is that of the two ends of the scale ladder
+        # on level j, |ell| <= 4 reaches the scales max(0, j-4)..j+4, which
+        # start at 0 on every level of these windows (j <= 4), so by
+        # telescoping the level-j part of sum_ell T_ell is
+        # P_j (beta_{j+5} - beta_0) and the residual is that of the two
+        # ends of each level's ladder
         direction = axis_direction(n, 1)
-        res, _ = decomposition_residuals(n, J, direction, L_max=4, seed=5)
+        res, _ = decomposition_residuals(n, J, direction, range(5), seed=5)
         u = standard_random_field(n, J, 5)
-        tail = u - smoothing_conv(u, J - 1) + smoothing_conv(u, 0)
-        expect = project_by_pyramid(tail, direction, default_levels(J)).lp_norm(2)
-        assert res[-1] == pytest.approx(expect, rel=1e-12)
+        parts = [project_by_pyramid(u - smoothing_conv(u, j + 5) + smoothing_conv(u, 0),
+                                    direction, [j]).lp_norm(2) for j in default_levels(J)]
+        assert res[-1] == pytest.approx(math.hypot(*parts), rel=1e-12)
 
 
 # (n, J, direction): e_1 and one mixed direction per n >= 2
@@ -225,7 +234,7 @@ class TestSpectralSlices:
     spectra of _slice_gram, folded from the grid's spectrum by
     slice_oracle.range_image) against the grid-space apply, level by level,
     on the default window and on one reaching levels 0 and J-1, for every
-    ell in -4..4 that keeps a resolvable level."""
+    ell in -4..4 that keeps a level."""
 
     @pytest.mark.parametrize("window", ["default", "edges"])
     @pytest.mark.parametrize("n,J,bits", SLICE_CASES)
@@ -236,7 +245,7 @@ class TestSpectralSlices:
         u = white_noise(n, J, seed=60)
         checked = 0
         for ell in range(-4, 5):
-            kept = [j for j in lv if resolvable(j + ell, J)]
+            kept = [j for j in lv if j + ell >= 0]
             if not kept:
                 continue
             op = t_ell_operator(n, J, direction, ell, lv)
@@ -259,7 +268,7 @@ class TestSpectralSlices:
         assert op.adjoint(u).lp_norm(2) == 0.0
 
     def test_rejects_levels_off_the_grid(self):
-        # ell = -4 drops level 0 as unresolvable and keeps level 7 (scale 3)
+        # ell = -4 drops level 0 (scale -4) and keeps level 7 (scale 3)
         u = random_field(2, 6, seed=62)
         calls = {
             "t_ell": lambda: t_ell(u, D10, -4, levels=[7]),
@@ -284,7 +293,7 @@ class TestClosedFormResiduals:
     def test_matches_the_slice_sum(self, n, J, bits, window, L_max):
         direction = Direction(bits)
         lv = None if window == "default" else [0, 2, J - 1]
-        got, base = decomposition_residuals(n, J, direction, L_max, lv, seed=3)
+        got, base = decomposition_residuals(n, J, direction, range(L_max + 1), lv, seed=3)
         want, want_base = field_decomposition_residuals(n, J, direction, L_max, lv, seed=3)
         assert base == pytest.approx(want_base, rel=1e-12, abs=0)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -292,15 +301,14 @@ class TestClosedFormResiduals:
     @pytest.mark.parametrize("window", ["default", "edges"])
     @pytest.mark.parametrize("n,J", [(1, 7), (2, 7), (3, 6)])
     def test_floor_is_the_truncation(self, n, J, window):
-        # from L = J-1 on every level of the window reaches both ends of the
-        # scale ladder, so the residual is that of P (I - beta_{J-1} + beta_0)
+        # the order L = inf is ||P beta_0 u||, the limit of the residuals:
+        # at L = 60 every level's top end has 1 - h_s below 2^-50
         direction = axis_direction(n, 1)
         lv = default_levels(J) if window == "default" else [0, 2, J - 1]
-        res, _ = decomposition_residuals(n, J, direction, L_max=J + 1, levels=lv, seed=5)
+        res, _ = decomposition_residuals(n, J, direction, [60, math.inf], levels=lv, seed=5)
         u = standard_random_field(n, J, 5)
-        tail = u - smoothing_conv(u, J - 1) + smoothing_conv(u, 0)
-        expect = project_by_pyramid(tail, direction, lv).lp_norm(2)
-        assert res[J - 1:] == pytest.approx([expect] * 3, rel=1e-12, abs=0)
+        expect = project_by_pyramid(smoothing_conv(u, 0), direction, lv).lp_norm(2)
+        assert res == pytest.approx([expect] * 2, rel=1e-12, abs=0)
 
     # default windows, a window whose top level is J-1 (P u needs the
     # whole grid), and windows whose top level is < 3, where the annulus
@@ -316,12 +324,12 @@ class TestClosedFormResiduals:
         # 1e-16 ||P u||: each residual agrees to 1e-14 relative, or to
         # 1e-14 ||P u|| where the residual is small
         lv = self.WINDOWS[window](J)
-        orders = range(J + 1)
+        orders = (*range(J + 1), math.inf)
         for bits in {(1,) + (0,) * (n - 1), (1,) * n}:
             direction = Direction(bits)
             got = slice_sum_residuals(J, *standard_random_spectrum(n, J, 2), direction, orders, lv)
             want = grid_slice_sum_residuals(standard_random_field(n, J, 2), direction, orders, lv)
-            _, base = decomposition_residuals(n, J, direction, 0, lv, seed=2)
+            _, base = decomposition_residuals(n, J, direction, [0], lv, seed=2)
             assert got == pytest.approx(want, rel=1e-14, abs=1e-14 * base)
 
     @pytest.mark.parametrize("window", WINDOWS)
@@ -333,7 +341,7 @@ class TestClosedFormResiduals:
         modes, spectrum = standard_random_spectrum(n, J, 4)
         for bits in {(1,) + (0,) * (n - 1), (1,) * n}:
             direction = Direction(bits)
-            _, base = decomposition_residuals(n, J, direction, 0, lv, seed=4)
+            _, base = decomposition_residuals(n, J, direction, [0], lv, seed=4)
             grid = project_by_pyramid(standard_random_field(n, J, 4), direction, lv).lp_norm(2)
             folds = [multiscale._coset_fold(*multiscale._level_modes(J, j, direction, modes,
                                                                       spectrum)) for j in lv]
@@ -344,10 +352,10 @@ class TestClosedFormResiduals:
     def test_mode_sums_hold_every_digit(self):
         # the per-mode weight is folded once and 1 - prod h comes from the
         # 1 - h_i, so the float64 residuals match a longdouble run of the
-        # same sums to a few ulps, down to the truncation floor (4.7e-4
-        # ||P u|| here), where cancelling folds lost 4.2e-14 relative
+        # same sums to a few ulps, down to the floor ||P beta_0 u|| (4.8e-4
+        # ||P u|| here), where cancelling grid folds lose 2.7e-14 relative
         n, J, lv = 1, 12, default_levels(12)
-        orders = range(J + 1)
+        orders = (*range(J + 1), math.inf)
         modes, spectrum = standard_random_spectrum(n, J, 1)
         got = slice_sum_residuals(J, modes, spectrum, D1, orders, lv)
         want = longdouble_slice_sum_residuals(J, modes, spectrum, D1, orders, lv)
@@ -355,18 +363,18 @@ class TestClosedFormResiduals:
             assert abs(g - w) <= 1e-15 * w, (g, w)
 
     def test_empty_window_has_no_residual(self):
-        assert decomposition_residuals(2, 5, D10, 2, levels=[], seed=1) == ([0.0] * 3, 0.0)
+        assert decomposition_residuals(2, 5, D10, range(3), levels=[], seed=1) == ([0.0] * 3, 0.0)
 
     @pytest.mark.parametrize("n,J", [(1, 8), (2, 6), (3, 5)])
     def test_transforms_no_level_grid(self, n, J, monkeypatch):
         calls = count_level_transforms(monkeypatch, n, J)
-        decomposition_residuals(n, J, axis_direction(n, 1), L_max=4, seed=1)
+        decomposition_residuals(n, J, axis_direction(n, 1), range(5), seed=1)
         assert calls == {}
 
     @pytest.mark.parametrize("levels,bad", [([0, 7], 7), ([-1, 2], -1)])
     def test_rejects_levels_off_the_grid(self, levels, bad):
         with pytest.raises(ValueError, match=rf"no coefficients at level {bad} \(J=6\)"):
-            decomposition_residuals(2, 6, D10, 2, levels=levels, seed=1)
+            decomposition_residuals(2, 6, D10, range(3), levels=levels, seed=1)
 
 
 def cli_peak(tmp_path, argv, warm_up) -> int:
@@ -395,12 +403,12 @@ class TestWorkingSet:
             cached.cache_clear()
         direction = axis_direction(n, 1)
         op_norm2_estimate(t_ell_operator(n, 4, direction, 0), iters=10, seed=1)
-        decomposition_residuals(n, 4, direction, L_max=1, seed=1)
+        decomposition_residuals(n, 4, direction, range(2), seed=1)
         tracemalloc.start()
         try:
             for ell in range(-4, 5):
                 op_norm2_estimate(t_ell_operator(n, J, direction, ell), iters=24, seed=1)
-            decomposition_residuals(n, J, direction, L_max=max(4, J - 1), seed=1)
+            decomposition_residuals(n, J, direction, TL_DECAY_ORDERS, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -430,10 +438,10 @@ class TestWorkingSet:
         # the residuals hold the mode list and its coset folds, and P u a
         # grid of 2^-n of the cells: together under one level-J grid
         direction = axis_direction(n, 1)
-        decomposition_residuals(n, 4, direction, L_max=1, seed=1)
+        decomposition_residuals(n, 4, direction, range(2), seed=1)
         tracemalloc.start()
         try:
-            decomposition_residuals(n, J, direction, L_max=max(4, J - 1), seed=1)
+            decomposition_residuals(n, J, direction, TL_DECAY_ORDERS, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -787,7 +795,7 @@ class TestTlDecay:
         got = {ell: op_norm2_estimate(t_ell_operator(n, J, direction, ell), iters=12, seed=5)
                for ell in ells}
         assert calls == {}
-        kept = {ell: [j for j in default_levels(J) if resolvable(j + ell, J)] for ell in ells}
+        kept = {ell: [j for j in default_levels(J) if j + ell >= 0] for ell in ells}
         assert sorted(draws) == sorted({(n, J, j, 5) for lv in kept.values() for j in lv})
         for args, arrays in draws.items():
             assert len(arrays) == sum(args[2] in lv for lv in kept.values())
