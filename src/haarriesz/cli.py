@@ -5,6 +5,10 @@ Every verification is a subcommand writing ``results.csv`` and
 counter-based generator keyed by the mandatory seed, so identical manifests
 reproduce identical CSV bytes.  Exit codes: 0 all assertions pass, 1 internal
 error, 2 flag validation failure, 3 assertion failure, 4 resource-cap refusal.
+
+The module imports only the standard library: each ``cmd_*`` runner imports
+the layers it calls, so a run loads its own subcommand's layers and a flag
+rejected by the parser loads none.
 """
 
 from __future__ import annotations
@@ -23,39 +27,7 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from .grid import Direction, DyadicCube, GridFunction, all_directions, axis_direction
-from .fields import haar_polynomials, random_field
-from .fourier import ResolvingKernel, delta_conv, riesz, smoothing_conv
-from .haar import conditional_expectation, directional_project, haar_analyze, haar_synthesize
-from .multiscale import (
-    OpNormResult,
-    default_levels,
-    op_norm2_estimate,
-    rearrangement_operator,
-    ring_cover,
-    slice_window,
-    t_ell_operator,
-)
-from .profiles import haar_pieces, profile_product_integral
-from .semiconvexity import (
-    contrast_sequence,
-    jensen_range_check,
-    oscillation_sequence,
-    registry_integrands,
-    semicontinuity_experiment,
-)
-from .experiments import decomposition_residuals, interp_ratio_sup, ring_decay_norms
-from .sharpness import (
-    A_PROFILE,
-    B_PROFILE,
-    build_collection,
-    sharpness_experiment_pge2,
-    single_block_experiment_ple2,
-    unit_square_coefficient,
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -122,7 +94,12 @@ def parse_int_list(text: str) -> list[int]:
 
 
 def parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",")]
+    """Comma-separated floats, in any order but each once: every value
+    gets its own rows and checks."""
+    values = [float(tok) for tok in text.split(",")]
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"{text!r} repeats a value")
+    return values
 
 
 def _domain(parse: Callable, ok: Callable, what: str) -> Callable:
@@ -187,6 +164,8 @@ class Run:
         return buf.getvalue()
 
     def finish(self) -> int:
+        import numpy as np
+
         self.out_dir.mkdir(parents=True, exist_ok=True)
         csv_text = self.csv_text()
         (self.out_dir / "results.csv").write_text(csv_text)
@@ -201,7 +180,8 @@ class Run:
             # CPU of every thread of the process (BLAS too); above the wall
             # time between the two stamps when threads run in parallel
             "cpu_s": time.process_time() - self.cpu_start,
-            # the CPU of every thread before the run began: start-up and imports
+            # the CPU of every thread before the run began: start-up and the
+            # import of this module; the runner's layer imports fall in cpu_s
             "startup_cpu_s": self.cpu_start,
             # the BLAS thread-count variables of the environment; null when unset
             "blas_thread_env": {k: os.environ.get(k) for k in BLAS_THREAD_VARS},
@@ -272,6 +252,8 @@ def tl_decay_budget(n: int, J: int) -> int:
     0..J+3 that the ladders reach, which set the peak at n = 1.  The traced
     peak of its compute phase is 0.6-0.9 of it
     (tests/test_multiscale.py::TestWorkingSet)."""
+    from .multiscale import default_levels
+
     lv = default_levels(J)
     blocks = sum(2 ** (n * j) for k in lv for j in lv if k <= j)
     range_size = sum(2 ** (n * j) for j in lv)
@@ -288,7 +270,8 @@ INTEGRAND_COLUMNS = ["experiment", "f_name", "r", "I_r", "I_limit", "defect_min"
 NO_SOLVER = (0, 0.0, "")
 
 
-def solver_columns(r: OpNormResult) -> tuple:
+def solver_columns(r) -> tuple:
+    """The solver columns of a multiscale.OpNormResult."""
     return r.iterations, r.residual, r.converged
 
 
@@ -297,6 +280,10 @@ def solver_columns(r: OpNormResult) -> tuple:
 
 
 def cmd_tl_decay(args, run: Run) -> None:
+    from .experiments import decomposition_residuals
+    from .grid import axis_direction
+    from .multiscale import op_norm2_estimate, slice_window, t_ell_operator
+
     n, J, p, ells, seed = args.n, args.J, args.p, args.ell, args.seed
     # a slice that keeps no level is the zero operator: its norm would
     # pass every check without measuring anything
@@ -364,6 +351,9 @@ def lambda_scaling(args, run: Run, norms: dict, trials: int, bits: str, model: s
 
 
 def cmd_ring_decay(args, run: Run) -> None:
+    from .experiments import ring_decay_norms
+    from .grid import axis_direction
+
     n, J, lams = args.n, args.J, getattr(args, "lambda")
     if not all(0 <= lam <= J - 2 for lam in lams):
         raise ValidationError(f"--lambda values must lie in 0..J-2 = 0..{J - 2}")
@@ -385,6 +375,8 @@ def rearrange_budget(n: int, J: int) -> int:
 
 
 def cmd_rearrange(args, run: Run) -> None:
+    from .multiscale import op_norm2_estimate, rearrangement_operator
+
     n, J, lams = args.n, args.J, getattr(args, "lambda")
     if not all(0 <= lam <= J - 1 for lam in lams):
         raise ValidationError(f"--lambda values must lie in 0..J-1 = 0..{J - 1}")
@@ -406,6 +398,9 @@ def interp_ratio_budget(n: int, J: int) -> int:
 
 
 def cmd_interp_ratio(args, run: Run) -> None:
+    from .experiments import interp_ratio_sup
+    from .grid import axis_direction
+
     n, J, seed = args.n, args.J, args.seed
     enforce_cap(interp_ratio_budget(n, J), args.cap_bytes)
     direction = axis_direction(n, 1)
@@ -433,6 +428,13 @@ def ple2_budget(J: int) -> int:
 
 
 def cmd_sharpness(args, run: Run) -> None:
+    from .sharpness import (
+        build_collection,
+        sharpness_experiment_pge2,
+        single_block_experiment_ple2,
+        unit_square_coefficient,
+    )
+
     eps_list, eta = args.eps, args.eta
     if args.regime in ("pge2", "both"):
         for eps in eps_list:
@@ -483,6 +485,9 @@ JENSEN_BATCH = 64
 
 
 def cmd_jensen(args, run: Run) -> None:
+    from .fields import haar_polynomials
+    from .semiconvexity import jensen_range_check, registry_integrands
+
     n, J, seed, trials = args.n, args.J, args.seed, args.trials
     enforce_cap(grid_budget(n, J, copies=16 * min(trials, JENSEN_BATCH)), args.cap_bytes)
     run.set_columns(INTEGRAND_COLUMNS)
@@ -511,6 +516,14 @@ def semicontinuity_budget(n: int, J: int) -> int:
 
 
 def cmd_semicontinuity(args, run: Run) -> None:
+    from .grid import GridFunction
+    from .semiconvexity import (
+        contrast_sequence,
+        oscillation_sequence,
+        registry_integrands,
+        semicontinuity_experiment,
+    )
+
     n, J, seed = args.n, args.J, args.seed
     enforce_cap(semicontinuity_budget(n, J), args.cap_bytes)
     regs = registry_integrands()
@@ -544,6 +557,17 @@ def selftest_budget(n: int, J: int) -> int:
 
 
 def cmd_selftest(args, run: Run) -> None:
+    import numpy as np
+
+    from .fields import haar_polynomials, random_field
+    from .fourier import ResolvingKernel, delta_conv, riesz, smoothing_conv
+    from .grid import Direction, DyadicCube, GridFunction, all_directions
+    from .haar import conditional_expectation, directional_project, haar_analyze, haar_synthesize
+    from .multiscale import ring_cover, t_ell_operator
+    from .profiles import haar_pieces, profile_product_integral
+    from .semiconvexity import jensen_range_check, registry_integrands
+    from .sharpness import A_PROFILE, B_PROFILE, unit_square_coefficient
+
     n, J, seed = args.n, args.J, args.seed
     enforce_cap(selftest_budget(n, J), args.cap_bytes)
     run.set_columns(["check", "measured", "expected", "tol", "status"])

@@ -20,7 +20,6 @@ from .fourier import _inverse, riesz
 from .grid import Direction, GridFunction, axis_direction
 from .haar import HaarCoefficients, directional_project, haar_analyze
 from .multiscale import default_even_family, default_levels, ring_norm, slice_sum_residuals
-from .sharpness import BlockSpec, block_field, f_eps_field, single_block_square
 
 __all__ = [
     "decomposition_residuals",
@@ -125,6 +124,8 @@ def interpolatory_family(
     for i in range(count):
         yield "trig_cone", i, trig_band_field(n, J, seed, index=i, i0=1)
     if n == 2:
+        from .sharpness import BlockSpec, block_field, f_eps_field, single_block_square
+
         yield "f_eps", 0, f_eps_field(0.5, J)
         for i, eps in enumerate((0.5, 0.25)):
             yield "block", i, block_field(BlockSpec(single_block_square(), eps), J)

@@ -289,6 +289,7 @@ OUT_OF_DOMAIN = [
     (["rearrange-scaling", "--trials", "4"], "--trials"),
     (["interp-ratio", "--J", "3"], "--J"),
     (["interp-ratio", "--p-list", "2,0.5"], "--p-list"),
+    (["interp-ratio", "--p-list", "2,2"], "--p-list"),
     (["interp-ratio", "--trials", "0"], "--trials"),
     (["sharpness", "--eps", "3/8"], "--eps"),
     (["sharpness", "--regime", "ple2", "--eps", "1"], "--eps"),
@@ -323,8 +324,7 @@ def test_ring_decay_runs_no_iteration(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("ring-decay ran an operator")
 
-    for target in ("haarriesz.cli.op_norm2_estimate",
-                   "haarriesz.multiscale.op_norm2_estimate",
+    for target in ("haarriesz.multiscale.op_norm2_estimate",
                    "haarriesz.multiscale.ring_projection_operator"):
         monkeypatch.setattr(target, broken)
     assert main(["ring-decay", "--J", "7", "--lambda", "3,4,5", "--out", str(tmp_path / "x")]) == 0
@@ -352,7 +352,7 @@ def test_internal_error_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal")
 
-    monkeypatch.setattr("haarriesz.cli.op_norm2_estimate", broken)
+    monkeypatch.setattr("haarriesz.multiscale.op_norm2_estimate", broken)
     with pytest.raises(ValueError, match="internal"):
         main(["tl-decay", "--J", "5", "--ell=-1..1", "--out", str(tmp_path / "x")])
 

@@ -420,8 +420,8 @@ class TestWorkingSet:
         # runs
         main(["tl-decay", "--n", "3", "--J", "4", "--ell=0", "--trials", "4",
               "--out", str(tmp_path / "warm")])
-        for name in ("op_norm2_estimate", "decomposition_residuals"):
-            monkeypatch.setattr(f"haarriesz.cli.{name}", None)
+        monkeypatch.setattr("haarriesz.multiscale.op_norm2_estimate", None)
+        monkeypatch.setattr("haarriesz.experiments.decomposition_residuals", None)
         tracemalloc.start()
         try:
             code = main(["tl-decay", "--n", "3", "--J", "10", "--ell=-1..1", "--trials", "4",

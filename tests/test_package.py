@@ -1,6 +1,6 @@
-"""The package root loads its names on first use."""
+"""The package root loads nothing, and each run loads only its own layers."""
 
-import importlib
+import json
 import os
 import subprocess
 import sys
@@ -13,9 +13,9 @@ import haarriesz
 SRC = Path(haarriesz.__file__).resolve().parent.parent
 
 
-def fresh_interpreter(code: str) -> str:
+def fresh_interpreter(code: str, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     return done.stdout
 
@@ -28,25 +28,49 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert out.split("\n")[:2] == [haarriesz.__version__, "[]"]
 
 
-def test_first_lookup_imports_only_its_submodule():
-    out = fresh_interpreter(
-        "import sys, haarriesz\n"
-        "haarriesz.haar_analyze\n"
-        "print(sorted(k for k in sys.modules if k.startswith('haarriesz.')))\n")
-    assert out.strip() == "['haarriesz.grid', 'haarriesz.haar']"
-
-
 def test_from_import_of_a_submodule():
     assert fresh_interpreter("from haarriesz import cli\nprint(cli.__name__)").strip() == (
         "haarriesz.cli")
 
 
-def test_every_name_is_its_submodules_object():
-    listed = dir(haarriesz)
-    for name in haarriesz.__all__:
-        module = importlib.import_module(f"haarriesz.{haarriesz._SOURCE[name]}")
-        assert getattr(haarriesz, name) is getattr(module, name), name
-        assert name in listed and name in vars(haarriesz), name  # bound: a dict hit next time
+def layers(*names: str) -> set[str]:
+    return {f"haarriesz.{name}" for name in names}
+
+
+# each subcommand at its smallest grid, its exit code, and the modules it
+# must not load; a flag the parser rejects loads numpy and no layer
+RUNS = [
+    (["tl-decay", "--J", "4", "--ell=-1..1", "--trials", "4"], 0,
+     layers("sharpness", "semiconvexity")),
+    (["ring-decay", "--J", "3", "--lambda", "0,1"], 0, layers("sharpness", "semiconvexity")),
+    (["rearrange-scaling", "--J", "2", "--lambda", "0,1"], 0,
+     layers("sharpness", "semiconvexity", "experiments")),
+    (["interp-ratio", "--J", "4", "--trials", "1"], 0, layers("semiconvexity")),
+    (["sharpness", "--eps", "1/2,1/4", "--sample", "10"], 0,
+     layers("multiscale", "semiconvexity", "experiments")),
+    (["jensen", "--J", "3", "--trials", "1"], 0, layers("multiscale", "sharpness", "experiments")),
+    (["semicontinuity", "--J", "3"], 0, layers("multiscale", "sharpness", "experiments")),
+    (["tl-decay", "--J", "3"], 2,
+     {"numpy", *layers("experiments", "fields", "fourier", "grid", "haar", "multiscale",
+                       "profiles", "semiconvexity", "sharpness")}),
+]
+
+
+@pytest.mark.parametrize("argv,code,excluded", RUNS, ids=[" ".join(a) for a, _, _ in RUNS])
+def test_a_run_loads_only_its_own_layers(argv, code, excluded, tmp_path):
+    out = fresh_interpreter(
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(k for k in sys.modules if k == 'numpy' or k.startswith('haarriesz.'))\n"
+        "from haarriesz import cli\n"
+        "imported = loaded()\n"
+        "code = cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([imported, code, loaded()]))\n",
+        json.dumps([*argv, "--out", str(tmp_path / "x")]))
+    imported, exit_code, run = json.loads(out.splitlines()[-1])
+    assert imported == ["haarriesz.cli"]
+    assert exit_code == code
+    assert not excluded & set(run), sorted(excluded & set(run))
 
 
 def test_unknown_name_raises_attribute_error():
